@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +33,7 @@ from .fields import (
     ComplexField,
     Grid3,
     ScalarField,
+    WeightedGradientL1,
     boundary_max,
     grad_magnitude_sq,
     integrate_values,
@@ -128,15 +130,19 @@ def h1_seminorm(grid: Grid3, values: np.ndarray, order: int = 4) -> float:
     return float(integrate_values(grid, grad_magnitude_sq(grid, values, order)))
 
 
-def w32_norms(grid: Grid3, values: np.ndarray, order: int = 4) -> tuple[float, float]:
-    """(L^{3/2} norm of f, L^{3/2} norm of |grad f|)."""
-    if np.iscomplexobj(values):
-        fnorm = lp_norm(ComplexField(grid, values), 1.5)
-    else:
-        fnorm = lp_norm(ScalarField(grid, values), 1.5)
-    gmag = np.sqrt(grad_magnitude_sq(grid, values, order))
-    gnorm = lp_norm(ScalarField(grid, gmag), 1.5)
-    return fnorm, gnorm
+def w32_norms(
+    grid: Grid3,
+    values: np.ndarray,
+    order: int = 4,
+    grad_sq: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """(L^{3/2} norm of f, L^{3/2} norm of |grad f|).
+
+    ``grad_sq`` passes |grad f|^2 when the caller has already computed it.
+    """
+    if grad_sq is None:
+        grad_sq = grad_magnitude_sq(grid, values, order)
+    return lp_norm(grid, values, 1.5), lp_norm(grid, np.sqrt(grad_sq), 1.5)
 
 
 def _rel_change(coarse: float, fine: float) -> float:
@@ -192,32 +198,93 @@ def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(values, 0.0, None))
 
 
-def _eq_norms(r: SpinDensityField, tol: ToleranceConfig) -> dict[str, object]:
-    """All resolution-dependent norms of conditions (d)-(g) in one pass."""
-    grid = r.grid
-    order = tol.fd_order
+class DensityNorms:
+    """The gradient norms of conditions (d)-(g) on one density R.
+
+    Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
+    taken at most once, when a norm first needs it, so a caller pays only for
+    the norms it reads.  ``floor`` is the division floor of the /rho
+    integrals; ``det`` passes the values of ``det_field(r, tol)`` when the
+    caller already has them.
+    """
+
+    def __init__(
+        self,
+        r: SpinDensityField,
+        tol: ToleranceConfig,
+        floor: float,
+        det: np.ndarray | None = None,
+    ) -> None:
+        self.r = r
+        self.tol = tol
+        self.floor = floor
+        self._det = det
+
+    def _h1_sqrt(self, values: np.ndarray) -> float:
+        return h1_seminorm(self.r.grid, _sqrt_clipped(values), self.tol.fd_order)
+
+    @cached_property
+    def h1_up(self) -> float:
+        return self._h1_sqrt(self.r.rho_up.values)
+
+    @cached_property
+    def h1_dn(self) -> float:
+        return self._h1_sqrt(self.r.rho_dn.values)
+
+    @cached_property
+    def _sqrt_det(self) -> ScalarField:
+        det = self._det if self._det is not None else det_field(self.r, self.tol).values
+        return ScalarField(self.r.grid, _sqrt_clipped(det))
+
+    @cached_property
+    def _sigma_grad_sq(self) -> np.ndarray:
+        return grad_magnitude_sq(self.r.grid, self.r.sigma.values, self.tol.fd_order)
+
+    @cached_property
+    def _sqrtdet_grad_sq(self) -> np.ndarray:
+        return grad_magnitude_sq(self.r.grid, self._sqrt_det.values, self.tol.fd_order)
+
+    @cached_property
+    def sigma_w32(self) -> tuple[float, float]:
+        return w32_norms(self.r.grid, self.r.sigma.values, grad_sq=self._sigma_grad_sq)
+
+    @cached_property
+    def sqrtdet_w32(self) -> tuple[float, float]:
+        return w32_norms(self.r.grid, self._sqrt_det.values, grad_sq=self._sqrtdet_grad_sq)
+
+    def _over_rho(self, f, grad_sq: np.ndarray) -> WeightedGradientL1:
+        tol = self.tol
+        return weighted_gradient_l1(
+            f, self.r.rho_total, self.floor, tol.fd_order, tol.sig_rel, grad_sq=grad_sq
+        )
+
+    @cached_property
+    def sigma_ratio(self) -> WeightedGradientL1:
+        return self._over_rho(self.r.sigma, self._sigma_grad_sq)
+
+    @cached_property
+    def det_ratio(self) -> WeightedGradientL1:
+        return self._over_rho(self._sqrt_det, self._sqrtdet_grad_sq)
+
+
+def _eq_norms(
+    r: SpinDensityField, tol: ToleranceConfig, det: np.ndarray | None = None
+) -> dict[str, object]:
+    """All eight numbers of conditions (d)-(g), each gradient taken once."""
     # non-finite data must surface as failing norms, not as a floor error
     scale = r.scale if math.isfinite(r.scale) else 0.0
-    floor = tol.floor(scale)
-    rho = r.rho_total
-    sqrt_det = _sqrt_clipped(det_field(r, tol).values)
-    h1_up = h1_seminorm(grid, _sqrt_clipped(r.rho_up.values), order)
-    h1_dn = h1_seminorm(grid, _sqrt_clipped(r.rho_dn.values), order)
-    sig_f, sig_g = w32_norms(grid, r.sigma.values, order)
-    det_f, det_g = w32_norms(grid, sqrt_det, order)
-    sig_ratio = weighted_gradient_l1(r.sigma, rho, floor, order, tol.sig_rel)
-    det_ratio = weighted_gradient_l1(
-        ScalarField(grid, sqrt_det), rho, floor, order, tol.sig_rel
-    )
+    norms = DensityNorms(r, tol, tol.floor(scale), det)
+    sig_f, sig_g = norms.sigma_w32
+    det_f, det_g = norms.sqrtdet_w32
     return {
-        "h1_up": h1_up,
-        "h1_dn": h1_dn,
+        "h1_up": norms.h1_up,
+        "h1_dn": norms.h1_dn,
         "sigma_l32": sig_f,
         "sigma_grad_l32": sig_g,
         "sqrtdet_l32": det_f,
         "sqrtdet_grad_l32": det_g,
-        "sigma_ratio": sig_ratio,
-        "det_ratio": det_ratio,
+        "sigma_ratio": norms.sigma_ratio,
+        "det_ratio": norms.det_ratio,
     }
 
 
@@ -290,7 +357,7 @@ def check(
     ))
 
     # (d)-(g) finiteness of the gradient norms
-    norms = _eq_norms(r, tol)
+    norms = _eq_norms(r, tol, dt)
     fine_norms = _eq_norms(refined, tol) if refined is not None else None
 
     def change_of(key: str) -> float | None:

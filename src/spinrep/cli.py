@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .check import check
 from .decompose import PipelineError, construct_witness
-from .fields import Grid3, integrate
+from .fields import ComplexField, Grid3, integrate
 from .generators import (
     GeneratorError,
     full_rank_mixture,
@@ -33,7 +33,6 @@ from .io import (
 )
 from .sqrtm import NotPositiveSemidefiniteError, eigen_densities, sqrt_field
 from .spin_density import SpinDensityField, trace_integral
-from .fields import ComplexField, ScalarField
 from .tolerances import DEFAULT
 from .witness import verify
 

@@ -46,6 +46,7 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,20 @@ def construct_witness(
     tol: ToleranceConfig = DEFAULT,
 ) -> Witness:
     """Build an explicit mixed state (<= 4 Slater branches) representing R."""
+    # Work on a private container and raise a fresh refusal outside the
+    # handler: a caller that keeps the refusal then keeps neither the arrays
+    # built before it (reachable through the original traceback) nor the
+    # total density that check caches on the field.
+    try:
+        return _construct(
+            SpinDensityField(r.rho_up, r.rho_dn, r.sigma, r.n_electrons), axis, tol
+        )
+    except PipelineError as exc:
+        refusal = PipelineError(exc.stage, exc.message)
+    raise refusal
+
+
+def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
     report = check(r, tol)
     if report.verdict != "pass":
         failed = [c.name for c in report.conditions if c.verdict != "pass"]
@@ -188,6 +203,14 @@ def construct_witness(
                 orbs = build_orbitals(build_field, axis, tol)
             except ValueError as exc:
                 raise PipelineError("orbitals", str(exc)) from exc
+            # the same orthonormality test as verify's orbital_gram
+            gram = orbs.diagnostics["gram_deviation"]
+            if not gram <= tol.gram_tol:
+                raise PipelineError(
+                    "orbitals",
+                    f"orbitals are not orthonormal on this grid: Gram deviation "
+                    f"{gram:.3e} > {tol.gram_tol:.3e}",
+                )
             if needs_swap:
                 orbs = exchange_components(orbs)
             branches.append(WitnessBranch(weight=weight, orbitals=orbs, swapped=needs_swap))

@@ -10,6 +10,18 @@ Conventions used throughout the package:
 * derivatives are central finite differences (order 2 by default, order 4
   available for the norm integrals) with one-sided second-order stencils on
   the boundary planes.
+
+The stencil kernel is buffered: :func:`grad_magnitude_sq` makes one pass
+per axis into a reused derivative buffer (one more buffer holds the stencil
+terms), squares it in place and accumulates it, so it allocates three
+input-sized arrays per call rather than three gradients plus temporaries.
+Complex data is processed as its float64 (real, imag) pair view.  The
+kernel is bit-identical to evaluating the stencil expressions directly, and
+any change to it must stay so: it keeps the operation order
+``((a - 8b) + 8c) - d`` and the boundary expressions, divides real data by
+``k h``, and multiplies complex data by the reciprocal ``1 / (k h)``, which
+is how numpy rounds a complex-by-real division.  For non-finite complex
+input the two can differ in which non-finite value they produce.
 """
 
 from __future__ import annotations
@@ -147,26 +159,72 @@ def zeros_complex(grid: Grid3) -> ComplexField:
 # -- derivatives -----------------------------------------------------------
 
 
-def _axis_gradient(v: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    vm = np.moveaxis(v, axis, 0)
-    g = np.empty_like(vm)
-    if order == 2:
-        g[1:-1] = (vm[2:] - vm[:-2]) / (2.0 * h)
-    elif order == 4:
-        # fourth-order interior, second-order central one node from the edge
-        g[2:-2] = (vm[:-4] - 8.0 * vm[1:-3] + 8.0 * vm[3:-1] - vm[4:]) / (12.0 * h)
-        g[1] = (vm[2] - vm[0]) / (2.0 * h)
-        g[-2] = (vm[-1] - vm[-3]) / (2.0 * h)
+def _float_view(values) -> tuple[np.ndarray, bool]:
+    """values as float64 data; complex data as its (..., 2) real/imag pair view."""
+    arr = np.asarray(values)
+    if not np.iscomplexobj(arr):
+        return np.asarray(arr, dtype=np.float64), False
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.view(np.float64).reshape(*arr.shape, 2), True
+
+
+def _scale(a: np.ndarray, d: float, complex_data: bool) -> None:
+    """a /= d in place, rounded as numpy rounds the same division of the original dtype.
+
+    numpy divides complex by real as (re, im) * (1/d), so pair data is scaled
+    by the reciprocal; real data is divided.
+    """
+    if complex_data:
+        np.multiply(a, 1.0 / d, out=a)
     else:
+        np.divide(a, d, out=a)
+
+
+def _axis_stencil(
+    v: np.ndarray, h: float, axis: int, order: int,
+    out: np.ndarray, tmp: np.ndarray, complex_data: bool,
+) -> None:
+    """d v / d x_axis into ``out``, using ``tmp`` (same shape) as scratch."""
+    vm, g, t = (np.moveaxis(a, axis, 0) for a in (v, out, tmp))
+    if order == 2:
+        np.subtract(vm[2:], vm[:-2], out=g[1:-1])
+        _scale(g[1:-1], 2.0 * h, complex_data)
+    else:
+        # fourth-order interior ((a - 8b) + 8c) - d, second-order central one
+        # node from the edge
+        gi, ti = g[2:-2], t[2:-2]
+        np.multiply(vm[1:-3], 8.0, out=ti)
+        np.subtract(vm[:-4], ti, out=gi)
+        np.multiply(vm[3:-1], 8.0, out=ti)
+        np.add(gi, ti, out=gi)
+        np.subtract(gi, vm[4:], out=gi)
+        _scale(gi, 12.0 * h, complex_data)
+        np.subtract(vm[2], vm[0], out=g[1])
+        np.subtract(vm[-1], vm[-3], out=g[-2])
+        for i in (1, -2):
+            _scale(g[i], 2.0 * h, complex_data)
+    g[0] = -3.0 * vm[0] + 4.0 * vm[1] - vm[2]
+    g[-1] = 3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]
+    for i in (0, -1):
+        _scale(g[i], 2.0 * h, complex_data)
+
+
+def _check_order(order: int) -> None:
+    if order not in (2, 4):
         raise ValueError(f"unsupported stencil order {order} (use 2 or 4)")
-    g[0] = (-3.0 * vm[0] + 4.0 * vm[1] - vm[2]) / (2.0 * h)
-    g[-1] = (3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]) / (2.0 * h)
-    return np.moveaxis(g, 0, axis)
 
 
 def gradient_arrays(grid: Grid3, values: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    h = grid.spacing
-    return tuple(_axis_gradient(values, h[ax], ax, order) for ax in range(3))
+    """The three partial derivatives of values (float64 or complex128 arrays)."""
+    _check_order(order)
+    v, complex_data = _float_view(values)
+    tmp = np.empty_like(v)
+    out = []
+    for ax in range(3):
+        g = np.empty_like(v)
+        _axis_stencil(v, grid.spacing[ax], ax, order, g, tmp, complex_data)
+        out.append(g.view(np.complex128)[..., 0] if complex_data else g)
+    return tuple(out)
 
 
 def gradient(f: Field, order: int = 2):
@@ -176,13 +234,27 @@ def gradient(f: Field, order: int = 2):
 
 
 def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 2) -> np.ndarray:
-    """|grad f|^2 pointwise; for complex f the moduli of the components add."""
-    out = np.zeros(grid.dims)
-    for g in gradient_arrays(grid, values, order):
-        if np.iscomplexobj(g):
-            out += g.real * g.real + g.imag * g.imag
+    """|grad f|^2 pointwise; for complex f the moduli of the components add.
+
+    One stencil pass per axis into a reused buffer, squared in place and
+    accumulated; the result is bit-identical to squaring and summing the
+    arrays of :func:`gradient_arrays` axis by axis.
+    """
+    _check_order(order)
+    v, complex_data = _float_view(values)
+    deriv = np.empty_like(v)
+    tmp = np.empty_like(v)
+    out = np.empty(grid.dims)
+    for ax in range(3):
+        _axis_stencil(v, grid.spacing[ax], ax, order, deriv, tmp, complex_data)
+        if complex_data:
+            np.multiply(deriv, deriv, out=deriv)
+            # re^2 + im^2, summed into the real slot
+            sq = np.add(deriv[..., 0], deriv[..., 1], out=out if ax == 0 else deriv[..., 0])
         else:
-            out += g * g
+            sq = np.multiply(deriv, deriv, out=out if ax == 0 else deriv)
+        if ax > 0:
+            out += sq
     return out
 
 
@@ -201,12 +273,13 @@ def integrate(f: Field):
     return complex(val)
 
 
-def lp_norm(f: Field, p: float) -> float:
-    """(integral of |f|^p)^(1/p); p >= 1."""
+def lp_norm(grid: Grid3, values: np.ndarray, p: float) -> float:
+    """(integral of |f|^p)^(1/p) for the samples ``values`` of f; p >= 1."""
     if not p >= 1.0:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = np.abs(f.values)
-    return float(integrate_values(f.grid, mag ** p)) ** (1.0 / p)
+    mag = np.abs(values)
+    mag **= p
+    return float(integrate_values(grid, mag)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -241,21 +314,28 @@ def weighted_gradient_l1(
     floor: float,
     order: int = 2,
     sig_rel: float = 1e-9,
+    grad_sq: np.ndarray | None = None,
 ) -> WeightedGradientL1:
-    """Integral of |grad f|^2 / w with a positive division floor on w."""
+    """Integral of |grad f|^2 / w with a positive division floor on w.
+
+    ``grad_sq`` passes |grad f|^2 when the caller has already computed it.
+    """
     if not (np.isfinite(floor) and floor > 0.0):
         raise ValueError(f"floor must be positive and finite, got {floor}")
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
-    gsq = grad_magnitude_sq(f.grid, f.values, order)
+    gsq = grad_magnitude_sq(f.grid, f.values, order) if grad_sq is None else grad_sq
     mask = w.values >= floor
     cell = f.grid.weights
     contrib = np.zeros(f.grid.dims)
     np.divide(gsq, w.values, out=contrib, where=mask)
-    value = float(np.sum(cell * contrib * mask))
+    # contrib is 0 where masked, so no mask factor is needed
+    contrib *= cell
+    value = float(np.sum(contrib))
     masked = int(f.grid.npoints - np.count_nonzero(mask))
     # lower bound on what each masked point could have contributed
-    lost = cell * gsq / floor
+    lost = np.multiply(cell, gsq, out=contrib)
+    lost /= floor
     threshold = sig_rel * max(abs(value), _TINY)
     significant = int(np.count_nonzero(~mask & (lost > threshold)))
     return WeightedGradientL1(value, masked, significant, f.grid.npoints)

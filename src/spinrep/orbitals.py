@@ -34,9 +34,8 @@ from .fields import (
     ScalarField,
     grad_magnitude_sq,
     integrate_values,
-    weighted_gradient_l1,
 )
-from .check import h1_seminorm
+from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, ToleranceConfig
 
@@ -437,10 +436,9 @@ def kinetic_bound_rhs(
 
     the last term being integral(rho f'^2) after the transverse integration.
     """
-    order = tol.fd_order
-    floor = tol.floor(r.scale)
-    sig_term = weighted_gradient_l1(r.sigma, r.rho_total, floor, order, tol.sig_rel).value
-    dn_term = h1_seminorm(r.grid, np.sqrt(np.clip(r.rho_dn.values, 0.0, None)), order)
+    norms = DensityNorms(r, tol, tol.floor(r.scale))
+    sig_term = norms.sigma_ratio.value
+    dn_term = norms.h1_dn
     wax = r.grid.axis_weights[phase.axis]
     moment = float(np.sum(wax * phase.marginal ** 3))
     return 6.0 * sig_term + 4.0 * dn_term + 4.0 * np.pi ** 2 * k * k * moment

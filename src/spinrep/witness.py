@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import FAIL, PASS, ConditionResult, h1_seminorm
+from .check import FAIL, PASS, ConditionResult, DensityNorms
 from .fields import (
     ComplexField,
     Grid3,
     ScalarField,
     grad_magnitude_sq,
     integrate_values,
-    weighted_gradient_l1,
 )
 from .orbitals import OrbitalSet, gram_deviation
-from .spin_density import SpinDensityField, det_field, trace_integral
+from .spin_density import SpinDensityField, trace_integral
 from .tolerances import DEFAULT, ToleranceConfig
 
 WEIGHT_SUM_TOL = 1e-12
@@ -254,19 +253,12 @@ def verify(
     ))
 
     # (v) integrated regularity bounds on the reconstructed density
-    order = tol.fd_order
-    floor = tol.floor(rec.scale)
-    rho = rec.rho_total
-    sqrt_det = np.sqrt(np.clip(det_field(rec, tol).values, 0.0, None))
+    norms = DensityNorms(rec, tol, tol.floor(rec.scale))
     bounds = (
-        ("sqrt_rho_up_h1", h1_seminorm(
-            w.grid, np.sqrt(np.clip(rec.rho_up.values, 0.0, None)), order), t_up),
-        ("sqrt_rho_dn_h1", h1_seminorm(
-            w.grid, np.sqrt(np.clip(rec.rho_dn.values, 0.0, None)), order), t_dn),
-        ("sigma_grad_over_rho", weighted_gradient_l1(
-            rec.sigma, rho, floor, order, tol.sig_rel).value, total),
-        ("sqrtdet_grad_over_rho", weighted_gradient_l1(
-            ScalarField(w.grid, sqrt_det), rho, floor, order, tol.sig_rel).value, 4.0 * total),
+        ("sqrt_rho_up_h1", norms.h1_up, t_up),
+        ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
+        ("sigma_grad_over_rho", norms.sigma_ratio.value, total),
+        ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
     )
     details: dict[str, object] = {"slack": tol.slack}
     worst_margin = 0.0

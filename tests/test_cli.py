@@ -191,3 +191,13 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "spinrep" in capsys.readouterr().out
+
+
+def test_construct_refuses_non_orthonormal_orbitals(tmp_path, capsys):
+    # N = 3 at 48^3 lies outside the construction's envelope (Gram deviation ~3.5e-2)
+    path = tmp_path / "mix3.spdf"
+    assert main(["gen", *MIXTURE, "--n-electrons", "3", "--out", str(path)]) == 0
+    wdir = tmp_path / "witness"
+    assert main(["construct", str(path), "--out", str(wdir)]) == 1
+    assert "[orbitals]" in capsys.readouterr().err
+    assert not wdir.exists()

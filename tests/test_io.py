@@ -133,8 +133,8 @@ def test_spdf_rejects_extra_payload(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def witness_pair(mixture32, tmp_path_factory):
-    witness = sr.construct_witness(mixture32)
+def witness_pair(mixture48, tmp_path_factory):
+    witness = sr.construct_witness(mixture48)
     d = tmp_path_factory.mktemp("witness")
     sr.write_witness(d, witness)
     return witness, d
