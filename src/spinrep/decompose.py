@@ -26,6 +26,7 @@ The route from a full-rank mixed-state density to explicit orbitals:
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,7 +47,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,16 @@ def construct_witness(
     tol: ToleranceConfig = DEFAULT,
 ) -> Witness:
     """Build an explicit mixed state (<= 4 Slater branches) representing R."""
-    # Work on a private container and raise a fresh refusal outside the
-    # handler: a caller that keeps the refusal then keeps neither the arrays
-    # built before it (reachable through the original traceback) nor the
-    # total density that check caches on the field.
     try:
-        return _construct(
-            SpinDensityField(r.rho_up, r.rho_dn, r.sigma, r.n_electrons), axis, tol
-        )
+        return _construct(r, axis, tol)
     except PipelineError as exc:
-        refusal = PipelineError(exc.stage, exc.message)
-    raise refusal
+        # A caller that keeps the refusal keeps every frame its traceback (and
+        # its cause's) passes through.  Clear the locals of the finished ones,
+        # the orbitals built before the refusal; the frames still print.
+        for err in (exc, exc.__cause__):
+            if err is not None:
+                traceback.clear_frames(err.__traceback__)
+        raise
 
 
 def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
