@@ -47,6 +47,7 @@ from .sqrtm import (
 from .orbitals import (
     NullDeterminantError,
     OrbitalSet,
+    OrthonormalityError,
     PhaseFunction,
     PhaseNormalizationError,
     RatioHypothesisError,
@@ -111,7 +112,7 @@ __all__ = [
     "h1_seminorm", "w32_norms",
     "EigenDensities", "NotPositiveSemidefiniteError", "SqrtField",
     "eigen_densities", "eigen_regularity_check", "reconstruct", "sqrt_field",
-    "NullDeterminantError", "OrbitalSet", "PhaseFunction",
+    "NullDeterminantError", "OrbitalSet", "OrthonormalityError", "PhaseFunction",
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
     "base_spinor", "build_orbitals", "build_phase", "choose_phase_axis",
     "exchange_components", "gram_deviation", "gram_matrix",

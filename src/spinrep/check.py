@@ -35,6 +35,7 @@ from .fields import (
     ScalarField,
     WeightedGradientL1,
     boundary_max,
+    frozen,
     grad_magnitude_sq,
     integrate_values,
     lp_norm,
@@ -234,7 +235,7 @@ class DensityNorms:
     @cached_property
     def _sqrt_det(self) -> ScalarField:
         det = self._det if self._det is not None else det_field(self.r, self.tol).values
-        return ScalarField(self.r.grid, _sqrt_clipped(det))
+        return ScalarField(self.r.grid, frozen(_sqrt_clipped(det)))
 
     @cached_property
     def _sigma_grad_sq(self) -> np.ndarray:
@@ -438,11 +439,11 @@ def check_spinless(
 ) -> CheckReport:
     """Check a spin-unresolved density by embedding it as R = diag(rho/2, rho/2)."""
     def embed(f: ScalarField) -> SpinDensityField:
-        half = ScalarField(f.grid, 0.5 * f.values)
+        half = ScalarField(f.grid, frozen(0.5 * f.values))
         return SpinDensityField(
             rho_up=half,
             rho_dn=half,
-            sigma=ComplexField(f.grid, np.zeros(f.grid.dims, dtype=np.complex128)),
+            sigma=ComplexField(f.grid, frozen(np.zeros(f.grid.dims, dtype=np.complex128))),
             n_electrons=n_electrons,
         )
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .check import check
 from .decompose import PipelineError, construct_witness
-from .fields import ComplexField, Grid3, integrate
+from .fields import ComplexField, Grid3, frozen, integrate
 from .generators import (
     GeneratorError,
     full_rank_mixture,
@@ -141,7 +141,7 @@ def _cmd_eigs(args) -> int:
     ]
     _emit("\n".join(lines) + "\n", args.report)
     if args.out:
-        zero = ComplexField(field.grid, np.zeros(field.grid.dims, dtype=np.complex128))
+        zero = ComplexField(field.grid, frozen(np.zeros(field.grid.dims, dtype=np.complex128)))
         write_spdf(args.out, SpinDensityField(
             rho_up=eig.rho_plus, rho_dn=eig.rho_minus, sigma=zero,
             n_electrons=field.n_electrons,

@@ -33,9 +33,9 @@ from typing import Iterator
 import numpy as np
 
 from .check import check
-from .fields import ComplexField, ScalarField
+from .fields import ComplexField, ScalarField, frozen
 from .orbitals import build_orbitals, exchange_components, require_null_determinant
-from .spin_density import SpinDensityField, spin_swap, trace_integral
+from .spin_density import SpinDensityField, spin_swap
 from .sqrtm import sqrt_field
 from .tolerances import DEFAULT, ToleranceConfig
 from .witness import Witness, WitnessBranch
@@ -88,47 +88,57 @@ class SplitResult:
         return ((self.weight, self.piece_one), (1.0 - self.weight, self.piece_two))
 
 
-def _renormalized(
-    up: np.ndarray, dn: np.ndarray, sg: np.ndarray, weight: float, template: SpinDensityField
+def _piece(
+    parts: tuple[np.ndarray, np.ndarray, np.ndarray], weight: float, template: SpinDensityField
 ) -> SpinDensityField:
+    """The field (up, dn, sigma) / weight; scales the fresh arrays ``parts`` in place."""
     inv = 1.0 / weight
+    for a in parts:
+        a *= inv  # rounds exactly as a * inv
+    up, dn, sg = parts
+    grid = template.grid
     return SpinDensityField(
-        rho_up=ScalarField(template.grid, up * inv),
-        rho_dn=ScalarField(template.grid, dn * inv),
-        sigma=ComplexField(template.grid, sg * inv),
+        rho_up=ScalarField(grid, frozen(up)),
+        rho_dn=ScalarField(grid, frozen(dn)),
+        sigma=ComplexField(grid, frozen(sg)),
         n_electrons=template.n_electrons,
     )
 
 
-def _split_from_parts(
-    parts_one: tuple[np.ndarray, np.ndarray, np.ndarray],
-    parts_two: tuple[np.ndarray, np.ndarray, np.ndarray],
-    template: SpinDensityField,
-    tol: ToleranceConfig,
-) -> SplitResult:
-    n = template.n_electrons
-    grid = template.grid
-    w = grid.weights
-    t = float(np.sum(w * parts_one[0]) + np.sum(w * parts_one[1])) / n
+def _weigh(
+    up_one: np.ndarray, dn_one: np.ndarray, template: SpinDensityField, tol: ToleranceConfig
+) -> tuple[float, float, bool, bool]:
+    """Weigh piece one by its unnormalized densities ``up_one``, ``dn_one``.
+
+    Returns (t, split weight, keep piece one, keep piece two): t is the mass
+    fraction of piece one, and a piece whose weight falls below
+    ``tol.degenerate_weight`` is not kept, so it need not be built.
+    """
+    w = template.grid.weights
+    t = float(np.sum(w * up_one) + np.sum(w * dn_one)) / template.n_electrons
     if t < tol.degenerate_weight:
-        return SplitResult(0.0, None, _renormalized(*parts_two, 1.0 - t, template))
+        return t, 0.0, False, True
     if t > 1.0 - tol.degenerate_weight:
-        return SplitResult(1.0, _renormalized(*parts_one, t, template), None)
-    return SplitResult(
-        t,
-        _renormalized(*parts_one, t, template),
-        _renormalized(*parts_two, 1.0 - t, template),
-    )
+        return t, 1.0, True, False
+    return t, t, True, True
 
 
 def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitResult:
     """Split R into two null-determinant pieces through its matrix square root."""
     sq = sqrt_field(r, tol)
     ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
+    del sq
     s2 = s.real * s.real + s.imag * s.imag
-    parts_one = (ru * ru, s2, s * ru)
-    parts_two = (s2, rd * rd, s * rd)
-    return _split_from_parts(parts_one, parts_two, r, tol)
+    uu = ru * ru
+    t, weight, keep_one, keep_two = _weigh(uu, s2, r, tol)
+    one = two = None
+    if keep_one:
+        # |s|^2 is a part of both pieces; each piece scales its own
+        one = _piece((uu, s2.copy() if keep_two else s2, s * ru), t, r)
+    del uu, ru
+    if keep_two:
+        two = _piece((s2, rd * rd, s * rd), 1.0 - t, r)
+    return SplitResult(weight, one, two)
 
 
 def ratio_split(
@@ -149,11 +159,24 @@ def ratio_split(
         ratio = up / dn
     ratio[np.isnan(ratio)] = 1.0  # 0/0: weightless points, any finite value works
     w = cutoff(ratio) ** 2
+    del ratio
+    up_one, dn_one = w * up, w * dn
+    t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r, tol)
     sg = r.sigma.values
-    parts_one = (w * up, w * dn, w * sg)
-    wc = 1.0 - w
-    parts_two = (wc * up, wc * dn, wc * sg)
-    return _split_from_parts(parts_one, parts_two, r, tol)
+    one = two = None
+    if keep_one:
+        one = _piece((up_one, dn_one, w * sg), t, r)
+    del up_one, dn_one
+    if keep_two:
+        wc = np.subtract(1.0, w, out=w)
+        two = _piece((wc * up, wc * dn, wc * sg), 1.0 - t, r)
+    return SplitResult(weight, one, two)
+
+
+def _drain(items: list) -> Iterator:
+    """Yield the items of ``items`` one by one, removing each from the list."""
+    while items:
+        yield items.pop(0)
 
 
 def construct_witness(
@@ -185,31 +208,31 @@ def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
         first = rank1_split(r, tol)
     except ValueError as exc:
         raise PipelineError("rank1_split", str(exc)) from exc
+    # every piece, sub-piece and swapped field is dropped once its branches are
+    # built, so the working set beside the witness is one branch's
+    pieces = list(first.pairs())
+    del first
     branches: list[WitnessBranch] = []
-    for outer_weight, piece in first.pairs():
+    for outer_weight, piece in _drain(pieces):
         try:
             second = ratio_split(piece, tol)
         except ValueError as exc:
             raise PipelineError("ratio_split", str(exc)) from exc
-        for needs_swap, (inner_weight, sub) in zip((True, False), second.slots()):
-            if sub is None:
-                continue
+        del piece
+        subs = list(zip((True, False), second.slots()))
+        del second
+        for needs_swap, (inner_weight, sub) in _drain(subs):
             weight = outer_weight * inner_weight
-            if weight < tol.degenerate_weight:
+            if sub is None or weight < tol.degenerate_weight:
                 continue
             build_field = spin_swap(sub) if needs_swap else sub
+            del sub
             try:
+                # refuses orbitals that miss orthonormality by more than gram_tol
                 orbs = build_orbitals(build_field, axis, tol)
             except ValueError as exc:
                 raise PipelineError("orbitals", str(exc)) from exc
-            # the same orthonormality test as verify's orbital_gram
-            gram = orbs.diagnostics["gram_deviation"]
-            if not gram <= tol.gram_tol:
-                raise PipelineError(
-                    "orbitals",
-                    f"orbitals are not orthonormal on this grid: Gram deviation "
-                    f"{gram:.3e} > {tol.gram_tol:.3e}",
-                )
+            del build_field
             if needs_swap:
                 orbs = exchange_components(orbs)
             branches.append(WitnessBranch(weight=weight, orbitals=orbs, swapped=needs_swap))

@@ -112,12 +112,32 @@ class Grid3:
         return np.meshgrid(*self.axes, indexing="ij")
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only and return it, so a field can wrap it without a copy.
+
+    Only for arrays nobody else writes to: the caller hands ``arr`` over.
+    """
+    arr.flags.writeable = False
+    return arr
+
+
+def _is_frozen(arr: np.ndarray) -> bool:
+    """No view of the memory under ``arr`` can write to it."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 def _prepare(grid: Grid3, values, dtype) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim == 1 and arr.size == grid.npoints:
         arr = arr.reshape(grid.dims)
     if arr.shape != grid.dims:
         raise ValueError(f"values shape {arr.shape} does not match grid dims {grid.dims}")
+    if arr.dtype == dtype and arr.flags.c_contiguous and _is_frozen(arr):
+        return arr
     arr = np.array(arr, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
     return arr
@@ -125,7 +145,12 @@ def _prepare(grid: Grid3, values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real field sampled on a :class:`Grid3`.  Values are stored read-only."""
+    """Real field sampled on a :class:`Grid3`.  Values are stored read-only.
+
+    Writable input is copied, so a later write by the caller cannot reach
+    the field.  Input that is already read-only (down to the array that owns
+    the memory), C-contiguous and float64 is kept as it is, without a copy.
+    """
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
@@ -136,7 +161,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex field sampled on a :class:`Grid3`.  Values are stored read-only."""
+    """Complex field sampled on a :class:`Grid3`.  Values are stored read-only.
+
+    The copy rule of :class:`ScalarField` applies, with complex128 as the
+    dtype that is kept without a copy.
+    """
 
     grid: Grid3
     values: np.ndarray = field(repr=False)

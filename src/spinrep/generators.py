@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .fields import ComplexField, Grid3, ScalarField
+from .fields import ComplexField, Grid3, ScalarField, frozen
 from .spin_density import SpinDensityField
 from .tolerances import DEFAULT, ToleranceConfig
 
@@ -73,9 +73,9 @@ def gaussian_diagonal(
     _require_contained(grid, width, c, "gaussian_diagonal")
     half = 0.5 * n_electrons * _gaussian(grid, width, c)
     return SpinDensityField(
-        rho_up=ScalarField(grid, half),
-        rho_dn=ScalarField(grid, half.copy()),
-        sigma=ComplexField(grid, np.zeros(grid.dims, dtype=np.complex128)),
+        rho_up=ScalarField(grid, frozen(half)),
+        rho_dn=ScalarField(grid, half),
+        sigma=ComplexField(grid, frozen(np.zeros(grid.dims, dtype=np.complex128))),
         n_electrons=n_electrons,
     )
 
@@ -108,7 +108,7 @@ def gaussian_spinor(
         x = grid.meshgrid()[0]
         up = up * np.exp(1j * phase_gradient * (x - cu[0]))
     dn = np.sqrt((1.0 - spin_fraction) * _gaussian(grid, width_dn, cd)).astype(np.complex128)
-    return ComplexField(grid, up), ComplexField(grid, dn)
+    return ComplexField(grid, frozen(up)), ComplexField(grid, frozen(dn))
 
 
 def rank1_from_orbital(
@@ -137,9 +137,9 @@ def rank1_from_orbital(
         )
     n = float(n_electrons)
     return SpinDensityField(
-        rho_up=ScalarField(grid, n * up),
-        rho_dn=ScalarField(grid, n * dn),
-        sigma=ComplexField(grid, n * (u * np.conj(d))),
+        rho_up=ScalarField(grid, frozen(n * up)),
+        rho_dn=ScalarField(grid, frozen(n * dn)),
+        sigma=ComplexField(grid, frozen(n * (u * np.conj(d)))),
         n_electrons=n_electrons,
     )
 
@@ -186,8 +186,8 @@ def full_rank_mixture(
             x = grid.meshgrid()[0]
             sigma = sigma * np.exp(1j * phase_gradient * (x - 0.5 * (cu[0] + cd[0])))
     return SpinDensityField(
-        rho_up=ScalarField(grid, up),
-        rho_dn=ScalarField(grid, dn),
-        sigma=ComplexField(grid, sigma),
+        rho_up=ScalarField(grid, frozen(up)),
+        rho_dn=ScalarField(grid, frozen(dn)),
+        sigma=ComplexField(grid, frozen(sigma)),
         n_electrons=n_electrons,
     )

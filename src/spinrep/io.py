@@ -34,7 +34,7 @@ import os
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField
+from .fields import ComplexField, Grid3, ScalarField, frozen
 from .orbitals import OrbitalSet, Spinor
 from .spin_density import SpinDensityField
 from .witness import Witness, WitnessBranch
@@ -105,6 +105,19 @@ def _parse_electrons(line: str, offset: int, err) -> int:
     return n
 
 
+def _remaining_bytes(fh: _io.BufferedIOBase) -> int:
+    """Bytes between the read position and the end of the file, from its size."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _read_block(fh: _io.BufferedIOBase, grid: Grid3, err) -> np.ndarray:
+    """The next float64 block of one grid, as a read-only array over its own bytes."""
+    raw = fh.read(grid.npoints * _F8.itemsize)
+    if len(raw) != grid.npoints * _F8.itemsize:
+        raise err(f"file ended inside a block of {grid.npoints} float64")
+    return np.frombuffer(raw, dtype=_F8).reshape(grid.dims)
+
+
 def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
     grid = field.grid
     header = (
@@ -137,18 +150,18 @@ def read_spdf(path: str | os.PathLike) -> SpinDensityField:
         n = _parse_electrons(body[2], 4, SpdfFormatError)
         if body[3] != "data":
             raise SpdfFormatError(f"line 5: expected 'data', got {body[3]!r}")
-        payload = fh.read()
-    expected = 4 * grid.npoints * 8
-    if len(payload) != expected:
-        raise SpdfFormatError(
-            f"payload holds {len(payload)} bytes, expected {expected} "
-            f"(4 blocks of {grid.npoints} float64)"
-        )
-    blocks = np.frombuffer(payload, dtype=_F8).reshape(4, *grid.dims)
+        expected = 4 * grid.npoints * 8
+        size = _remaining_bytes(fh)
+        if size != expected:
+            raise SpdfFormatError(
+                f"payload holds {size} bytes, expected {expected} "
+                f"(4 blocks of {grid.npoints} float64)"
+            )
+        up, dn, re, im = (_read_block(fh, grid, SpdfFormatError) for _ in range(4))
     return SpinDensityField(
-        rho_up=ScalarField(grid, blocks[0]),
-        rho_dn=ScalarField(grid, blocks[1]),
-        sigma=ComplexField(grid, blocks[2] + 1j * blocks[3]),
+        rho_up=ScalarField(grid, up),
+        rho_dn=ScalarField(grid, dn),
+        sigma=ComplexField(grid, frozen(re + 1j * im)),
         n_electrons=n,
     )
 
@@ -237,18 +250,21 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
         for name in tok[3:]:
             fpath = os.path.join(dirpath, name)
             try:
-                with open(fpath, "rb") as fh:
-                    payload = fh.read()
+                fh = open(fpath, "rb")
             except FileNotFoundError as exc:
                 raise WitnessFormatError(f"orbital file {name} is missing") from exc
-            if len(payload) != per_orbital:
-                raise WitnessFormatError(
-                    f"orbital file {name} holds {len(payload)} bytes, expected {per_orbital}"
+            with fh:
+                size = _remaining_bytes(fh)
+                if size != per_orbital:
+                    raise WitnessFormatError(
+                        f"orbital file {name} holds {size} bytes, expected {per_orbital}"
+                    )
+                re_up, im_up, re_dn, im_dn = (
+                    _read_block(fh, grid, WitnessFormatError) for _ in range(4)
                 )
-            blocks = np.frombuffer(payload, dtype=_F8).reshape(4, *grid.dims)
             orbitals.append(Spinor(
-                up=ComplexField(grid, blocks[0] + 1j * blocks[1]),
-                dn=ComplexField(grid, blocks[2] + 1j * blocks[3]),
+                up=ComplexField(grid, frozen(re_up + 1j * im_up)),
+                dn=ComplexField(grid, frozen(re_dn + 1j * im_dn)),
             ))
         branches.append(WitnessBranch(
             weight=weight,

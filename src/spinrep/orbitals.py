@@ -32,6 +32,7 @@ from .fields import (
     ComplexField,
     Grid3,
     ScalarField,
+    frozen,
     grad_magnitude_sq,
     integrate_values,
 )
@@ -52,6 +53,10 @@ class RatioHypothesisError(ValueError):
 
 class PhaseNormalizationError(ValueError):
     """Cumulative phase missed n_electrons by more than the allowed adjustment."""
+
+
+class OrthonormalityError(ValueError):
+    """The orbitals would miss orthonormality on the grid by more than ``gram_tol``."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +108,10 @@ class OrbitalSet:
 # -- phase ------------------------------------------------------------------
 
 
-def _transverse_marginal(rho: ScalarField, axis: int) -> np.ndarray:
-    """Trapezoid integral of rho over the two axes other than ``axis``."""
-    v = np.moveaxis(rho.values, axis, 0)
-    w = [rho.grid.axis_weights[ax] for ax in range(3) if ax != axis]
+def _transverse_marginal(grid: Grid3, values: np.ndarray, axis: int) -> np.ndarray:
+    """Trapezoid integral of ``values`` over the two axes other than ``axis``."""
+    v = np.moveaxis(values, axis, 0)
+    w = [grid.axis_weights[ax] for ax in range(3) if ax != axis]
     return (v @ w[1]) @ w[0]
 
 
@@ -153,7 +158,7 @@ def choose_phase_axis(rho: ScalarField) -> int:
     """Axis along which the density marginal has the largest spread (std)."""
     spreads = []
     for ax in range(3):
-        m = np.clip(_transverse_marginal(rho, ax), 0.0, None)
+        m = np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0, None)
         w = rho.grid.axis_weights[ax]
         x = rho.grid.axes[ax]
         mass = float(np.sum(w * m))
@@ -180,7 +185,7 @@ def build_phase(
     input was not normalized to start with and is rejected.
     """
     ax = resolve_axis(axis, rho)
-    marginal = np.clip(_transverse_marginal(rho, ax), 0.0, None)
+    marginal = np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0, None)
     h = rho.grid.spacing[ax]
     # normalization is judged against the canonical (trapezoid) quadrature
     trap_total = float(np.sum(rho.grid.axis_weights[ax] * marginal))
@@ -198,7 +203,7 @@ def build_phase(
     # spectral vs trapezoid gap is integrator truncation, nonzero only for
     # piecewise-smooth marginals; bounded like the monotonicity ringing below
     quadrature_gap = raw_end - trap_total
-    if abs(quadrature_gap) > 1e-3 * n_electrons:
+    if abs(quadrature_gap) > tol.phase_gap_rel * n_electrons:
         raise PhaseNormalizationError(
             f"spectral and trapezoid cumulatives disagree by {quadrature_gap:.3e}; "
             "the marginal is too rough to integrate spectrally"
@@ -213,7 +218,7 @@ def build_phase(
     # reject only outright pathological amplitudes.
     dips = np.diff(values)
     max_dip = max(0.0, -float(np.min(dips))) if dips.size else 0.0
-    if max_dip > 1e-3 * n_electrons:
+    if max_dip > tol.phase_dip_rel * n_electrons:
         raise PhaseNormalizationError(
             f"cumulative phase decreases by {max_dip:.3e}; "
             "the marginal is too rough to integrate spectrally"
@@ -296,7 +301,10 @@ def base_spinor(
     set of rho_dn the up component falls back to sqrt(rho_up).
     """
     up, dn, _ = _base_spinor(r, tol, floor)
-    return ComplexField(r.grid, up), ComplexField(r.grid, dn.astype(np.complex128))
+    return (
+        ComplexField(r.grid, frozen(up)),
+        ComplexField(r.grid, frozen(dn.astype(np.complex128))),
+    )
 
 
 # -- orbital set ---------------------------------------------------------------
@@ -355,6 +363,40 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     )
 
 
+def _phase_gram_deviation(
+    phi_up: np.ndarray, sqrt_dn: np.ndarray, phase: PhaseFunction, grid: Grid3
+) -> float:
+    """max |G - I| of the orbitals (phi_up, sqrt_dn) exp(2 i pi k f) / sqrt(N), k = 1..N.
+
+    The phase depends on the axis coordinate only, so under the trapezoid
+    rule G_kl = sum_j mu_j exp(2 i pi (l - k) f_j), where mu_j is the
+    trapezoid-weighted transverse marginal of |base|^2 divided by N.  This
+    equals :func:`gram_deviation` of the built orbitals up to round-off,
+    without building them.
+    """
+    base_sq = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
+    base_sq += sqrt_dn * sqrt_dn
+    ax = phase.axis
+    mu = grid.axis_weights[ax] * _transverse_marginal(grid, base_sq, ax) / phase.n_electrons
+    dev = abs(float(np.sum(mu)) - 1.0)
+    for d in range(1, phase.n_electrons):
+        dev = max(dev, float(abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))))
+    return dev
+
+
+def _base_reconstruction_error(
+    phi_up: np.ndarray, sqrt_dn: np.ndarray, r: SpinDensityField
+) -> float:
+    """:func:`reconstruction_error` of the orbitals, from their base spinor.
+
+    The phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b).
+    """
+    up = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
+    err = float(np.max(np.abs(up - r.rho_up.values)))
+    err = max(err, float(np.max(np.abs(sqrt_dn * sqrt_dn - r.rho_dn.values))))
+    return max(err, float(np.max(np.abs(phi_up * sqrt_dn - r.sigma.values))))
+
+
 def build_orbitals(
     r: SpinDensityField,
     axis="auto",
@@ -363,14 +405,25 @@ def build_orbitals(
 ) -> OrbitalSet:
     """Construct the N phase-modulated orbitals reproducing a rank-1 R.
 
-    Diagnostics carry the Gram deviation, the absolute and relative
-    reconstruction errors, the nodal-set fallback counts and the phase
+    The orbitals are gated before any of them is allocated: when their Gram
+    deviation on the grid exceeds ``tol.gram_tol``, this raises
+    :class:`OrthonormalityError`.  The diagnostics carry that Gram deviation
+    (a 1-D sum along the phase axis, exact for these orbitals), the
+    absolute and relative reconstruction errors (from the base spinor, in
+    which the phases cancel), the nodal-set fallback counts and the phase
     renormalization adjustment.
     """
     ax = resolve_axis(axis, r.rho_total)
     n = r.n_electrons
     phi_up, sqrt_dn, stats = _base_spinor(r, tol, floor)
     phase = build_phase(r.rho_total, n, ax, tol)
+    gram = _phase_gram_deviation(phi_up, sqrt_dn, phase, r.grid)
+    if not gram <= tol.gram_tol:
+        raise OrthonormalityError(
+            f"orbitals are not orthonormal on this grid: Gram deviation "
+            f"{gram:.3e} > {tol.gram_tol:.3e}"
+        )
+    recon = _base_reconstruction_error(phi_up, sqrt_dn, r)
     shape = [1, 1, 1]
     shape[ax] = r.grid.dims[ax]
     f = phase.values.reshape(shape)
@@ -379,14 +432,12 @@ def build_orbitals(
     for k in range(1, n + 1):
         factor = np.exp(2j * np.pi * k * f) * inv_sqrt_n
         orbitals.append(Spinor(
-            up=ComplexField(r.grid, phi_up * factor),
-            dn=ComplexField(r.grid, sqrt_dn * factor),
+            up=ComplexField(r.grid, frozen(phi_up * factor)),
+            dn=ComplexField(r.grid, frozen(sqrt_dn * factor)),
         ))
-    orbitals = tuple(orbitals)
-    recon = reconstruction_error(orbitals, r)
     scale = max(r.scale, float(np.finfo(np.float64).tiny))
     diagnostics = {
-        "gram_deviation": gram_deviation(orbitals),
+        "gram_deviation": gram,
         "reconstruction_abs": recon,
         "reconstruction_rel": recon / scale,
         "phase_adjustment": phase.adjustment,
@@ -396,7 +447,7 @@ def build_orbitals(
     return OrbitalSet(
         grid=r.grid,
         n_electrons=n,
-        orbitals=orbitals,
+        orbitals=tuple(orbitals),
         axis=ax,
         phase=phase,
         diagnostics=diagnostics,

@@ -8,10 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, integrate
+from .fields import ComplexField, Grid3, ScalarField, frozen, integrate
 from .tolerances import DEFAULT, ToleranceConfig
-
-WEIGHT_SUM_TOL = 1e-12  # convex weights must sum to 1 within this
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class SpinDensityField:
 
     @cached_property
     def rho_total(self) -> ScalarField:
-        return ScalarField(self.grid, self.rho_up.values + self.rho_dn.values)
+        return ScalarField(self.grid, frozen(self.rho_up.values + self.rho_dn.values))
 
     @cached_property
     def scale(self) -> float:
@@ -61,8 +59,8 @@ def det_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> ScalarFiel
     s = r.sigma.values
     raw = r.rho_up.values * r.rho_dn.values - (s.real * s.real + s.imag * s.imag)
     clamp = tol.det_clamp(r.scale)
-    out = np.where((raw < 0.0) & (raw >= -clamp), 0.0, raw)
-    return ScalarField(r.grid, out)
+    raw[(raw < 0.0) & (raw >= -clamp)] = 0.0
+    return ScalarField(r.grid, frozen(raw))
 
 
 def trace_integral(r: SpinDensityField) -> float:
@@ -78,15 +76,17 @@ def spin_swap(r: SpinDensityField) -> SpinDensityField:
     return SpinDensityField(
         rho_up=r.rho_dn,
         rho_dn=r.rho_up,
-        sigma=ComplexField(r.grid, np.conj(r.sigma.values)),
+        sigma=ComplexField(r.grid, frozen(np.conj(r.sigma.values))),
         n_electrons=r.n_electrons,
     )
 
 
-def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensityField:
+def convex_combine(
+    pairs: Sequence[tuple[float, SpinDensityField]], tol: ToleranceConfig = DEFAULT
+) -> SpinDensityField:
     """Weighted sum sum_i w_i R_i with convex weights.
 
-    Weights must be nonnegative and sum to 1 within ``WEIGHT_SUM_TOL``; all
+    Weights must be nonnegative and sum to 1 within ``tol.weight_sum_tol``; all
     fields must share one grid and one electron count (a convex mixture of
     states with different particle numbers is not a state of either).
     """
@@ -95,8 +95,10 @@ def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensi
     weights = np.array([w for w, _ in pairs], dtype=np.float64)
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
         raise ValueError(f"weights must be finite and nonnegative, got {weights}")
-    if abs(float(np.sum(weights)) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.sum(weights)}")
+    if abs(float(np.sum(weights)) - 1.0) > tol.weight_sum_tol:
+        raise ValueError(
+            f"weights must sum to 1 within {tol.weight_sum_tol}, got {np.sum(weights)}"
+        )
     first = pairs[0][1]
     for _, r in pairs[1:]:
         if r.grid != first.grid:
@@ -107,9 +109,9 @@ def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensi
     dn = sum(w * r.rho_dn.values for w, r in pairs)
     sg = sum(w * r.sigma.values for w, r in pairs)
     return SpinDensityField(
-        rho_up=ScalarField(first.grid, up),
-        rho_dn=ScalarField(first.grid, dn),
-        sigma=ComplexField(first.grid, sg),
+        rho_up=ScalarField(first.grid, frozen(up)),
+        rho_dn=ScalarField(first.grid, frozen(dn)),
+        sigma=ComplexField(first.grid, frozen(sg)),
         n_electrons=first.n_electrons,
     )
 

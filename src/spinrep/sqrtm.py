@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .check import seminorm_condition
-from .fields import ComplexField, Grid3, ScalarField
+from .fields import ComplexField, Grid3, ScalarField, frozen
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, ToleranceConfig
 
@@ -62,7 +62,8 @@ class EigenDensities:
         return self.rho_plus.grid
 
 
-def _validate_psd(r: SpinDensityField, tol: ToleranceConfig) -> None:
+def _validate_psd(r: SpinDensityField, tol: ToleranceConfig) -> np.ndarray:
+    """Reject R unless it is PSD within tolerance; return the values of det_field."""
     scale = r.scale
     neg = tol.neg_tol(scale)
     for name, f in (("rho_up", r.rho_up), ("rho_dn", r.rho_dn)):
@@ -79,23 +80,28 @@ def _validate_psd(r: SpinDensityField, tol: ToleranceConfig) -> None:
         raise NotPositiveSemidefiniteError(
             f"det = {mn:.3e} at {tuple(int(i) for i in loc)} (tolerance -{tol.det_tol(scale):.3e})"
         )
+    return dt
 
 
 def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField:
     """Pointwise matrix square root; rejects inputs that are not PSD within tolerance."""
-    _validate_psd(r, tol)
+    sq_det = np.sqrt(np.clip(_validate_psd(r, tol), 0.0, None))
     up = np.clip(r.rho_up.values, 0.0, None)
     dn = np.clip(r.rho_dn.values, 0.0, None)
-    sq_det = np.sqrt(np.clip(det_field(r, tol).values, 0.0, None))
     denom = up + dn + 2.0 * sq_det
     floor = tol.sqrt_floor(r.scale)
     mask = denom >= floor
     inv = np.zeros(r.grid.dims)
-    np.divide(1.0, np.sqrt(denom), out=inv, where=mask)
+    np.divide(1.0, np.sqrt(denom, out=denom), out=inv, where=mask)
+    del denom, mask
+    # (x + sq_det) * inv, in place
+    for a in (up, dn):
+        a += sq_det
+        a *= inv
     return SqrtField(
-        r_up=ScalarField(r.grid, (up + sq_det) * inv),
-        r_dn=ScalarField(r.grid, (dn + sq_det) * inv),
-        s=ComplexField(r.grid, r.sigma.values * inv),
+        r_up=ScalarField(r.grid, frozen(up)),
+        r_dn=ScalarField(r.grid, frozen(dn)),
+        s=ComplexField(r.grid, frozen(r.sigma.values * inv)),
         n_electrons=r.n_electrons,
     )
 
@@ -105,9 +111,9 @@ def reconstruct(sq: SqrtField) -> SpinDensityField:
     ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
     s2 = s.real * s.real + s.imag * s.imag
     return SpinDensityField(
-        rho_up=ScalarField(sq.grid, ru * ru + s2),
-        rho_dn=ScalarField(sq.grid, rd * rd + s2),
-        sigma=ComplexField(sq.grid, s * (ru + rd)),
+        rho_up=ScalarField(sq.grid, frozen(ru * ru + s2)),
+        rho_dn=ScalarField(sq.grid, frozen(rd * rd + s2)),
+        sigma=ComplexField(sq.grid, frozen(s * (ru + rd))),
         n_electrons=sq.n_electrons,
     )
 
@@ -127,8 +133,8 @@ def eigen_densities(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> Eige
     """Ordered eigenvalue fields rho_plus >= rho_minus of R, via the sqrt entries."""
     sp, sm = _sqrt_eigen_arrays(sqrt_field(r, tol))
     return EigenDensities(
-        rho_plus=ScalarField(r.grid, sp * sp),
-        rho_minus=ScalarField(r.grid, sm * sm),
+        rho_plus=ScalarField(r.grid, frozen(sp * sp)),
+        rho_minus=ScalarField(r.grid, frozen(sm * sm)),
     )
 
 

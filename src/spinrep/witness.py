@@ -11,14 +11,13 @@ from .fields import (
     ComplexField,
     Grid3,
     ScalarField,
+    frozen,
     grad_magnitude_sq,
     integrate_values,
 )
 from .orbitals import OrbitalSet, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
 from .tolerances import DEFAULT, ToleranceConfig
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ def density_of(w: Witness) -> SpinDensityField:
             dn += p * (d.real * d.real + d.imag * d.imag)
             sg += p * (u * np.conj(d))
     return SpinDensityField(
-        rho_up=ScalarField(w.grid, up),
-        rho_dn=ScalarField(w.grid, dn),
-        sigma=ComplexField(w.grid, sg),
+        rho_up=ScalarField(w.grid, frozen(up)),
+        rho_dn=ScalarField(w.grid, frozen(dn)),
+        sigma=ComplexField(w.grid, frozen(sg)),
         n_electrons=w.n_electrons,
     )
 
@@ -234,12 +233,12 @@ def verify(
     # (iii) convex weights
     weight_sum = float(np.sum(w.weights))
     min_weight = min(w.weights)
-    weights_ok = abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL and min_weight >= -WEIGHT_SUM_TOL
+    weights_ok = abs(weight_sum - 1.0) <= tol.weight_sum_tol and min_weight >= -tol.weight_sum_tol
     checks.append(ConditionResult(
         "weight_sum",
         PASS if weights_ok else FAIL,
         weight_sum,
-        {"threshold": WEIGHT_SUM_TOL, "min_weight": min_weight},
+        {"threshold": tol.weight_sum_tol, "min_weight": min_weight},
     ))
 
     # (iv) finite kinetic energy

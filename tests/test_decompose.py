@@ -252,6 +252,34 @@ def test_construct_never_emits_a_witness_verify_rejects(n_electrons):
         assert sr.verify(w, r).passed
 
 
+def construct_peak(r):
+    """Traced allocation peak of construct_witness(r), in complex grids of r's grid."""
+    r.rho_total  # cached on the caller's field before the measurement
+    tracemalloc.start()
+    try:
+        try:
+            result = sr.construct_witness(r)
+        except sr.PipelineError as exc:
+            result = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * r.grid.npoints), result
+
+
+def test_construct_holds_one_branch_beside_the_witness():
+    # the witness is 8 complex grids (2 branches of 2 two-component orbitals)
+    peak, w = construct_peak(mixture(48))
+    assert len(w.branches) == 2
+    assert peak <= 16
+
+
+def test_refused_construct_builds_no_orbitals():
+    peak, exc = construct_peak(mixture(48, n_electrons=3))
+    assert exc.stage == "orbitals"
+    assert peak <= 11
+
+
 def test_kept_refusal_holds_no_orbitals():
     r = mixture(48, n_electrons=3)
     r.rho_total  # cached on the caller's field before the measurement

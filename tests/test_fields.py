@@ -184,6 +184,37 @@ def test_weighted_gradient_l1_rejects_bad_floor(grid32):
         weighted_gradient_l1(f, f, floor=0.0)
 
 
+def test_read_only_input_is_kept_without_a_copy(grid32):
+    for cls, dtype in ((sr.ScalarField, np.float64), (sr.ComplexField, np.complex128)):
+        arr = np.ones(grid32.dims, dtype=dtype)
+        arr.flags.writeable = False
+        assert cls(grid32, arr).values is arr
+        flat = arr.reshape(-1)
+        assert np.shares_memory(cls(grid32, flat).values, arr)
+
+
+def test_writable_input_is_copied(grid32):
+    arr = np.ones(grid32.dims)
+    f = sr.ScalarField(grid32, arr)
+    arr[0, 0, 0] = 5.0  # a later write by the caller does not reach the field
+    assert f.values[0, 0, 0] == 1.0
+    assert not f.values.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, :, ::-1],            # not C-contiguous
+    lambda a: a.astype(np.float32),     # another dtype
+    lambda a: a.view(),                 # read-only view of writable memory
+])
+def test_input_that_is_not_frozen_is_copied(grid32, make):
+    base = np.ones(grid32.dims)
+    arr = make(base)
+    arr.flags.writeable = False
+    f = sr.ScalarField(grid32, arr)
+    assert not np.shares_memory(f.values, base)
+    assert f.values.dtype == np.float64 and f.values.flags.c_contiguous
+
+
 def test_boundary_max(grid32):
     f = sr.ScalarField(grid32, gaussian_values(grid32))
     b = boundary_max(f)

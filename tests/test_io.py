@@ -1,5 +1,8 @@
 """Round trips and format validation for the SPDF file and witness directory."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,34 @@ def test_spdf_rejects_extra_payload(tmp_path):
         sr.read_spdf(path)
 
 
+def traced_peak(fn, *args):
+    """Bytes allocated at the peak of fn(*args), which must raise a format error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises((sr.SpdfFormatError, sr.WitnessFormatError)) as exc:
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, str(exc.value)
+
+
+def test_spdf_oversized_file_is_refused_unread(tmp_path):
+    path = spdf_file(tmp_path, HEADER)
+    os.truncate(path, 64 * 2**20)  # sparse: 64 MB on paper, nothing on disk
+    peak, msg = traced_peak(sr.read_spdf, path)
+    assert "expected 2048" in msg
+    assert peak < 2**20
+
+
+def test_spdf_truncated_for_its_header_is_refused_unread(tmp_path):
+    # the header implies 256 GB of payload; the file holds 2 kB
+    path = spdf_file(tmp_path, swap(HEADER, 1, "grid 2000 2000 2000"))
+    peak, msg = traced_peak(sr.read_spdf, path)
+    assert "payload holds 2048 bytes, expected 256000000000" in msg
+    assert peak < 2**20
+
+
 # -- witness directory -----------------------------------------------------------
 
 
@@ -221,6 +252,22 @@ def test_witness_truncated_orbital_file(broken_dir):
     f.write_bytes(f.read_bytes()[:-16])
     with pytest.raises(sr.WitnessFormatError, match="bytes"):
         sr.read_witness(broken_dir)
+
+
+def test_witness_oversized_orbital_file_is_refused_unread(broken_dir):
+    f = broken_dir / "branch0_orb1.bin"
+    expected = f.stat().st_size
+    os.truncate(f, 64 * 2**20)
+    peak, msg = traced_peak(sr.read_witness, broken_dir)
+    assert f"holds {64 * 2**20} bytes, expected {expected}" in msg
+    assert peak < 2**20
+
+
+def test_witness_orbital_file_truncated_for_its_grid_is_refused_unread(broken_dir):
+    edit_manifest(broken_dir, lambda L: swap(L, 1, "grid 2000 2000 2000"))
+    peak, msg = traced_peak(sr.read_witness, broken_dir)
+    assert "expected 256000000000" in msg
+    assert peak < 2**20
 
 
 def test_witness_wrong_branch_count(broken_dir):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -5,7 +8,14 @@ from scipy.special import erf
 import spinrep as sr
 from spinrep.orbitals import kinetic_bound_lhs, kinetic_bound_rhs
 
-from _helpers import cube, field_from_arrays, gaussian_values, max_abs_diff, symmetric_rank1
+from _helpers import (
+    cube,
+    field_from_arrays,
+    gaussian_values,
+    max_abs_diff,
+    mixture,
+    symmetric_rank1,
+)
 
 
 # -- phase --------------------------------------------------------------------
@@ -40,6 +50,13 @@ def test_phase_rejects_unnormalized(diagonal32):
     rho = sr.ScalarField(diagonal32.grid, 1.001 * diagonal32.rho_total.values)
     with pytest.raises(sr.PhaseNormalizationError):
         sr.build_phase(rho, 2)
+
+
+def test_phase_reads_its_quadrature_gap_tolerance(diagonal32):
+    # the ~1e-6 spectral/trapezoid gap at 32 nodes passes the default 1e-3
+    tight = replace(sr.DEFAULT, phase_gap_rel=1e-9)
+    with pytest.raises(sr.PhaseNormalizationError, match="disagree"):
+        sr.build_phase(diagonal32.rho_total, 2, tol=tight)
 
 
 def test_phase_rejects_empty_axis(grid32):
@@ -210,3 +227,42 @@ def test_exchanged_orbitals_reconstruct_swapped_density(pure48, orbs48):
 def test_gram_matrix_is_hermitian(orbs48):
     gram = sr.gram_matrix(orbs48.orbitals)
     np.testing.assert_array_equal(gram, gram.conj().T)
+
+
+# -- Gram gate --------------------------------------------------------------------
+
+
+def branch_fields(r):
+    """The fields construct_witness builds orbitals for, swapped where it swaps."""
+    for _, piece in sr.rank1_split(r).pairs():
+        for swap, (_, sub) in zip((True, False), sr.ratio_split(piece).slots()):
+            if sub is not None:
+                yield sr.spin_swap(sub) if swap else sub
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_gate_gram_matches_the_built_orbitals(n):
+    # the gate's 1-D Gram deviation against verify's 3-D one, on branches
+    # inside the envelope (N = 1, 2) and far outside it (N = 3..6)
+    ungated = replace(sr.DEFAULT, gram_tol=10.0)
+    for n_electrons in range(1, 7):
+        for f in branch_fields(mixture(n, n_electrons=n_electrons)):
+            orbs = sr.build_orbitals(f, tol=ungated)
+            gate = orbs.diagnostics["gram_deviation"]
+            full = sr.gram_deviation(orbs.orbitals)
+            assert abs(gate - full) <= 1e-12
+            assert (gate <= sr.DEFAULT.gram_tol) == (full <= sr.DEFAULT.gram_tol)
+
+
+def test_gate_refuses_before_building():
+    f = next(branch_fields(mixture(48, n_electrons=3)))  # Gram deviation 3.5e-2
+    tracemalloc.start()
+    try:
+        with pytest.raises(sr.OrthonormalityError, match="deviation 3.521e-02 > 1.000e-06"):
+            sr.build_orbitals(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the three orbitals alone would be six complex grids
+    assert peak < 6 * 16 * f.grid.npoints
+    assert issubclass(sr.OrthonormalityError, ValueError)
