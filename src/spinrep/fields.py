@@ -115,19 +115,26 @@ class Grid3:
 def frozen(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` read-only and return it, so a field can wrap it without a copy.
 
-    Only for arrays nobody else writes to: the caller hands ``arr`` over.
+    Only for arrays nobody else writes to: the caller hands ``arr`` over and
+    keeps no writable view of it.
     """
     arr.flags.writeable = False
     return arr
 
 
 def _is_frozen(arr: np.ndarray) -> bool:
-    """No view of the memory under ``arr`` can write to it."""
+    """``arr`` and every array it views are read-only, and the memory is numpy's or ``bytes``.
+
+    This cannot see a writable view taken before the owner was frozen; the
+    field docstrings leave that to the caller.  Memory numpy does not own
+    and that is not immutable ``bytes`` (a ``bytearray``, an ``mmap``, any
+    other buffer) may change behind numpy's back, so it is not frozen.
+    """
     while isinstance(arr, np.ndarray):
         if arr.flags.writeable:
             return False
         arr = arr.base
-    return True
+    return arr is None or type(arr) is bytes
 
 
 def _prepare(grid: Grid3, values, dtype) -> np.ndarray:
@@ -149,7 +156,11 @@ class ScalarField:
 
     Writable input is copied, so a later write by the caller cannot reach
     the field.  Input that is already read-only (down to the array that owns
-    the memory), C-contiguous and float64 is kept as it is, without a copy.
+    the memory, which must be numpy's or ``bytes``), C-contiguous and float64
+    is kept as it is, without a copy.  The caller of that path must hold no
+    writable alias of the memory, e.g. a view taken before the owner was
+    made read-only: a write through it would change the field and leave its
+    cached quantities stale.
     """
 
     grid: Grid3
@@ -164,7 +175,8 @@ class ComplexField:
     """Complex field sampled on a :class:`Grid3`.  Values are stored read-only.
 
     The copy rule of :class:`ScalarField` applies, with complex128 as the
-    dtype that is kept without a copy.
+    dtype that is kept without a copy, and so does its contract: read-only
+    input must have no writable alias.
     """
 
     grid: Grid3

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import io as _io
 import os
+import stat
 
 import numpy as np
 
@@ -105,17 +106,47 @@ def _parse_electrons(line: str, offset: int, err) -> int:
     return n
 
 
-def _remaining_bytes(fh: _io.BufferedIOBase) -> int:
-    """Bytes between the read position and the end of the file, from its size."""
-    return os.fstat(fh.fileno()).st_size - fh.tell()
+_CHUNK = 1 << 20  # read size for pipes and other files without a known size
 
 
-def _read_block(fh: _io.BufferedIOBase, grid: Grid3, err) -> np.ndarray:
-    """The next float64 block of one grid, as a read-only array over its own bytes."""
-    raw = fh.read(grid.npoints * _F8.itemsize)
-    if len(raw) != grid.npoints * _F8.itemsize:
-        raise err(f"file ended inside a block of {grid.npoints} float64")
-    return np.frombuffer(raw, dtype=_F8).reshape(grid.dims)
+def _read_up_to(fh: _io.BufferedIOBase, n: int) -> bytes:
+    """The next ``n`` bytes of ``fh``, fewer only at its end, read in bounded chunks."""
+    chunks, got = [], 0
+    while got < n:
+        chunk = fh.read(min(_CHUNK, n - got))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
+def _read_blocks(fh: _io.BufferedIOBase, grid: Grid3, mismatch) -> list[np.ndarray]:
+    """The four float64 blocks of one grid that make up the rest of ``fh``.
+
+    Each block is a read-only array over its own bytes.  A regular file's
+    size is compared with the four blocks before anything is read.  Other
+    files (pipes, FIFOs, ``/dev/stdin``) have no size to ask for: they are
+    read block by block in bounded chunks, and any excess is counted to the
+    end and dropped.  A size that does not match raises ``mismatch(size)``.
+    """
+    nbytes = grid.npoints * _F8.itemsize
+    st = os.fstat(fh.fileno())
+    regular = stat.S_ISREG(st.st_mode)
+    if regular and st.st_size - fh.tell() != 4 * nbytes:
+        raise mismatch(st.st_size - fh.tell())
+    blocks = []
+    for k in range(4):
+        raw = fh.read(nbytes) if regular else _read_up_to(fh, nbytes)
+        if len(raw) != nbytes:
+            raise mismatch(k * nbytes + len(raw))
+        blocks.append(np.frombuffer(raw, dtype=_F8).reshape(grid.dims))
+    extra = 0
+    while chunk := fh.read(_CHUNK):
+        extra += len(chunk)
+    if extra:
+        raise mismatch(4 * nbytes + extra)
+    return blocks
 
 
 def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
@@ -151,13 +182,10 @@ def read_spdf(path: str | os.PathLike) -> SpinDensityField:
         if body[3] != "data":
             raise SpdfFormatError(f"line 5: expected 'data', got {body[3]!r}")
         expected = 4 * grid.npoints * 8
-        size = _remaining_bytes(fh)
-        if size != expected:
-            raise SpdfFormatError(
-                f"payload holds {size} bytes, expected {expected} "
-                f"(4 blocks of {grid.npoints} float64)"
-            )
-        up, dn, re, im = (_read_block(fh, grid, SpdfFormatError) for _ in range(4))
+        up, dn, re, im = _read_blocks(fh, grid, lambda size: SpdfFormatError(
+            f"payload holds {size} bytes, expected {expected} "
+            f"(4 blocks of {grid.npoints} float64)"
+        ))
     return SpinDensityField(
         rho_up=ScalarField(grid, up),
         rho_dn=ScalarField(grid, dn),
@@ -254,13 +282,10 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
             except FileNotFoundError as exc:
                 raise WitnessFormatError(f"orbital file {name} is missing") from exc
             with fh:
-                size = _remaining_bytes(fh)
-                if size != per_orbital:
-                    raise WitnessFormatError(
+                re_up, im_up, re_dn, im_dn = _read_blocks(
+                    fh, grid, lambda size: WitnessFormatError(
                         f"orbital file {name} holds {size} bytes, expected {per_orbital}"
-                    )
-                re_up, im_up, re_dn, im_dn = (
-                    _read_block(fh, grid, WitnessFormatError) for _ in range(4)
+                    ),
                 )
             orbitals.append(Spinor(
                 up=ComplexField(grid, frozen(re_up + 1j * im_up)),

@@ -38,7 +38,7 @@ from .fields import (
 )
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, ToleranceConfig
 
 AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -203,7 +203,7 @@ def build_phase(
     # spectral vs trapezoid gap is integrator truncation, nonzero only for
     # piecewise-smooth marginals; bounded like the monotonicity ringing below
     quadrature_gap = raw_end - trap_total
-    if abs(quadrature_gap) > tol.phase_gap_rel * n_electrons:
+    if abs(quadrature_gap) > PHASE_ROUGHNESS_REL * n_electrons:
         raise PhaseNormalizationError(
             f"spectral and trapezoid cumulatives disagree by {quadrature_gap:.3e}; "
             "the marginal is too rough to integrate spectrally"
@@ -218,7 +218,7 @@ def build_phase(
     # reject only outright pathological amplitudes.
     dips = np.diff(values)
     max_dip = max(0.0, -float(np.min(dips))) if dips.size else 0.0
-    if max_dip > tol.phase_dip_rel * n_electrons:
+    if max_dip > PHASE_ROUGHNESS_REL * n_electrons:
         raise PhaseNormalizationError(
             f"cumulative phase decreases by {max_dip:.3e}; "
             "the marginal is too rough to integrate spectrally"

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ComplexField, Grid3, ScalarField, frozen, integrate
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,10 @@ def spin_swap(r: SpinDensityField) -> SpinDensityField:
     )
 
 
-def convex_combine(
-    pairs: Sequence[tuple[float, SpinDensityField]], tol: ToleranceConfig = DEFAULT
-) -> SpinDensityField:
+def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensityField:
     """Weighted sum sum_i w_i R_i with convex weights.
 
-    Weights must be nonnegative and sum to 1 within ``tol.weight_sum_tol``; all
+    Weights must be nonnegative and sum to 1 within ``WEIGHT_SUM_TOL``; all
     fields must share one grid and one electron count (a convex mixture of
     states with different particle numbers is not a state of either).
     """
@@ -95,10 +93,8 @@ def convex_combine(
     weights = np.array([w for w, _ in pairs], dtype=np.float64)
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
         raise ValueError(f"weights must be finite and nonnegative, got {weights}")
-    if abs(float(np.sum(weights)) - 1.0) > tol.weight_sum_tol:
-        raise ValueError(
-            f"weights must sum to 1 within {tol.weight_sum_tol}, got {np.sum(weights)}"
-        )
+    if abs(float(np.sum(weights)) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.sum(weights)}")
     first = pairs[0][1]
     for _, r in pairs[1:]:
         if r.grid != first.grid:

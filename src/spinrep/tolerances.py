@@ -5,7 +5,8 @@ Every threshold in the package is resolved through a single
 Most knobs are *relative*: they are multiplied by a field scale
 (``max(rho)``, ``max(rho)**2`` or the electron count) at the point of
 use.  The three ``*_abs`` fields let callers (notably the CLI) pin an
-absolute value instead.
+absolute value instead.  The two fixed bounds nobody tunes are module
+constants here, beside the config, so each still has one definition.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _TINY = float(np.finfo(np.float64).tiny)
+
+WEIGHT_SUM_TOL = 1e-12      # convex weights must sum to 1 within this
+PHASE_ROUGHNESS_REL = 1e-3  # spectral-integration gap and dip bound, x n_electrons
 
 
 @dataclass(frozen=True)
@@ -46,14 +50,11 @@ class ToleranceConfig:
     null_det_fraction: float = 1e-3   # fraction of points allowed to violate it
     ratio_rel: float = 1e-10          # slack on rho_up <= 2 rho_dn, x max(rho)
     phase_renorm_factor: float = 10.0  # reject phase renormalization beyond this x norm tol
-    phase_gap_rel: float = 1e-3       # spectral vs trapezoid cumulative gap, x n_electrons
-    phase_dip_rel: float = 1e-3       # largest dip of the cumulative phase, x n_electrons
 
     # witness verification
     slack: float = 0.05           # multiplicative slack on integrated bounds
     gram_tol: float = 1e-6        # orbital Gram deviation gate
     mismatch_tol: float = 1e-8    # witness density mismatch gate (relative L1)
-    weight_sum_tol: float = 1e-12  # convex weights must sum to 1 within this
 
     # absolute overrides; None -> use the relative rule
     neg_abs: float | None = None
@@ -65,8 +66,8 @@ class ToleranceConfig:
             "neg_rel", "det_rel", "det_clamp_rel", "norm_rel", "floor_rel",
             "sqrt_floor_rel", "refine_threshold", "masked_fraction", "sig_rel",
             "boundary_rel", "degenerate_weight", "null_det_rel",
-            "null_det_fraction", "ratio_rel", "phase_renorm_factor", "phase_gap_rel",
-            "phase_dip_rel", "slack", "gram_tol", "mismatch_tol", "weight_sum_tol",
+            "null_det_fraction", "ratio_rel", "phase_renorm_factor", "slack",
+            "gram_tol", "mismatch_tol",
         ):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):

@@ -17,7 +17,7 @@ from .fields import (
 )
 from .orbitals import OrbitalSet, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,12 @@ def verify(
     # (iii) convex weights
     weight_sum = float(np.sum(w.weights))
     min_weight = min(w.weights)
-    weights_ok = abs(weight_sum - 1.0) <= tol.weight_sum_tol and min_weight >= -tol.weight_sum_tol
+    weights_ok = abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL and min_weight >= -WEIGHT_SUM_TOL
     checks.append(ConditionResult(
         "weight_sum",
         PASS if weights_ok else FAIL,
         weight_sum,
-        {"threshold": tol.weight_sum_tol, "min_weight": min_weight},
+        {"threshold": WEIGHT_SUM_TOL, "min_weight": min_weight},
     ))
 
     # (iv) finite kinetic energy

@@ -1,5 +1,8 @@
 """End-to-end command-line tests, run in process through ``cli.main``."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,17 @@ def test_gen_then_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "overall: pass" in out
     assert out.count("condition:") == 7
+
+
+def test_check_reads_a_fifo(tmp_path, capsys):
+    # the input may be a pipe, as with `spinrep check <(...)`
+    data = gen(tmp_path).read_bytes()
+    capsys.readouterr()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True).start()
+    assert main(["check", str(fifo)]) == 0
+    assert "overall: pass" in capsys.readouterr().out
 
 
 def test_check_flags_violation(tmp_path, capsys):

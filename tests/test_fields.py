@@ -193,6 +193,20 @@ def test_read_only_input_is_kept_without_a_copy(grid32):
         assert np.shares_memory(cls(grid32, flat).values, arr)
 
 
+def test_bytes_backed_read_only_input_is_kept(grid32):
+    arr = np.frombuffer(np.ones(grid32.npoints).tobytes()).reshape(grid32.dims)
+    assert sr.ScalarField(grid32, arr).values is arr
+
+
+def test_memory_mapped_input_is_copied(grid32, tmp_path):
+    path = tmp_path / "ones.npy"
+    np.save(path, np.ones(grid32.dims))
+    arr = np.load(path, mmap_mode="r")  # the file may be rewritten by anyone
+    f = sr.ScalarField(grid32, arr)
+    assert not np.shares_memory(f.values, arr)
+    del arr
+
+
 def test_writable_input_is_copied(grid32):
     arr = np.ones(grid32.dims)
     f = sr.ScalarField(grid32, arr)
@@ -205,13 +219,15 @@ def test_writable_input_is_copied(grid32):
     lambda a: a[:, :, ::-1],            # not C-contiguous
     lambda a: a.astype(np.float32),     # another dtype
     lambda a: a.view(),                 # read-only view of writable memory
+    # read-only arrays all the way down, over a writable bytearray
+    lambda a: sr.fields.frozen(np.frombuffer(bytearray(a.tobytes()))).reshape(a.shape),
 ])
 def test_input_that_is_not_frozen_is_copied(grid32, make):
     base = np.ones(grid32.dims)
     arr = make(base)
     arr.flags.writeable = False
     f = sr.ScalarField(grid32, arr)
-    assert not np.shares_memory(f.values, base)
+    assert not np.shares_memory(f.values, arr)
     assert f.values.dtype == np.float64 and f.values.flags.c_contiguous
 
 

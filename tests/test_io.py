@@ -1,6 +1,7 @@
 """Round trips and format validation for the SPDF file and witness directory."""
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,47 @@ def test_spdf_truncated_for_its_header_is_refused_unread(tmp_path):
     assert peak < 2**20
 
 
+def fifo_with(path, data):
+    """Make ``path`` a FIFO that a background thread fills with ``data``, then closes."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return path
+
+
+def test_spdf_reads_through_a_fifo(tmp_path):
+    grid = cube(6, 3.0)
+    g = gaussian_values(grid, width=1.0)
+    field = field_from_arrays(grid, g, 0.5 * g, 0.25j * g, n_electrons=2)
+    path = tmp_path / "f.spdf"
+    sr.write_spdf(path, field)
+    back = sr.read_spdf(fifo_with(tmp_path / "pipe", path.read_bytes()))
+    assert back.n_electrons == 2
+    assert back.rho_up.values.tobytes() == field.rho_up.values.tobytes()
+    assert back.rho_dn.values.tobytes() == field.rho_dn.values.tobytes()
+    assert back.sigma.values.tobytes() == field.sigma.values.tobytes()
+
+
+def test_spdf_fifo_with_extra_payload_is_refused(tmp_path):
+    data = spdf_file(tmp_path, HEADER).read_bytes() + bytes(100)
+    with pytest.raises(sr.SpdfFormatError, match="payload holds 2148 bytes, expected 2048"):
+        sr.read_spdf(fifo_with(tmp_path / "pipe", data))
+
+
+def test_spdf_fifo_truncated_for_its_header_is_refused_unread(tmp_path):
+    data = spdf_file(tmp_path, swap(HEADER, 1, "grid 2000 2000 2000")).read_bytes()
+    peak, msg = traced_peak(sr.read_spdf, fifo_with(tmp_path / "pipe", data))
+    assert "payload holds 2048 bytes, expected 256000000000" in msg
+    assert peak < 4 * 2**20
+
+
 # -- witness directory -----------------------------------------------------------
 
 
@@ -268,6 +310,27 @@ def test_witness_orbital_file_truncated_for_its_grid_is_refused_unread(broken_di
     peak, msg = traced_peak(sr.read_witness, broken_dir)
     assert "expected 256000000000" in msg
     assert peak < 2**20
+
+
+def test_witness_orbital_file_may_be_a_fifo(broken_dir):
+    regular = sr.read_witness(broken_dir)
+    f = broken_dir / "branch0_orb1.bin"
+    data = f.read_bytes()
+    f.unlink()
+    fifo_with(f, data)
+    back = sr.read_witness(broken_dir)
+    ours, theirs = regular.branches[0].orbitals.orbitals[0], back.branches[0].orbitals.orbitals[0]
+    assert theirs.up.values.tobytes() == ours.up.values.tobytes()
+    assert theirs.dn.values.tobytes() == ours.dn.values.tobytes()
+
+
+def test_witness_short_fifo_orbital_file_is_refused(broken_dir):
+    f = broken_dir / "branch0_orb1.bin"
+    data = f.read_bytes()
+    f.unlink()
+    fifo_with(f, data[:-8])
+    with pytest.raises(sr.WitnessFormatError, match=f"holds {len(data) - 8} bytes"):
+        sr.read_witness(broken_dir)
 
 
 def test_witness_wrong_branch_count(broken_dir):

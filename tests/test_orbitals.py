@@ -52,13 +52,6 @@ def test_phase_rejects_unnormalized(diagonal32):
         sr.build_phase(rho, 2)
 
 
-def test_phase_reads_its_quadrature_gap_tolerance(diagonal32):
-    # the ~1e-6 spectral/trapezoid gap at 32 nodes passes the default 1e-3
-    tight = replace(sr.DEFAULT, phase_gap_rel=1e-9)
-    with pytest.raises(sr.PhaseNormalizationError, match="disagree"):
-        sr.build_phase(diagonal32.rho_total, 2, tol=tight)
-
-
 def test_phase_rejects_empty_axis(grid32):
     with pytest.raises(sr.PhaseNormalizationError):
         sr.build_phase(sr.zeros(grid32), 1)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -98,20 +96,6 @@ def test_convex_combine_preserves_psd(mixture32, diagonal32):
 def test_convex_combine_rejects_bad_weights(mixture32, diagonal32, weights):
     with pytest.raises(ValueError):
         sr.convex_combine([(weights[0], mixture32), (weights[1], diagonal32)])
-
-
-def test_convex_combine_reads_its_weight_tolerance(mixture32, diagonal32):
-    pairs = [(0.5, mixture32), (0.5 + 1e-6, diagonal32)]
-    with pytest.raises(ValueError, match="within 1e-12"):
-        sr.convex_combine(pairs)
-    sr.convex_combine(pairs, tol=replace(sr.DEFAULT, weight_sum_tol=1e-5))
-
-
-@pytest.mark.parametrize("name", ["weight_sum_tol", "phase_gap_rel", "phase_dip_rel"])
-@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
-def test_tolerance_config_rejects_bad_values(name, value):
-    with pytest.raises(ValueError, match=name):
-        sr.ToleranceConfig(**{name: value})
 
 
 def test_convex_combine_rejects_grid_mismatch(mixture32):
