@@ -11,28 +11,47 @@ Conventions used throughout the package:
   available for the norm integrals) with one-sided second-order stencils on
   the boundary planes.
 
-The stencil kernel is buffered: :func:`grad_magnitude_sq` makes one pass
-per axis into a reused derivative buffer (one more buffer holds the stencil
-terms), squares it in place and accumulates it, so it allocates three
-input-sized arrays per call rather than three gradients plus temporaries.
-Complex data is processed as its float64 (real, imag) pair view.  The
-kernel is bit-identical to evaluating the stencil expressions directly, and
-any change to it must stay so: it keeps the operation order
-``((a - 8b) + 8c) - d`` and the boundary expressions, divides real data by
-``k h``, and multiplies complex data by the reciprocal ``1 / (k h)``, which
-is how numpy rounds a complex-by-real division.  For non-finite complex
-input the two can differ in which non-finite value they produce.
+The stencil kernel works in slabs of axis-0 rows, each about
+``_SLAB_BYTES`` (512 KiB) of float64 data so that a slab's buffers stay in
+L2.  For each slab, :func:`grad_magnitude_sq` writes the three axis
+derivatives one after the other into one reused slab buffer, squares each
+in place and accumulates it into its rows of the result, axis 0 first; the
+axis-0 stencil reads its halo rows straight from the input.  ``8 v`` is
+formed once per slab (with its two halo rows) and gives both ``8b`` and
+``8c`` of every axis: multiplying by a power of two is exact.  The slabs
+are spread over ``min(cpus, slabs)`` workers, where ``cpus`` is the size
+of the process's CPU affinity mask (``os.cpu_count()`` where there is
+none): the calling thread and the threads of one pool, created on first
+use and again in a forked child.  Each worker owns its slab buffers and
+writes only the rows of the slabs it takes.  :func:`gradient_arrays` uses
+the same slab stencil.  Complex data is processed as its float64
+(real, imag) pair view.
+
+The kernel is bit-identical to evaluating the stencil expressions
+directly, for any slab height and any number of workers, and any change to
+it must stay so: it keeps the operation order ``((a - 8b) + 8c) - d`` and
+the boundary expressions, divides real data by ``k h``, and multiplies
+complex data by the reciprocal ``1 / (k h)``, which is how numpy rounds a
+complex-by-real division.  For non-finite complex input the two can differ
+in which non-finite value they produce.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 _TINY = float(np.finfo(np.float64).tiny)
+
+# float64 bytes in one slab of the gradient kernel, so that a slab's
+# buffers stay in a core's L2 cache
+_SLAB_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -221,33 +240,149 @@ def _scale(a: np.ndarray, d: float, complex_data: bool) -> None:
         np.divide(a, d, out=a)
 
 
-def _axis_stencil(
-    v: np.ndarray, h: float, axis: int, order: int,
-    out: np.ndarray, tmp: np.ndarray, complex_data: bool,
+def _rows(
+    vm: np.ndarray, v8m: np.ndarray | None, off: int | None, h: float, order: int,
+    lo: int, hi: int, g: np.ndarray, complex_data: bool,
 ) -> None:
-    """d v / d x_axis into ``out``, using ``tmp`` (same shape) as scratch."""
-    vm, g, t = (np.moveaxis(a, axis, 0) for a in (v, out, tmp))
-    if order == 2:
-        np.subtract(vm[2:], vm[:-2], out=g[1:-1])
-        _scale(g[1:-1], 2.0 * h, complex_data)
-    else:
-        # fourth-order interior ((a - 8b) + 8c) - d, second-order central one
-        # node from the edge
-        gi, ti = g[2:-2], t[2:-2]
-        np.multiply(vm[1:-3], 8.0, out=ti)
-        np.subtract(vm[:-4], ti, out=gi)
-        np.multiply(vm[3:-1], 8.0, out=ti)
-        np.add(gi, ti, out=gi)
-        np.subtract(gi, vm[4:], out=gi)
-        _scale(gi, 12.0 * h, complex_data)
-        np.subtract(vm[2], vm[0], out=g[1])
-        np.subtract(vm[-1], vm[-3], out=g[-2])
-        for i in (1, -2):
-            _scale(g[i], 2.0 * h, complex_data)
-    g[0] = -3.0 * vm[0] + 4.0 * vm[1] - vm[2]
-    g[-1] = 3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]
-    for i in (0, -1):
-        _scale(g[i], 2.0 * h, complex_data)
+    """d vm / d x_0 at rows lo:hi of vm into g, whose row 0 is row lo.
+
+    ``v8m`` holds ``8 * vm`` from row ``off`` on (order 4 only); the other
+    stencil terms, halo rows included, are read from ``vm`` itself.
+    """
+    n = vm.shape[0]
+    e = order // 2  # rows at each end outside the interior stencil
+    i0, i1 = max(lo, e), min(hi, n - e)
+    if i0 < i1:
+        gi = g[i0 - lo:i1 - lo]
+        if order == 2:
+            np.subtract(vm[i0 + 1:i1 + 1], vm[i0 - 1:i1 - 1], out=gi)
+            _scale(gi, 2.0 * h, complex_data)
+        else:
+            # ((a - 8b) + 8c) - d
+            np.subtract(vm[i0 - 2:i1 - 2], v8m[i0 - 1 - off:i1 - 1 - off], out=gi)
+            np.add(gi, v8m[i0 + 1 - off:i1 + 1 - off], out=gi)
+            np.subtract(gi, vm[i0 + 2:i1 + 2], out=gi)
+            _scale(gi, 12.0 * h, complex_data)
+    for i in (0, n - 1) + ((1, n - 2) if e == 2 else ()):
+        if not lo <= i < hi:
+            continue
+        if i == 0:
+            gr = -3.0 * vm[0] + 4.0 * vm[1] - vm[2]
+        elif i == n - 1:
+            gr = 3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]
+        elif i == 1:
+            # second-order central one node from the edge
+            gr = vm[2] - vm[0]
+        else:
+            gr = vm[-1] - vm[-3]
+        g[i - lo] = gr
+        _scale(g[i - lo], 2.0 * h, complex_data)
+
+
+def _slab_derivatives(
+    v: np.ndarray, spacing, order: int, lo: int, hi: int,
+    dest, v8buf: np.ndarray | None, complex_data: bool,
+):
+    """Yield d v / d x_ax on rows lo:hi for ax = 0, 1, 2, each written into dest[ax].
+
+    With order 4, ``8 * v`` is formed once for the slab and its two halo
+    rows, in ``v8buf``, and serves all three axes.
+    """
+    v8 = off = None
+    if order == 4:
+        off, end = max(lo - 1, 0), min(hi + 1, v.shape[0])
+        v8 = np.multiply(v[off:end], 8.0, out=v8buf[:end - off])
+    _rows(v, v8, off, spacing[0], order, lo, hi, dest[0], complex_data)
+    yield dest[0]
+    for ax in (1, 2):
+        vm = np.moveaxis(v[lo:hi], ax, 0)
+        v8m = None if v8 is None else np.moveaxis(v8[lo - off:hi - off], ax, 0)
+        _rows(vm, v8m, 0, spacing[ax], order, 0, vm.shape[0],
+              np.moveaxis(dest[ax], ax, 0), complex_data)
+        yield dest[ax]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool and its lock in a forked child.
+
+    The pool's threads do not exist there, and a thread that held the lock
+    at the fork would never release it.
+    """
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The process's stencil pool, created on first use, with at least ``threads`` threads.
+
+    A pool that is too small is replaced, not shut down: a concurrent caller
+    may still be submitting to it, and its idle threads exit once it is
+    garbage collected.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None or _pool_size < threads:
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="spinrep-stencil")
+            _pool_size = threads
+        return _pool
+
+
+def _slab_rows(v: np.ndarray) -> int:
+    """Rows of axis 0 in one slab: about ``_SLAB_BYTES`` of data, at least one row."""
+    return min(v.shape[0], max(1, _SLAB_BYTES // max(1, v[0].nbytes)))
+
+
+def _over_slabs(v: np.ndarray, work) -> None:
+    """Call ``work(slabs)`` in each worker; slabs are (lo, hi) row ranges of axis 0.
+
+    ``min(cpus, slabs)`` workers run, the calling thread being one of them;
+    each takes the next unclaimed slab until none is left.  Every row is
+    computed by the same operations whichever worker takes it, so the
+    result does not depend on the scheduling.
+    """
+    n0, rows = v.shape[0], _slab_rows(v)
+    slabs = [(lo, min(lo + rows, n0)) for lo in range(0, n0, rows)]
+    workers = min(_cpus(), len(slabs))
+    if workers == 1:
+        work(slabs)
+        return
+    claim = itertools.count()  # next() on it is atomic under the GIL
+
+    def claimed():
+        while (k := next(claim)) < len(slabs):
+            yield slabs[k]
+
+    pool = _executor(workers - 1)
+    helpers = [pool.submit(work, claimed()) for _ in range(workers - 1)]
+    try:
+        work(claimed())
+    finally:
+        # a helper that has not started would find every slab claimed
+        for f in helpers:
+            if not f.cancel():
+                f.result()
+
+
+def _v8_buffer(v: np.ndarray, order: int) -> np.ndarray | None:
+    """A worker's buffer for ``8 * v`` on one slab and its two halo rows (order 4)."""
+    return np.empty((_slab_rows(v) + 2,) + v.shape[1:]) if order == 4 else None
 
 
 def _check_order(order: int) -> None:
@@ -259,13 +394,17 @@ def gradient_arrays(grid: Grid3, values: np.ndarray, order: int = 2) -> tuple[np
     """The three partial derivatives of values (float64 or complex128 arrays)."""
     _check_order(order)
     v, complex_data = _float_view(values)
-    tmp = np.empty_like(v)
-    out = []
-    for ax in range(3):
-        g = np.empty_like(v)
-        _axis_stencil(v, grid.spacing[ax], ax, order, g, tmp, complex_data)
-        out.append(g.view(np.complex128)[..., 0] if complex_data else g)
-    return tuple(out)
+    grads = [np.empty_like(v) for _ in range(3)]
+
+    def work(slabs):
+        v8 = _v8_buffer(v, order)
+        for lo, hi in slabs:
+            for _ in _slab_derivatives(v, grid.spacing, order, lo, hi,
+                                       [g[lo:hi] for g in grads], v8, complex_data):
+                pass
+
+    _over_slabs(v, work)
+    return tuple(g.view(np.complex128)[..., 0] if complex_data else g for g in grads)
 
 
 def gradient(f: Field, order: int = 2):
@@ -277,25 +416,30 @@ def gradient(f: Field, order: int = 2):
 def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 2) -> np.ndarray:
     """|grad f|^2 pointwise; for complex f the moduli of the components add.
 
-    One stencil pass per axis into a reused buffer, squared in place and
-    accumulated; the result is bit-identical to squaring and summing the
-    arrays of :func:`gradient_arrays` axis by axis.
+    Slab by slab, each axis derivative goes into one reused slab buffer and
+    is squared in place and accumulated; the result is bit-identical to
+    squaring and summing the arrays of :func:`gradient_arrays` axis by axis.
     """
     _check_order(order)
     v, complex_data = _float_view(values)
-    deriv = np.empty_like(v)
-    tmp = np.empty_like(v)
     out = np.empty(grid.dims)
-    for ax in range(3):
-        _axis_stencil(v, grid.spacing[ax], ax, order, deriv, tmp, complex_data)
-        if complex_data:
-            np.multiply(deriv, deriv, out=deriv)
-            # re^2 + im^2, summed into the real slot
-            sq = np.add(deriv[..., 0], deriv[..., 1], out=out if ax == 0 else deriv[..., 0])
-        else:
-            sq = np.multiply(deriv, deriv, out=out if ax == 0 else deriv)
-        if ax > 0:
-            out += sq
+
+    def work(slabs):
+        deriv, v8 = np.empty((_slab_rows(v),) + v.shape[1:]), _v8_buffer(v, order)
+        for lo, hi in slabs:
+            d, o = deriv[:hi - lo], out[lo:hi]
+            for ax, g in enumerate(_slab_derivatives(v, grid.spacing, order, lo, hi,
+                                                     (d, d, d), v8, complex_data)):
+                if complex_data:
+                    np.multiply(g, g, out=g)
+                    # re^2 + im^2, summed into the real slot
+                    sq = np.add(g[..., 0], g[..., 1], out=o if ax == 0 else g[..., 0])
+                else:
+                    sq = np.multiply(g, g, out=o if ax == 0 else g)
+                if ax > 0:
+                    o += sq
+
+    _over_slabs(v, work)
     return out
 
 

@@ -71,14 +71,20 @@ def trace_integral(r: SpinDensityField) -> float:
 def spin_swap(r: SpinDensityField) -> SpinDensityField:
     """Exchange the spin channels: (rho_up, rho_dn, sigma) -> (rho_dn, rho_up, conj sigma).
 
-    Involutive, leaves the determinant and total density unchanged.
+    Involutive, leaves the determinant and total density unchanged.  The
+    input's cached ``rho_total`` and ``scale`` carry over: IEEE addition
+    commutes, so rho_dn + rho_up has the same bits as rho_up + rho_dn.
     """
-    return SpinDensityField(
+    swapped = SpinDensityField(
         rho_up=r.rho_dn,
         rho_dn=r.rho_up,
         sigma=ComplexField(r.grid, frozen(np.conj(r.sigma.values))),
         n_electrons=r.n_electrons,
     )
+    for name in ("rho_total", "scale"):
+        if name in r.__dict__:
+            swapped.__dict__[name] = r.__dict__[name]
+    return swapped
 
 
 def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensityField:

@@ -59,6 +59,17 @@ def test_spin_swap_exchanges_and_conjugates(mixture32):
     np.testing.assert_array_equal(swapped.sigma.values, np.conj(mixture32.sigma.values))
 
 
+def test_spin_swap_reuses_rho_total(mixture32):
+    total, scale = mixture32.rho_total, mixture32.scale
+    swapped = sr.spin_swap(mixture32)
+    assert swapped.rho_total is total
+    assert swapped.scale == scale
+    # the sum the swapped field would have formed has the same bits
+    fresh = sr.SpinDensityField(swapped.rho_up, swapped.rho_dn, swapped.sigma,
+                                swapped.n_electrons)
+    assert np.array_equal(fresh.rho_total.values, total.values)
+
+
 def test_spin_swap_involution(mixture32):
     assert max_abs_diff(sr.spin_swap(sr.spin_swap(mixture32)), mixture32) == 0.0
 
