@@ -34,6 +34,7 @@ from .fields import (
     Grid3,
     ScalarField,
     WeightedGradientL1,
+    blockwise,
     boundary_max,
     frozen,
     grad_magnitude_sq,
@@ -143,7 +144,7 @@ def w32_norms(
     """
     if grad_sq is None:
         grad_sq = grad_magnitude_sq(grid, values, order)
-    return lp_norm(grid, values, 1.5), lp_norm(grid, np.sqrt(grad_sq), 1.5)
+    return lp_norm(grid, values, 1.5), lp_norm(grid, grad_sq, 1.5, squared=True)
 
 
 def _rel_change(coarse: float, fine: float) -> float:
@@ -196,7 +197,16 @@ def seminorm_condition(
 
 
 def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.clip(values, 0.0, None))
+    """sqrt(max(values, 0)), written block by block into one new array."""
+    v = values.reshape(-1)
+    out = np.empty(values.shape)
+    flat = out.reshape(-1)
+
+    def step(lo, hi):
+        np.sqrt(np.clip(v[lo:hi], 0.0, None, out=flat[lo:hi]), out=flat[lo:hi])
+
+    blockwise(v.size, step)
+    return out
 
 
 class DensityNorms:

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .check import check
-from .fields import ComplexField, ScalarField, frozen
+from .fields import ComplexField, ScalarField, frozen, integrate_values
 from .orbitals import build_orbitals, exchange_components, require_null_determinant
 from .spin_density import SpinDensityField, spin_swap
 from .sqrtm import sqrt_field
@@ -114,8 +114,9 @@ def _weigh(
     fraction of piece one, and a piece whose weight falls below
     ``tol.degenerate_weight`` is not kept, so it need not be built.
     """
-    w = template.grid.weights
-    t = float(np.sum(w * up_one) + np.sum(w * dn_one)) / template.n_electrons
+    grid = template.grid
+    t = float(integrate_values(grid, up_one) + integrate_values(grid, dn_one))
+    t /= template.n_electrons
     if t < tol.degenerate_weight:
         return t, 0.0, False, True
     if t > 1.0 - tol.degenerate_weight:

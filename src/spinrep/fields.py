@@ -4,28 +4,36 @@ Conventions used throughout the package:
 
 * grids are uniform tensor products of ``linspace(lo, hi, n)`` nodes,
   at least 4 per axis, stored C-order with the z index fastest;
-* integrals are trapezoidal sums; the reduction is ``np.sum`` (pairwise),
-  which fixes a canonical summation order so results are reproducible
+* integrals are trapezoidal sums with the bits of ``np.sum(weights * v)``,
+  ``weights`` being the 3-D outer product of the axis weights: numpy's
+  pairwise summation fixes the order, so results are reproducible
   bit-for-bit for a given grid;
 * derivatives are central finite differences (order 2 by default, order 4
   available for the norm integrals) with one-sided second-order stencils on
   the boundary planes.
 
-The stencil kernel works in slabs of axis-0 rows, each about
-``_SLAB_BYTES`` (512 KiB) of float64 data so that a slab's buffers stay in
-L2.  For each slab, :func:`grad_magnitude_sq` writes the three axis
-derivatives one after the other into one reused slab buffer, squares each
-in place and accumulates it into its rows of the result, axis 0 first; the
-axis-0 stencil reads its halo rows straight from the input.  ``8 v`` is
-formed once per slab (with its two halo rows) and gives both ``8b`` and
-``8c`` of every axis: multiplying by a power of two is exact.  The slabs
-are spread over ``min(cpus, slabs)`` workers, where ``cpus`` is the size
-of the process's CPU affinity mask (``os.cpu_count()`` where there is
-none): the calling thread and the threads of one pool, created on first
-use and again in a forked child.  Each worker owns its slab buffers and
-writes only the rows of the slabs it takes.  :func:`gradient_arrays` uses
-the same slab stencil.  Complex data is processed as its float64
-(real, imag) pair view.
+Blocked passes.  The gradient kernel, the integrals and the pointwise
+passes of ``check`` run block by block, each block about ``_SLAB_BYTES``
+(512 KiB) of float64 data so that its buffers stay in L2.  The blocks are
+spread over ``min(cpus, blocks)`` workers, where ``cpus`` is the size of
+the process's CPU affinity mask (``os.cpu_count()`` where there is none):
+the calling thread and the threads of one pool, created on first use and
+again in a forked child.  Each worker owns its buffers and writes only the
+output of the blocks it takes, so no result depends on the scheduling.
+
+The stencil kernel works in slabs of axis-0 rows.  For each slab,
+:func:`grad_magnitude_sq` writes the three axis derivatives one after the
+other into one reused slab buffer, squares each in place and accumulates it
+into its rows of the result, axis 0 first.  Each axis's interior stencil is
+one contiguous pass over the flattened slab, the neighbours along the axis
+being a flat shift of ``ny nz``, ``nz`` or 1 elements away (doubled for
+complex data, processed as its float64 (real, imag) pair view); the pass
+also writes meaningless values on the axis's four boundary planes, which
+are then rewritten with the one-sided expressions.  The axis-0 stencil
+reads its halo rows straight from the input.  ``8 v`` is formed once per
+slab (with its two halo rows) and gives both ``8b`` and ``8c`` of every
+axis: multiplying by a power of two is exact.  :func:`gradient_arrays` uses
+the same slab stencil.
 
 The kernel is bit-identical to evaluating the stencil expressions
 directly, for any slab height and any number of workers, and any change to
@@ -34,11 +42,26 @@ the boundary expressions, divides real data by ``k h``, and multiplies
 complex data by the reciprocal ``1 / (k h)``, which is how numpy rounds a
 complex-by-real division.  For non-finite complex input the two can differ
 in which non-finite value they produce.
+
+The integrals follow numpy's pairwise tree.  numpy sums a contiguous run of
+f floats by splitting it at ``f//2 - (f//2) % 8`` floats (complex data
+counts two floats per element) until a run holds at most 128 floats.  The
+integrals cut that tree at runs of about ``_SLAB_BYTES``: each such leaf's
+integrand (the masked ratio, ``|f|**p``, ...) is formed and weighted in a
+worker's buffer and summed by ``np.sum``, which walks the same subtree, and
+the leaf sums are added in tree order onto 0, as numpy's reduction does.
+The weights of a leaf come from the two cached axis-0 rows of the weight
+array (:attr:`Grid3.row_weights`), and complex data is multiplied by them
+with numpy's own real-to-complex cast.  So every integral has the bits of
+the whole-array expression it replaces, for any leaf size and any number
+of workers, and any change to it must stay so.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -49,8 +72,9 @@ import numpy as np
 
 _TINY = float(np.finfo(np.float64).tiny)
 
-# float64 bytes in one slab of the gradient kernel, so that a slab's
-# buffers stay in a core's L2 cache
+# float64 bytes in one block of a blocked pass (a slab of the gradient
+# kernel, a leaf of an integral), so that a block's buffers stay in a
+# core's L2 cache
 _SLAB_BYTES = 512 * 1024
 
 
@@ -120,12 +144,29 @@ class Grid3:
         return tuple(out)
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """3-D trapezoid weight array (outer product of the axis weights)."""
+    def row_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trapezoid weights of one axis-0 row, flattened: (end row, interior row).
+
+        Row i of the 3-D weight array is ``(wx[i] * wy)[:, None] * wz``, so
+        these two planes hold every weight of the grid.
+        """
         wx, wy, wz = self.axis_weights
-        w = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-        w.flags.writeable = False
-        return w
+        out = []
+        for i in (0, 1):
+            w = ((wx[i] * wy)[:, None] * wz).reshape(-1)
+            w.flags.writeable = False
+            out.append(w)
+        return tuple(out)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """3-D trapezoid weight array (outer product of the axis weights).
+
+        Built on each access and not kept: spinrep's integrals weigh the
+        data row by row with :attr:`row_weights` and never form it.
+        """
+        wx, wy, wz = self.axis_weights
+        return wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.meshgrid(*self.axes, indexing="ij")
@@ -223,7 +264,7 @@ def _float_view(values) -> tuple[np.ndarray, bool]:
     """values as float64 data; complex data as its (..., 2) real/imag pair view."""
     arr = np.asarray(values)
     if not np.iscomplexobj(arr):
-        return np.asarray(arr, dtype=np.float64), False
+        return np.ascontiguousarray(arr, dtype=np.float64), False
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
     return arr.view(np.float64).reshape(*arr.shape, 2), True
 
@@ -240,30 +281,37 @@ def _scale(a: np.ndarray, d: float, complex_data: bool) -> None:
         np.divide(a, d, out=a)
 
 
-def _rows(
-    vm: np.ndarray, v8m: np.ndarray | None, off: int | None, h: float, order: int,
-    lo: int, hi: int, g: np.ndarray, complex_data: bool,
+def _interior(
+    vf: np.ndarray, v8f: np.ndarray | None, off8: int, s: int, q0: int, q1: int,
+    h: float, order: int, gf: np.ndarray, g0: int, complex_data: bool,
 ) -> None:
-    """d vm / d x_0 at rows lo:hi of vm into g, whose row 0 is row lo.
+    """The interior stencil with flat shift ``s`` at flat points q0:q1 of vf, into gf.
 
-    ``v8m`` holds ``8 * vm`` from row ``off`` on (order 4 only); the other
-    stencil terms, halo rows included, are read from ``vm`` itself.
+    ``gf`` holds the flat points from ``g0`` on and ``v8f`` holds ``8 * vf``
+    from flat point ``off8`` on (order 4 only).  It is one contiguous pass;
+    the points it computes on the axis's boundary planes are rewritten by
+    :func:`_ends`.
     """
+    if q0 >= q1:
+        return
+    g = gf[q0 - g0:q1 - g0]
+    if order == 2:
+        np.subtract(vf[q0 + s:q1 + s], vf[q0 - s:q1 - s], out=g)
+        _scale(g, 2.0 * h, complex_data)
+    else:
+        # ((a - 8b) + 8c) - d
+        np.subtract(vf[q0 - 2 * s:q1 - 2 * s], v8f[q0 - s - off8:q1 - s - off8], out=g)
+        np.add(g, v8f[q0 + s - off8:q1 + s - off8], out=g)
+        np.subtract(g, vf[q0 + 2 * s:q1 + 2 * s], out=g)
+        _scale(g, 12.0 * h, complex_data)
+
+
+def _ends(
+    vm: np.ndarray, h: float, order: int, lo: int, hi: int, g: np.ndarray, complex_data: bool,
+) -> None:
+    """The boundary planes of d vm / d x_0 that lie in rows lo:hi, into g, whose row 0 is row lo."""
     n = vm.shape[0]
-    e = order // 2  # rows at each end outside the interior stencil
-    i0, i1 = max(lo, e), min(hi, n - e)
-    if i0 < i1:
-        gi = g[i0 - lo:i1 - lo]
-        if order == 2:
-            np.subtract(vm[i0 + 1:i1 + 1], vm[i0 - 1:i1 - 1], out=gi)
-            _scale(gi, 2.0 * h, complex_data)
-        else:
-            # ((a - 8b) + 8c) - d
-            np.subtract(vm[i0 - 2:i1 - 2], v8m[i0 - 1 - off:i1 - 1 - off], out=gi)
-            np.add(gi, v8m[i0 + 1 - off:i1 + 1 - off], out=gi)
-            np.subtract(gi, vm[i0 + 2:i1 + 2], out=gi)
-            _scale(gi, 12.0 * h, complex_data)
-    for i in (0, n - 1) + ((1, n - 2) if e == 2 else ()):
+    for i in (0, n - 1) + ((1, n - 2) if order == 4 else ()):
         if not lo <= i < hi:
             continue
         if i == 0:
@@ -285,21 +333,34 @@ def _slab_derivatives(
 ):
     """Yield d v / d x_ax on rows lo:hi for ax = 0, 1, 2, each written into dest[ax].
 
-    With order 4, ``8 * v`` is formed once for the slab and its two halo
-    rows, in ``v8buf``, and serves all three axes.
+    ``v`` is C-contiguous and ``dest[ax]`` a C-contiguous array of the slab's
+    rows.  Each axis's interior stencil is one pass over the flattened slab
+    with flat shift ``ny nz``, ``nz`` or 1 (times 2 for pair data); with
+    order 4, ``8 * v`` is formed once for the slab and its two halo rows, in
+    the flat buffer ``v8buf``, and serves all three axes.
     """
-    v8 = off = None
+    n0, row = v.shape[0], v[0].size
+    vf, e = v.reshape(-1), order // 2
+    v8f = off8 = None
     if order == 4:
-        off, end = max(lo - 1, 0), min(hi + 1, v.shape[0])
-        v8 = np.multiply(v[off:end], 8.0, out=v8buf[:end - off])
-    _rows(v, v8, off, spacing[0], order, lo, hi, dest[0], complex_data)
-    yield dest[0]
-    for ax in (1, 2):
-        vm = np.moveaxis(v[lo:hi], ax, 0)
-        v8m = None if v8 is None else np.moveaxis(v8[lo - off:hi - off], ax, 0)
-        _rows(vm, v8m, 0, spacing[ax], order, 0, vm.shape[0],
-              np.moveaxis(dest[ax], ax, 0), complex_data)
-        yield dest[ax]
+        off, end = max(lo - 1, 0), min(hi + 1, n0)
+        v8f = np.multiply(vf[off * row:end * row], 8.0, out=v8buf[:(end - off) * row])
+        off8 = off * row
+    for ax in range(3):
+        s = row // math.prod(v.shape[1:ax + 1])  # flat shift of one step along ax
+        if ax == 0:
+            q0, q1 = max(lo, e) * row, min(hi, n0 - e) * row
+        else:
+            q0, q1 = lo * row + e * s, hi * row - e * s
+        g = dest[ax]
+        _interior(vf, v8f, off8, s, q0, q1, spacing[ax], order, g.reshape(-1), lo * row,
+                  complex_data)
+        if ax == 0:
+            _ends(v, spacing[0], order, lo, hi, g, complex_data)
+        else:
+            _ends(np.moveaxis(v[lo:hi], ax, 0), spacing[ax], order, 0, v.shape[ax],
+                  np.moveaxis(g, ax, 0), complex_data)
+        yield g
 
 
 def _cpus() -> int:
@@ -330,7 +391,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:
-    """The process's stencil pool, created on first use, with at least ``threads`` threads.
+    """The process's worker pool, created on first use, with at least ``threads`` threads.
 
     A pool that is too small is replaced, not shut down: a concurrent caller
     may still be submitting to it, and its idle threads exit once it is
@@ -344,45 +405,73 @@ def _executor(threads: int) -> ThreadPoolExecutor:
         return _pool
 
 
+def _over_blocks(blocks, work) -> None:
+    """Call ``work(blocks)`` in each worker; each takes the next unclaimed block.
+
+    ``min(cpus, blocks)`` workers run, the calling thread being one of them.
+    Every block is computed by the same operations whichever worker takes
+    it, so the result does not depend on the scheduling.  The helpers run
+    under the caller's ``np.errstate``.  ``work`` must not itself run blocks
+    on the workers.
+    """
+    workers = min(_cpus(), len(blocks))
+    if workers <= 1:
+        work(blocks)
+        return
+    claim = itertools.count()  # next() on it is atomic under the GIL
+    errstate = np.geterr()
+
+    def claimed():
+        while (k := next(claim)) < len(blocks):
+            yield blocks[k]
+
+    def helper(claimed):
+        with np.errstate(**errstate):
+            work(claimed)
+
+    pool = _executor(workers - 1)
+    helpers = [pool.submit(helper, claimed()) for _ in range(workers - 1)]
+    try:
+        work(claimed())
+    finally:
+        # a helper that has not started would find every block claimed
+        for f in helpers:
+            if not f.cancel():
+                f.result()
+
+
+def blockwise(n: int, step, scratch: int = 0) -> None:
+    """Call ``step(lo, hi, *bufs)`` on the workers for flat ranges lo:hi that cover 0:n.
+
+    Each range holds at most about ``_SLAB_BYTES`` of float64 points, and
+    ``bufs`` are ``scratch`` float64 buffers of that length owned by the
+    worker.  For pointwise work that writes each range of its output once.
+    """
+    size = max(1, _SLAB_BYTES // 8)
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+    def work(claimed):
+        bufs = [np.empty(size) for _ in range(scratch)]
+        for lo, hi in claimed:
+            step(lo, hi, *bufs)
+
+    _over_blocks(blocks, work)
+
+
 def _slab_rows(v: np.ndarray) -> int:
     """Rows of axis 0 in one slab: about ``_SLAB_BYTES`` of data, at least one row."""
     return min(v.shape[0], max(1, _SLAB_BYTES // max(1, v[0].nbytes)))
 
 
 def _over_slabs(v: np.ndarray, work) -> None:
-    """Call ``work(slabs)`` in each worker; slabs are (lo, hi) row ranges of axis 0.
-
-    ``min(cpus, slabs)`` workers run, the calling thread being one of them;
-    each takes the next unclaimed slab until none is left.  Every row is
-    computed by the same operations whichever worker takes it, so the
-    result does not depend on the scheduling.
-    """
+    """Call ``work(slabs)`` in each worker; slabs are (lo, hi) row ranges of axis 0."""
     n0, rows = v.shape[0], _slab_rows(v)
-    slabs = [(lo, min(lo + rows, n0)) for lo in range(0, n0, rows)]
-    workers = min(_cpus(), len(slabs))
-    if workers == 1:
-        work(slabs)
-        return
-    claim = itertools.count()  # next() on it is atomic under the GIL
-
-    def claimed():
-        while (k := next(claim)) < len(slabs):
-            yield slabs[k]
-
-    pool = _executor(workers - 1)
-    helpers = [pool.submit(work, claimed()) for _ in range(workers - 1)]
-    try:
-        work(claimed())
-    finally:
-        # a helper that has not started would find every slab claimed
-        for f in helpers:
-            if not f.cancel():
-                f.result()
+    _over_blocks([(lo, min(lo + rows, n0)) for lo in range(0, n0, rows)], work)
 
 
 def _v8_buffer(v: np.ndarray, order: int) -> np.ndarray | None:
-    """A worker's buffer for ``8 * v`` on one slab and its two halo rows (order 4)."""
-    return np.empty((_slab_rows(v) + 2,) + v.shape[1:]) if order == 4 else None
+    """A worker's flat buffer for ``8 * v`` on one slab and its two halo rows (order 4)."""
+    return np.empty((_slab_rows(v) + 2) * v[0].size) if order == 4 else None
 
 
 def _check_order(order: int) -> None:
@@ -446,8 +535,107 @@ def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 2) -> np.nda
 # -- integrals -------------------------------------------------------------
 
 
+# numpy sums a run of at most this many floats without splitting it
+_PAIRWISE_BLOCK = 128
+
+
+@functools.lru_cache(maxsize=32)
+def _pairwise_tree(n: int, width: int, leaf: int):
+    """numpy's pairwise summation tree over n items of ``width`` floats, cut into leaves.
+
+    numpy's pairwise sum splits a run of f > ``_PAIRWISE_BLOCK`` floats
+    into its first ``f//2 - (f//2) % 8`` floats and the rest, and adds the
+    two halves' sums.  Here the splitting stops at runs of at most ``leaf``
+    items (or at numpy's own block), and each such run is a leaf.  Returns
+    ``(leaves, tree)``: the leaves' (lo, hi) item ranges in order, and a
+    tree whose nodes are leaf indices or (left, right) pairs.
+    """
+    leaves = []
+
+    def split(lo, hi):
+        f = (hi - lo) * width
+        if hi - lo <= leaf or f <= _PAIRWISE_BLOCK:
+            leaves.append((lo, hi))
+            return len(leaves) - 1
+        half = f // 2
+        mid = lo + (half - half % 8) // width
+        return split(lo, mid), split(mid, hi)
+
+    tree = split(0, n)
+    return tuple(leaves), tree
+
+
+def _add_tree(tree, sums):
+    if isinstance(tree, int):
+        return sums[tree]
+    return _add_tree(tree[0], sums) + _add_tree(tree[1], sums)
+
+
+def _weigh(grid: Grid3, lo: int, hi: int, x: np.ndarray, out: np.ndarray) -> None:
+    """out = trapezoid weight * x on the flat points lo:hi, as 1-D arrays of those points."""
+    end, mid = grid.row_weights
+    row, nx = end.size, grid.dims[0]
+    q = lo
+    while q < hi:
+        i, c = divmod(q, row)
+        rows = min(hi // row, nx - 1) - i  # whole interior rows from row i on
+        if c == 0 and i > 0 and rows > 0:
+            stop = q + rows * row
+            np.multiply(mid, x[q - lo:stop - lo].reshape(rows, row),
+                        out=out[q - lo:stop - lo].reshape(rows, row))
+        else:
+            stop = min(hi, (i + 1) * row)
+            w = end if i in (0, nx - 1) else mid
+            np.multiply(w[c:c + stop - q], x[q - lo:stop - lo], out=out[q - lo:stop - lo])
+        q = stop
+
+
+def _leaves(grid: Grid3, dtype):
+    width = 2 if np.dtype(dtype).kind == "c" else 1
+    return _pairwise_tree(grid.npoints, width, max(1, _SLAB_BYTES // (8 * width)))
+
+
+def _weighted_sum(grid: Grid3, dtype, integrand):
+    """``np.sum(weights * x)`` with the same bits, leaf by leaf on the workers.
+
+    ``integrand(lo, hi, buf)`` returns x on the flat points lo:hi, either
+    written into the worker's buffer ``buf`` (of ``dtype``) or as a view of
+    its input.  Each leaf of numpy's pairwise tree is weighted into the
+    buffer and summed by ``np.sum``; the leaf sums are added in tree order
+    and, as numpy's reduction does, onto 0.
+    """
+    leaves, tree = _leaves(grid, dtype)
+    sums = [None] * len(leaves)
+
+    def work(claimed):
+        buf = np.empty(max(hi - lo for lo, hi in leaves), dtype)
+        for k in claimed:
+            lo, hi = leaves[k]
+            b = buf[:hi - lo]
+            _weigh(grid, lo, hi, integrand(lo, hi, b), b)
+            sums[k] = np.sum(b)
+
+    _over_blocks(range(len(leaves)), work)
+    return 0.0 + _add_tree(tree, sums)
+
+
+def _flat(grid: Grid3, values) -> np.ndarray:
+    """values broadcast to the grid, as a flat C-order array."""
+    arr = np.asarray(values)
+    if arr.shape != grid.dims:
+        arr = np.broadcast_to(arr, grid.dims)
+    return np.ascontiguousarray(arr).reshape(-1)
+
+
 def integrate_values(grid: Grid3, values: np.ndarray):
-    return np.sum(grid.weights * values)
+    """Trapezoidal integral of the samples ``values`` (a numpy float or complex).
+
+    The bits are those of ``np.sum(weights * values)`` with the 3-D
+    trapezoid weight array, which is never formed.
+    """
+    v = _flat(grid, values)
+    return _weighted_sum(grid, np.result_type(np.float64, v.dtype),
+                         lambda lo, hi, buf: v[lo:hi])
 
 
 def integrate(f: Field):
@@ -458,13 +646,24 @@ def integrate(f: Field):
     return complex(val)
 
 
-def lp_norm(grid: Grid3, values: np.ndarray, p: float) -> float:
-    """(integral of |f|^p)^(1/p) for the samples ``values`` of f; p >= 1."""
+def lp_norm(grid: Grid3, values: np.ndarray, p: float, squared: bool = False) -> float:
+    """(integral of |f|^p)^(1/p) for the samples ``values`` of f; p >= 1.
+
+    With ``squared``, ``values`` holds |f|^2 (say |grad g|^2), and the bits
+    are those of ``lp_norm(grid, np.sqrt(values), p)`` without the
+    grid-sized square root.
+    """
     if not p >= 1.0:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = np.abs(values)
-    mag **= p
-    return float(integrate_values(grid, mag)) ** (1.0 / p)
+    v = _flat(grid, values)
+
+    def integrand(lo, hi, buf):
+        x = np.sqrt(v[lo:hi], out=buf) if squared else v[lo:hi]
+        mag = np.abs(x, out=buf)
+        mag **= p
+        return mag
+
+    return float(_weighted_sum(grid, np.float64, integrand)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -509,21 +708,37 @@ def weighted_gradient_l1(
         raise ValueError(f"floor must be positive and finite, got {floor}")
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
-    gsq = grad_magnitude_sq(f.grid, f.values, order) if grad_sq is None else grad_sq
-    mask = w.values >= floor
-    cell = f.grid.weights
-    contrib = np.zeros(f.grid.dims)
-    np.divide(gsq, w.values, out=contrib, where=mask)
-    # contrib is 0 where masked, so no mask factor is needed
-    contrib *= cell
-    value = float(np.sum(contrib))
-    masked = int(f.grid.npoints - np.count_nonzero(mask))
-    # lower bound on what each masked point could have contributed
-    lost = np.multiply(cell, gsq, out=contrib)
-    lost /= floor
-    threshold = sig_rel * max(abs(value), _TINY)
-    significant = int(np.count_nonzero(~mask & (lost > threshold)))
-    return WeightedGradientL1(value, masked, significant, f.grid.npoints)
+    grid = f.grid
+    gsq = grad_magnitude_sq(grid, f.values, order) if grad_sq is None else grad_sq
+    g, wv = _flat(grid, gsq), _flat(grid, w.values)
+    masked = {}  # leaf start -> points of the leaf below the floor
+
+    def ratio(lo, hi, buf):
+        mask = wv[lo:hi] >= floor
+        masked[lo] = hi - lo - int(np.count_nonzero(mask))
+        buf.fill(0.0)
+        # 0 where masked, so no mask factor is needed after weighting
+        return np.divide(g[lo:hi], wv[lo:hi], out=buf, where=mask)
+
+    value = float(_weighted_sum(grid, np.float64, ratio))
+    # the bound below is needed only on the leaves with masked points
+    leaves = [(lo, hi) for lo, hi in _leaves(grid, np.float64)[0] if masked[lo]]
+    significant = []
+    if leaves:
+        threshold = sig_rel * max(abs(value), _TINY)
+
+        def bound(claimed):
+            # lower bound on what each masked point could have contributed
+            buf = np.empty(max(hi - lo for lo, hi in leaves))
+            for lo, hi in claimed:
+                lost = buf[:hi - lo]
+                _weigh(grid, lo, hi, g[lo:hi], lost)
+                lost /= floor
+                n = np.count_nonzero(~(wv[lo:hi] >= floor) & (lost > threshold))
+                significant.append(int(n))
+
+        _over_blocks(leaves, bound)
+    return WeightedGradientL1(value, sum(masked.values()), sum(significant), grid.npoints)
 
 
 def boundary_max(f: ScalarField) -> float:

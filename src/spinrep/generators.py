@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .fields import ComplexField, Grid3, ScalarField, frozen
+from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
 from .spin_density import SpinDensityField
 from .tolerances import DEFAULT, ToleranceConfig
 
@@ -129,7 +129,7 @@ def rank1_from_orbital(
     u, d = psi_up.values, psi_dn.values
     up = u.real * u.real + u.imag * u.imag
     dn = d.real * d.real + d.imag * d.imag
-    total = float(np.sum(grid.weights * (up + dn)))
+    total = float(integrate_values(grid, up + dn))
     if abs(total - 1.0) > tol.norm_tol(1):
         raise GeneratorError(
             f"spinor is not normalized: integral = {total!r} "

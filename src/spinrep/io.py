@@ -25,12 +25,20 @@ A witness directory holds ``witness.txt``:
 with one orbital file per electron and branch; each orbital file is four
 raw little-endian float64 blocks (Re up, Im up, Re dn, Im dn).  Weights are
 printed with 17 significant digits, which round-trips float64 exactly.
+
+Every file is written to a temporary sibling and renamed over its target
+once complete, so a crash never leaves a half-written file under the
+target's name.  A witness's manifest is removed before its orbital files
+are written and written last, so a directory whose writing was cut off
+has no manifest and does not read as a witness.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io as _io
 import os
+import secrets
 import stat
 
 import numpy as np
@@ -149,6 +157,48 @@ def _read_blocks(fh: _io.BufferedIOBase, grid: Grid3, mismatch) -> list[np.ndarr
     return blocks
 
 
+@contextlib.contextmanager
+def _replacing(path: str | os.PathLike):
+    """A binary handle whose content replaces ``path`` only once it is complete.
+
+    It writes a new temporary file beside ``path`` and renames it over
+    ``path`` (``os.replace``) when the block ends; if the block raises, the
+    temporary file is removed and ``path`` is left as it was.  A ``path``
+    that exists and is not a regular file (a pipe, a device) is written in
+    place.
+    """
+    path = os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG
+    if not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(6)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_blocks(fh, blocks) -> None:
+    for block in blocks:
+        fh.write(np.ascontiguousarray(block, dtype=_F8).tobytes())
+
+
 def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
     grid = field.grid
     header = (
@@ -158,12 +208,10 @@ def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
         f"electrons {field.n_electrons}\n"
         "data\n"
     )
-    with open(path, "wb") as fh:
+    sigma = field.sigma.values
+    with _replacing(path) as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.rho_up.values, dtype=_F8).tobytes())
-        fh.write(np.ascontiguousarray(field.rho_dn.values, dtype=_F8).tobytes())
-        fh.write(np.ascontiguousarray(field.sigma.values.real, dtype=_F8).tobytes())
-        fh.write(np.ascontiguousarray(field.sigma.values.imag, dtype=_F8).tobytes())
+        _write_blocks(fh, (field.rho_up.values, field.rho_dn.values, sigma.real, sigma.imag))
 
 
 def read_spdf(path: str | os.PathLike) -> SpinDensityField:
@@ -201,6 +249,9 @@ MANIFEST = "witness.txt"
 
 def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
     os.makedirs(dirpath, exist_ok=True)
+    # until the new manifest is in place the directory is no witness
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(dirpath, MANIFEST))
     grid = witness.grid
     lines = [
         "witness 1",
@@ -214,15 +265,14 @@ def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
         for oi, orb in enumerate(branch.orbitals.orbitals):
             name = f"branch{bi}_orb{oi + 1}.bin"
             names.append(name)
-            with open(os.path.join(dirpath, name), "wb") as fh:
-                u, d = orb.up.values, orb.dn.values
-                for block in (u.real, u.imag, d.real, d.imag):
-                    fh.write(np.ascontiguousarray(block, dtype=_F8).tobytes())
+            u, d = orb.up.values, orb.dn.values
+            with _replacing(os.path.join(dirpath, name)) as fh:
+                _write_blocks(fh, (u.real, u.imag, d.real, d.imag))
         lines.append(
             f"branch {branch.weight:.17g} {int(branch.swapped)} " + " ".join(names)
         )
-    with open(os.path.join(dirpath, MANIFEST), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with _replacing(os.path.join(dirpath, MANIFEST)) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_witness(dirpath: str | os.PathLike) -> Witness:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, frozen, integrate
+from .fields import ComplexField, Grid3, ScalarField, blockwise, frozen, integrate
 from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
 
 
@@ -40,7 +40,11 @@ class SpinDensityField:
 
     @cached_property
     def rho_total(self) -> ScalarField:
-        return ScalarField(self.grid, frozen(self.rho_up.values + self.rho_dn.values))
+        up, dn = self.rho_up.values.reshape(-1), self.rho_dn.values.reshape(-1)
+        total = np.empty(self.grid.dims)
+        flat = total.reshape(-1)
+        blockwise(flat.size, lambda lo, hi: np.add(up[lo:hi], dn[lo:hi], out=flat[lo:hi]))
+        return ScalarField(self.grid, frozen(total))
 
     @cached_property
     def scale(self) -> float:
@@ -56,11 +60,23 @@ def det_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> ScalarFiel
     square roots stay real; larger negatives are genuine PSD violations and
     are preserved for the checker to flag.
     """
-    s = r.sigma.values
-    raw = r.rho_up.values * r.rho_dn.values - (s.real * s.real + s.imag * s.imag)
+    up, dn = r.rho_up.values.reshape(-1), r.rho_dn.values.reshape(-1)
+    s = r.sigma.values.reshape(-1)
     clamp = tol.det_clamp(r.scale)
-    raw[(raw < 0.0) & (raw >= -clamp)] = 0.0
-    return ScalarField(r.grid, frozen(raw))
+    det = np.empty(r.grid.dims)
+    out = det.reshape(-1)
+
+    def step(lo, hi, re2, im2):
+        # up * dn - (re^2 + im^2), written block by block into out
+        sg, n = s[lo:hi], hi - lo
+        mod2 = np.multiply(sg.real, sg.real, out=re2[:n])
+        mod2 += np.multiply(sg.imag, sg.imag, out=im2[:n])
+        d = np.multiply(up[lo:hi], dn[lo:hi], out=out[lo:hi])
+        d -= mod2
+        d[(d < 0.0) & (d >= -clamp)] = 0.0
+
+    blockwise(out.size, step, scratch=2)
+    return ScalarField(r.grid, frozen(det))
 
 
 def trace_integral(r: SpinDensityField) -> float:

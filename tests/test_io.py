@@ -376,3 +376,96 @@ def test_witness_manifest_too_short(broken_dir):
     edit_manifest(broken_dir, lambda L: L[:3])
     with pytest.raises(sr.WitnessFormatError, match="short"):
         sr.read_witness(broken_dir)
+
+
+# -- atomic writes ---------------------------------------------------------------
+
+
+def fail_after(monkeypatch, calls):
+    """Make the io module's block writer write one block and raise, from its ``calls``-th call on."""
+    real, count = sr.io._write_blocks, [0]
+
+    def writer(fh, blocks):
+        count[0] += 1
+        if count[0] < calls:
+            return real(fh, blocks)
+        real(fh, list(blocks)[:1])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sr.io, "_write_blocks", writer)
+
+
+def leftovers(d):
+    return sorted(p.name for p in d.iterdir() if p.name.endswith(".tmp"))
+
+
+def test_spdf_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    old = field_from_arrays(cube(4, 1.0), np.ones((4, 4, 4)), np.ones((4, 4, 4)),
+                            np.zeros((4, 4, 4), complex), n_electrons=1)
+    path = tmp_path / "f.spdf"
+    sr.write_spdf(path, old)
+    before = path.read_bytes()
+    fail_after(monkeypatch, 1)
+    new = field_from_arrays(cube(4, 1.0), 2 * np.ones((4, 4, 4)), np.ones((4, 4, 4)),
+                            np.zeros((4, 4, 4), complex), n_electrons=1)
+    with pytest.raises(OSError, match="disk full"):
+        sr.write_spdf(path, new)
+    assert path.read_bytes() == before
+    assert leftovers(tmp_path) == []
+
+
+def test_spdf_failed_first_write_leaves_no_file(tmp_path, monkeypatch):
+    fail_after(monkeypatch, 1)
+    field = field_from_arrays(cube(4, 1.0), np.ones((4, 4, 4)), np.ones((4, 4, 4)),
+                              np.zeros((4, 4, 4), complex), n_electrons=1)
+    with pytest.raises(OSError):
+        sr.write_spdf(tmp_path / "f.spdf", field)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("calls", [1, 2, 3])
+def test_witness_cut_off_mid_write_does_not_parse(tmp_path, monkeypatch, calls):
+    """A witness written over an older one fails at its ``calls``-th orbital file."""
+    d = tmp_path / "w"
+    sr.write_witness(d, tiny_witness([0.25, 0.25, 0.5]))
+    assert sr.read_witness(d).branches[0].weight == 0.25
+    fail_after(monkeypatch, calls)
+    with pytest.raises(OSError, match="disk full"):
+        sr.write_witness(d, tiny_witness([0.5, 0.25, 0.25]))
+    with pytest.raises(sr.WitnessFormatError, match="witness.txt"):
+        sr.read_witness(d)
+    assert leftovers(d) == []
+    # every orbital file present is whole: the old one or the new one
+    sizes = {p.stat().st_size for p in d.iterdir()}
+    assert sizes == {4 * 64 * 8}
+
+
+def test_witness_write_leaves_no_temporary_files(tmp_path):
+    d = tmp_path / "w"
+    sr.write_witness(d, tiny_witness([0.5, 0.5]))
+    sr.write_witness(d, tiny_witness([0.25, 0.75]))
+    assert leftovers(d) == []
+    assert [b.weight for b in sr.read_witness(d).branches] == [0.25, 0.75]
+
+
+def test_spdf_writes_through_a_fifo(tmp_path):
+    """An existing target that is not a regular file is written in place."""
+    grid = cube(4, 1.0)
+    field = field_from_arrays(grid, np.ones(grid.dims), np.ones(grid.dims),
+                              np.zeros(grid.dims, complex), n_electrons=1)
+    regular = tmp_path / "f.spdf"
+    sr.write_spdf(regular, field)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    sr.write_spdf(fifo, field)
+    reader.join(30)
+    assert got == [regular.read_bytes()]
+    assert leftovers(tmp_path) == []

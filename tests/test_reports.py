@@ -3,7 +3,9 @@
 The files under ``tests/data/reports/`` hold the ``to_text()`` output of
 ``check`` (with and without a refined field) and ``verify``, and the
 ``eigs`` and ``norms`` CLI reports, for gaussian, rank-1 and mixture fields
-at 32^3/48^3 plus inadmissible fields.  A change that moves any printed
+at 32^3/48^3 plus inadmissible fields, and for mixture and rank-1 fields on
+the uneven 45x38x51 grid, whose rows the blocked passes of ``fields`` cut
+at no row boundary.  A change that moves any printed
 digit fails here.  After a deliberate change of answers, regenerate them
 with
 
@@ -43,6 +45,20 @@ def _step_split(n: int) -> sr.SpinDensityField:
     return field_from_arrays(grid, w * env, (1.0 - w) * env, np.zeros_like(env, dtype=complex))
 
 
+def _uneven(dims: tuple[int, int, int], half: float = 8.0) -> sr.Grid3:
+    return sr.Grid3(dims, (-half, -half, -half, half, half, half))
+
+
+def _rank1_on(grid: sr.Grid3) -> sr.SpinDensityField:
+    psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.5,
+                                        phase_gradient=0.7)
+    return sr.rank1_from_orbital(psi_up, psi_dn, 2)
+
+
+def _mixture_on(grid: sr.Grid3) -> sr.SpinDensityField:
+    return sr.full_rank_mixture(grid, 2, coupling=0.5, width_up=1.5, phase_gradient=0.7)
+
+
 FIELDS = {
     "gaussian32": lambda: sr.gaussian_diagonal(cube(32), 2),
     "gaussian48": lambda: sr.gaussian_diagonal(cube(48), 2),
@@ -54,6 +70,9 @@ FIELDS = {
     "coupling32": lambda: _oversized_coupling(32),
     "step32": lambda: _step_split(32),
     "step48": lambda: _step_split(48),
+    "mixture45x38x51": lambda: _mixture_on(_uneven((45, 38, 51))),
+    "mixture61x52x67": lambda: _mixture_on(_uneven((61, 52, 67))),
+    "rank1_45x38x51": lambda: _rank1_on(_uneven((45, 38, 51))),
 }
 
 CHECKS = {
@@ -64,6 +83,9 @@ CHECKS = {
     "check_refined_gaussian32_48": ("gaussian32", "gaussian48"),
     "check_refined_mixture32_48": ("mixture32", "mixture48"),
     "check_refined_step32_48": ("step32", "step48"),
+    "check_mixture45x38x51": ("mixture45x38x51", None),
+    "check_rank1_45x38x51": ("rank1_45x38x51", None),
+    "check_refined_mixture45x38x51_61x52x67": ("mixture45x38x51", "mixture61x52x67"),
 }
 # report -> (field the witness is built for, target); the last pair mismatches
 VERIFIES = {
@@ -71,6 +93,7 @@ VERIFIES = {
     "verify_rank1_48": ("rank1_48", "rank1_48"),
     "verify_mixture48": ("mixture48", "mixture48"),
     "verify_rank1_vs_mixture48": ("rank1_48", "mixture48"),
+    "verify_mixture45x38x51": ("mixture45x38x51", "mixture45x38x51"),
 }
 EIGS = {"eigs_gaussian32": "gaussian32", "eigs_rank1_32": "rank1_32",
         "eigs_mixture48": "mixture48"}
