@@ -16,8 +16,6 @@ from .fields import (
     integrate_values,
     lp_norm,
     weighted_gradient_l1,
-    zeros,
-    zeros_complex,
 )
 from .spin_density import (
     SpinDensityField,
@@ -31,7 +29,6 @@ from .check import (
     CheckReport,
     ConditionResult,
     check,
-    check_spinless,
     h1_seminorm,
     w32_norms,
 )
@@ -40,7 +37,6 @@ from .sqrtm import (
     NotPositiveSemidefiniteError,
     SqrtField,
     eigen_densities,
-    eigen_regularity_check,
     reconstruct,
     sqrt_field,
 )
@@ -59,9 +55,7 @@ from .orbitals import (
     exchange_components,
     gram_deviation,
     gram_matrix,
-    kinetic_bound_lhs,
     kinetic_bound_rhs,
-    orbital_kinetic,
     reconstruction_error,
     resolve_axis,
 )
@@ -104,20 +98,18 @@ __all__ = [
     "ComplexField", "Grid3", "ScalarField", "WeightedGradientL1",
     "boundary_max", "grad_magnitude_sq", "gradient", "gradient_arrays",
     "integrate", "integrate_values", "lp_norm", "weighted_gradient_l1",
-    "zeros", "zeros_complex",
     "SpinDensityField", "convex_combine", "det_field", "spin_swap",
     "trace_integral",
     "DEFAULT", "ToleranceConfig",
-    "CheckReport", "ConditionResult", "check", "check_spinless",
+    "CheckReport", "ConditionResult", "check",
     "h1_seminorm", "w32_norms",
     "EigenDensities", "NotPositiveSemidefiniteError", "SqrtField",
-    "eigen_densities", "eigen_regularity_check", "reconstruct", "sqrt_field",
+    "eigen_densities", "reconstruct", "sqrt_field",
     "NullDeterminantError", "OrbitalSet", "OrthonormalityError", "PhaseFunction",
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
     "base_spinor", "build_orbitals", "build_phase", "choose_phase_axis",
     "exchange_components", "gram_deviation", "gram_matrix",
-    "kinetic_bound_lhs", "kinetic_bound_rhs", "orbital_kinetic",
-    "reconstruction_error", "resolve_axis",
+    "kinetic_bound_rhs", "reconstruction_error", "resolve_axis",
     "CutoffFunction", "PipelineError", "SplitResult", "construct_witness",
     "rank1_split", "ratio_split",
     "VerifyReport", "Witness", "WitnessBranch", "density_of",

@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .fields import (
-    ComplexField,
     Grid3,
     ScalarField,
     WeightedGradientL1,
@@ -43,21 +42,11 @@ from .fields import (
     weighted_gradient_l1,
 )
 from .spin_density import SpinDensityField, det_field, trace_integral
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, TINY, ToleranceConfig
 
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
-
-_CONDITION_ORDER = (
-    "rho_nonneg",
-    "det_nonneg",
-    "normalization",
-    "sqrt_rho_h1",
-    "sigma_sqrtdet_w32",
-    "sigma_grad_over_rho",
-    "sqrtdet_grad_over_rho",
-)
 
 
 @dataclass(frozen=True)
@@ -72,20 +61,29 @@ class ConditionResult:
         return self.verdict == PASS
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    conditions: tuple[ConditionResult, ...]
-    n_electrons: int
-    boundary_warning: bool
-    boundary_value: float
+class Report:
+    """Verdict, lookup by name and text of a tuple of results.
+
+    A subclass names its results (``results``), the word that heads each
+    result's block of text (``section``) and its header lines.
+    """
+
+    section = "condition"
+
+    @property
+    def results(self) -> tuple[ConditionResult, ...]:
+        raise NotImplementedError
+
+    def header(self) -> list[str]:
+        raise NotImplementedError
 
     @property
     def verdict(self) -> str:
-        verdicts = [c.verdict for c in self.conditions]
-        if FAIL in verdicts:
-            return FAIL
-        if INDETERMINATE in verdicts:
-            return INDETERMINATE
+        """fail if any result fails, else indeterminate if any is, else pass."""
+        verdicts = {c.verdict for c in self.results}
+        for verdict in (FAIL, INDETERMINATE):
+            if verdict in verdicts:
+                return verdict
         return PASS
 
     @property
@@ -93,38 +91,51 @@ class CheckReport:
         return self.verdict == PASS
 
     def __getitem__(self, name: str) -> ConditionResult:
-        for c in self.conditions:
+        for c in self.results:
             if c.name == name:
                 return c
         raise KeyError(name)
 
     def to_text(self) -> str:
-        lines = [
+        return "\n".join(self.header() + sections(self.section, self.results)) + "\n"
+
+
+@dataclass(frozen=True)
+class CheckReport(Report):
+    conditions: tuple[ConditionResult, ...]
+    n_electrons: int
+    boundary_warning: bool
+    boundary_value: float
+
+    @property
+    def results(self) -> tuple[ConditionResult, ...]:
+        return self.conditions
+
+    def header(self) -> list[str]:
+        return [
             "report: check",
             f"overall: {self.verdict}",
             f"n_electrons: {self.n_electrons}",
             f"boundary_warning: {'yes' if self.boundary_warning else 'no'}",
             f"boundary_value: {self.boundary_value:.12g}",
         ]
-        for c in self.conditions:
-            lines.append("")
-            lines.append(f"condition: {c.name}")
-            lines.append(f"verdict: {c.verdict}")
-            lines.append(f"value: {c.value:.12g}")
-            for key in sorted(c.details):
-                lines.append(f"{key}: {_fmt(c.details[key])}")
-        return "\n".join(lines) + "\n"
+
+
+def sections(label: str, results: Iterable[ConditionResult]) -> list[str]:
+    """Text lines of ``results``, one block each, headed ``<label>: <name>``."""
+    lines = []
+    for c in results:
+        lines += ["", f"{label}: {c.name}", f"verdict: {c.verdict}", f"value: {c.value:.12g}"]
+        lines += [f"{key}: {_fmt(c.details[key])}" for key in sorted(c.details)]
+    return lines
 
 
 def _fmt(v: object) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, tuple):
-        return " ".join(str(x) for x in v)
+    if isinstance(v, tuple) and all(isinstance(x, int) for x in v):
+        return " ".join(str(x) for x in v)  # a grid location
     return str(v)
-
-
-# -- seminorm helpers (shared with the eigen-regularity check) --------------
 
 
 def h1_seminorm(grid: Grid3, values: np.ndarray, order: int = 4) -> float:
@@ -160,7 +171,7 @@ def _norm_verdict(
     sig_fraction: float = 0.0,
     change: float | None = None,
 ) -> tuple[str, str]:
-    """Shared verdict policy for the finiteness conditions (d)-(g)."""
+    """Verdict policy for the finiteness conditions (d)-(g)."""
     if not math.isfinite(value):
         return FAIL, "non-finite value"
     if sig_fraction > tol.masked_fraction:
@@ -170,27 +181,6 @@ def _norm_verdict(
     if change > tol.refine_threshold:
         return FAIL, f"unstable under refinement (change {change:.3g})"
     return PASS, f"stable under refinement (change {change:.3g})"
-
-
-def seminorm_condition(
-    name: str,
-    grid: Grid3,
-    values: np.ndarray,
-    tol: ToleranceConfig = DEFAULT,
-    refined: tuple[Grid3, np.ndarray] | None = None,
-) -> ConditionResult:
-    """H^1-type condition on one array: finite (and refinement-stable) gradient seminorm."""
-    value = h1_seminorm(grid, values, tol.fd_order)
-    change = None
-    details: dict[str, object] = {}
-    if refined is not None:
-        fine = h1_seminorm(refined[0], refined[1], tol.fd_order)
-        change = _rel_change(value, fine)
-        details["refined_value"] = fine
-        details["change"] = change
-    verdict, status = _norm_verdict(value, tol, change=change)
-    details["status"] = status
-    return ConditionResult(name, verdict, value, details)
 
 
 # -- the seven conditions ----------------------------------------------------
@@ -280,23 +270,62 @@ class DensityNorms:
 
 def _eq_norms(
     r: SpinDensityField, tol: ToleranceConfig, det: np.ndarray | None = None
-) -> dict[str, object]:
-    """All eight numbers of conditions (d)-(g), each gradient taken once."""
+) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
+    """The parts of conditions (d)-(g) by condition name, each gradient taken once.
+
+    The second dict holds the masked-point counts of the /rho conditions.
+    """
     # non-finite data must surface as failing norms, not as a floor error
     scale = r.scale if math.isfinite(r.scale) else 0.0
     norms = DensityNorms(r, tol, tol.floor(scale), det)
+    h1 = {"h1_up": norms.h1_up, "h1_dn": norms.h1_dn}
     sig_f, sig_g = norms.sigma_w32
     det_f, det_g = norms.sqrtdet_w32
-    return {
-        "h1_up": norms.h1_up,
-        "h1_dn": norms.h1_dn,
-        "sigma_l32": sig_f,
-        "sigma_grad_l32": sig_g,
-        "sqrtdet_l32": det_f,
-        "sqrtdet_grad_l32": det_g,
-        "sigma_ratio": norms.sigma_ratio,
-        "det_ratio": norms.det_ratio,
+    ratios = {"sigma_grad_over_rho": norms.sigma_ratio, "sqrtdet_grad_over_rho": norms.det_ratio}
+    parts = {
+        "sqrt_rho_h1": h1,
+        "sigma_sqrtdet_w32": {
+            "sigma_l32": sig_f,
+            "sigma_grad_l32": sig_g,
+            "sqrtdet_l32": det_f,
+            "sqrtdet_grad_l32": det_g,
+        },
+        "sigma_grad_over_rho": {"sigma_ratio": norms.sigma_ratio.value},
+        "sqrtdet_grad_over_rho": {"det_ratio": norms.det_ratio.value},
     }
+    return parts, ratios
+
+
+def _finiteness(
+    name: str,
+    parts: dict[str, float],
+    fine: dict[str, float] | None,
+    tol: ToleranceConfig,
+    ratio: WeightedGradientL1 | None = None,
+) -> ConditionResult:
+    """One of conditions (d)-(g): the sum of its parts must be finite.
+
+    With ``fine``, the same parts on a refined grid, the largest relative
+    change of any part must also stay below ``tol.refine_threshold``.
+    """
+    value = float(sum(parts.values()))
+    details: dict[str, object] = dict(parts) if len(parts) > 1 else {}
+    change = None
+    if fine is not None:
+        change = max(_rel_change(parts[k], fine[k]) for k in parts)
+        if len(parts) > 1:
+            details.update({f"refined_{k}": fine[k] for k in parts})
+        else:
+            (details["refined_value"],) = fine.values()
+        details["change"] = change
+    sig_fraction = 0.0
+    if ratio is not None:
+        sig_fraction = ratio.significant_fraction
+        details["masked_points"] = ratio.masked_points
+        details["masked_fraction"] = ratio.masked_fraction
+        details["significant_masked_points"] = ratio.significant_masked_points
+    verdict, details["status"] = _norm_verdict(value, tol, sig_fraction, change)
+    return ConditionResult(name, verdict, value, details)
 
 
 def _argmin_loc(values: np.ndarray) -> tuple[int, ...]:
@@ -368,71 +397,14 @@ def check(
     ))
 
     # (d)-(g) finiteness of the gradient norms
-    norms = _eq_norms(r, tol, dt)
-    fine_norms = _eq_norms(refined, tol) if refined is not None else None
-
-    def change_of(key: str) -> float | None:
-        if fine_norms is None:
-            return None
-        coarse, fine = norms[key], fine_norms[key]
-        if hasattr(coarse, "value"):
-            coarse, fine = coarse.value, fine.value
-        return _rel_change(coarse, fine)
-
-    # (d) H^1 of sqrt(rho_up), sqrt(rho_dn); one condition, worst change counts
-    h1_value = norms["h1_up"] + norms["h1_dn"]
-    changes = [c for c in (change_of("h1_up"), change_of("h1_dn")) if c is not None]
-    verdict, status = _norm_verdict(
-        h1_value, tol, change=max(changes) if changes else None
-    )
-    details = {
-        "h1_up": norms["h1_up"],
-        "h1_dn": norms["h1_dn"],
-        "status": status,
-    }
-    if fine_norms is not None:
-        details["refined_h1_up"] = fine_norms["h1_up"]
-        details["refined_h1_dn"] = fine_norms["h1_dn"]
-        details["change"] = max(changes)
-    conditions.append(ConditionResult("sqrt_rho_h1", verdict, h1_value, details))
-
-    # (e) W^{1,3/2} of sigma and sqrt(det)
-    w32_keys = ("sigma_l32", "sigma_grad_l32", "sqrtdet_l32", "sqrtdet_grad_l32")
-    w32_value = float(sum(norms[k] for k in w32_keys))
-    changes = [c for c in map(change_of, w32_keys) if c is not None]
-    verdict, status = _norm_verdict(
-        w32_value, tol, change=max(changes) if changes else None
-    )
-    details = {k: norms[k] for k in w32_keys}
-    details["status"] = status
-    if fine_norms is not None:
-        details.update({f"refined_{k}": fine_norms[k] for k in w32_keys})
-        details["change"] = max(changes)
-    conditions.append(ConditionResult("sigma_sqrtdet_w32", verdict, w32_value, details))
-
-    # (f), (g) floored |grad .|^2 / rho integrals
-    for name, key in (
-        ("sigma_grad_over_rho", "sigma_ratio"),
-        ("sqrtdet_grad_over_rho", "det_ratio"),
-    ):
-        res = norms[key]
-        change = change_of(key)
-        verdict, status = _norm_verdict(
-            res.value, tol, sig_fraction=res.significant_fraction, change=change
-        )
-        details = {
-            "masked_points": res.masked_points,
-            "masked_fraction": res.masked_fraction,
-            "significant_masked_points": res.significant_masked_points,
-            "status": status,
-        }
-        if fine_norms is not None:
-            details["refined_value"] = fine_norms[key].value
-            details["change"] = change
-        conditions.append(ConditionResult(name, verdict, res.value, details))
+    parts, ratios = _eq_norms(r, tol, dt)
+    fine = _eq_norms(refined, tol)[0] if refined is not None else None
+    for name, part in parts.items():
+        fine_part = None if fine is None else fine[name]
+        conditions.append(_finiteness(name, part, fine_part, tol, ratios.get(name)))
 
     bmax = boundary_max(r.rho_total)
-    warning = bmax > tol.boundary_rel * max(scale, np.finfo(np.float64).tiny)
+    warning = bmax > tol.boundary_rel * max(scale, TINY)
     return CheckReport(
         conditions=tuple(conditions),
         n_electrons=n,
@@ -440,21 +412,3 @@ def check(
         boundary_value=bmax,
     )
 
-
-def check_spinless(
-    rho: ScalarField,
-    n_electrons: int,
-    tol: ToleranceConfig = DEFAULT,
-    refined: ScalarField | None = None,
-) -> CheckReport:
-    """Check a spin-unresolved density by embedding it as R = diag(rho/2, rho/2)."""
-    def embed(f: ScalarField) -> SpinDensityField:
-        half = ScalarField(f.grid, frozen(0.5 * f.values))
-        return SpinDensityField(
-            rho_up=half,
-            rho_dn=half,
-            sigma=ComplexField(f.grid, frozen(np.zeros(f.grid.dims, dtype=np.complex128))),
-            n_electrons=n_electrons,
-        )
-
-    return check(embed(rho), tol, refined=embed(refined) if refined is not None else None)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .check import check
+from .check import check, sections
 from .decompose import PipelineError, construct_witness
 from .fields import ComplexField, Grid3, frozen, integrate
 from .generators import (
@@ -42,6 +42,16 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
                    help="nodes per axis (default 64)")
     p.add_argument("--box", type=float, nargs=2, default=(-8.0, 8.0),
                    metavar=("LO", "HI"), help="cubic box bounds (default -8 8)")
+
+
+def _add_family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=("gaussian", "rank1", "mixture"), default="gaussian")
+    p.add_argument("--n-electrons", type=int, required=True)
+    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--width-dn", type=float, default=None)
+    p.add_argument("--spin-fraction", type=float, default=0.5)
+    p.add_argument("--coupling", type=float, default=0.5)
+    p.add_argument("--phase-gradient", type=float, default=0.0)
 
 
 def _add_tol_args(p: argparse.ArgumentParser) -> None:
@@ -178,14 +188,7 @@ def _cmd_norms(args) -> int:
     tol = _tolerances(args)
     report = check(field, tol, refined=refined)
     lines = [f"refinement study: {args.grid}^3 vs {refine}^3"]
-    for cond in report.conditions[3:]:
-        lines.append("")
-        lines.append(f"condition: {cond.name}")
-        lines.append(f"verdict: {cond.verdict}")
-        lines.append(f"value: {cond.value:.12g}")
-        for key in sorted(cond.details):
-            val = cond.details[key]
-            lines.append(f"{key}: {val:.12g}" if isinstance(val, float) else f"{key}: {val}")
+    lines += sections("condition", report.conditions[3:])
     _emit("\n".join(lines) + "\n", args.report)
     return 0 if report.passed else 1
 
@@ -199,13 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an analytic density file")
-    p.add_argument("--family", choices=("gaussian", "rank1", "mixture"), default="gaussian")
-    p.add_argument("--n-electrons", type=int, required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--width-dn", type=float, default=None)
-    p.add_argument("--spin-fraction", type=float, default=0.5)
-    p.add_argument("--coupling", type=float, default=0.5)
-    p.add_argument("--phase-gradient", type=float, default=0.0)
+    _add_family_args(p)
     p.add_argument("--out", required=True)
     _add_grid_args(p)
     p.set_defaults(func=_cmd_gen)
@@ -244,13 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("norms", help="refinement study of the gradient norms")
-    p.add_argument("--family", choices=("gaussian", "rank1", "mixture"), default="gaussian")
-    p.add_argument("--n-electrons", type=int, required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--width-dn", type=float, default=None)
-    p.add_argument("--spin-fraction", type=float, default=0.5)
-    p.add_argument("--coupling", type=float, default=0.5)
-    p.add_argument("--phase-gradient", type=float, default=0.0)
+    _add_family_args(p)
     p.add_argument("--refine", type=int, default=0, metavar="K",
                    help="refined node count (default 1.5x --grid)")
     p.add_argument("--report", default=None)
@@ -269,7 +260,8 @@ def main(argv=None) -> int:
     except (SpdfFormatError, WitnessFormatError, GeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing path, a directory where a file belongs, or the reverse
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotPositiveSemidefiniteError, PipelineError, ValueError) as exc:

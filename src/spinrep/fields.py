@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-_TINY = float(np.finfo(np.float64).tiny)
+from .tolerances import DEFAULT, TINY
 
 # float64 bytes in one block of a blocked pass (a slab of the gradient
 # kernel, a leaf of an integral), so that a block's buffers stay in a
@@ -247,14 +247,6 @@ class ComplexField:
 
 
 Field = ScalarField | ComplexField
-
-
-def zeros(grid: Grid3) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.dims))
-
-
-def zeros_complex(grid: Grid3) -> ComplexField:
-    return ComplexField(grid, np.zeros(grid.dims, dtype=np.complex128))
 
 
 # -- derivatives -----------------------------------------------------------
@@ -697,7 +689,7 @@ def weighted_gradient_l1(
     w: ScalarField,
     floor: float,
     order: int = 2,
-    sig_rel: float = 1e-9,
+    sig_rel: float = DEFAULT.sig_rel,
     grad_sq: np.ndarray | None = None,
 ) -> WeightedGradientL1:
     """Integral of |grad f|^2 / w with a positive division floor on w.
@@ -725,7 +717,7 @@ def weighted_gradient_l1(
     leaves = [(lo, hi) for lo, hi in _leaves(grid, np.float64)[0] if masked[lo]]
     significant = []
     if leaves:
-        threshold = sig_rel * max(abs(value), _TINY)
+        threshold = sig_rel * max(abs(value), TINY)
 
         def bound(claimed):
             # lower bound on what each masked point could have contributed

@@ -282,6 +282,8 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
             lines = [ln.rstrip("\n") for ln in fh]
     except FileNotFoundError as exc:
         raise WitnessFormatError(f"no {MANIFEST} in {dirpath}") from exc
+    except UnicodeDecodeError as exc:
+        raise WitnessFormatError(f"{MANIFEST} is not ascii") from exc
     if len(lines) < 5:
         raise WitnessFormatError("manifest too short")
     tok = lines[0].split()

@@ -24,21 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fields import (
-    ComplexField,
-    Grid3,
-    ScalarField,
-    frozen,
-    grad_magnitude_sq,
-    integrate_values,
-)
+from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
-from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, ToleranceConfig
+from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, TINY, ToleranceConfig
 
 AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -310,25 +303,35 @@ def base_spinor(
 # -- orbital set ---------------------------------------------------------------
 
 
+def _overlaps(orbitals: Sequence[Spinor]) -> np.ndarray:
+    """Matrix of <Phi_i | Phi_j> under the trapezoid inner product.
+
+    Each pair is integrated once, for j >= i; the lower triangle, the
+    diagonal included, holds the conjugates.
+    """
+    n = len(orbitals)
+    grid = orbitals[0].grid
+    o = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        a = orbitals[i]
+        for j in range(i, n):
+            b = orbitals[j]
+            o[i, j] = integrate_values(
+                grid,
+                np.conj(a.up.values) * b.up.values + np.conj(a.dn.values) * b.dn.values,
+            )
+            o[j, i] = np.conj(o[i, j])
+    return o
+
+
 def gram_matrix(orbitals: Sequence[Spinor]) -> np.ndarray:
     """Overlap matrix G_kl = <Phi_k | Phi_l> under the trapezoid inner product."""
-    n = len(orbitals)
-    if n == 0:
+    if len(orbitals) == 0:
         raise ValueError("no orbitals")
-    grid = orbitals[0].grid
-    g = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            val = integrate_values(
-                grid,
-                np.conj(orbitals[i].up.values) * orbitals[j].up.values
-                + np.conj(orbitals[i].dn.values) * orbitals[j].dn.values,
-            )
-            if i == j:
-                # diagonal overlaps are real; drop the round-off imaginary part
-                val = complex(val.real, 0.0)
-            g[i, j] = val
-            g[j, i] = np.conj(val)
+    g = _overlaps(orbitals)
+    # diagonal overlaps are real; drop the round-off imaginary part (as -0.0,
+    # the sign this function has always returned there)
+    np.fill_diagonal(g.imag, -0.0)
     return g
 
 
@@ -338,29 +341,34 @@ def gram_deviation(orbitals: Sequence[Spinor]) -> float:
     return float(np.max(np.abs(g - np.eye(len(orbitals)))))
 
 
-def orbital_kinetic(orb: Spinor, order: int = 4) -> float:
-    """integral |grad up|^2 + |grad dn|^2."""
-    grid = orb.grid
-    total = grad_magnitude_sq(grid, orb.up.values, order)
-    total += grad_magnitude_sq(grid, orb.dn.values, order)
-    return float(integrate_values(grid, total))
+def _density_sums(
+    grid: Grid3, weighted: Iterable[tuple[float, Spinor]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum_k p_k Phi_k^a conj(Phi_k^b) over (p_k, Phi_k) pairs, as up-up, dn-dn, up-dn."""
+    up = np.zeros(grid.dims)
+    dn = np.zeros(grid.dims)
+    sg = np.zeros(grid.dims, dtype=np.complex128)
+    for p, orb in weighted:
+        u, d = orb.up.values, orb.dn.values
+        up += p * (u.real * u.real + u.imag * u.imag)
+        dn += p * (d.real * d.real + d.imag * d.imag)
+        sg += p * (u * np.conj(d))
+    return up, dn, sg
+
+
+def _max_deviation(r: SpinDensityField, sums: Iterable[np.ndarray]) -> float:
+    """Largest pointwise |deviation| of the up-up, dn-dn and up-dn sums from R.
+
+    ``sums`` may be a generator, so that only one sum exists at a time.
+    """
+    targets = (r.rho_up.values, r.rho_dn.values, r.sigma.values)
+    return max(float(np.max(np.abs(a - t))) for a, t in zip(sums, targets))
 
 
 def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> float:
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
-    up = np.zeros(r.grid.dims)
-    dn = np.zeros(r.grid.dims)
-    sg = np.zeros(r.grid.dims, dtype=np.complex128)
-    for orb in orbitals:
-        u, d = orb.up.values, orb.dn.values
-        up += u.real * u.real + u.imag * u.imag
-        dn += d.real * d.real + d.imag * d.imag
-        sg += u * np.conj(d)
-    return max(
-        float(np.max(np.abs(up - r.rho_up.values))),
-        float(np.max(np.abs(dn - r.rho_dn.values))),
-        float(np.max(np.abs(sg - r.sigma.values))),
-    )
+    # a weight of 1.0 leaves every product's bits as they are
+    return _max_deviation(r, _density_sums(r.grid, ((1.0, orb) for orb in orbitals)))
 
 
 def _phase_gram_deviation(
@@ -382,19 +390,6 @@ def _phase_gram_deviation(
     for d in range(1, phase.n_electrons):
         dev = max(dev, float(abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))))
     return dev
-
-
-def _base_reconstruction_error(
-    phi_up: np.ndarray, sqrt_dn: np.ndarray, r: SpinDensityField
-) -> float:
-    """:func:`reconstruction_error` of the orbitals, from their base spinor.
-
-    The phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b).
-    """
-    up = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
-    err = float(np.max(np.abs(up - r.rho_up.values)))
-    err = max(err, float(np.max(np.abs(sqrt_dn * sqrt_dn - r.rho_dn.values))))
-    return max(err, float(np.max(np.abs(phi_up * sqrt_dn - r.sigma.values))))
 
 
 def build_orbitals(
@@ -423,7 +418,14 @@ def build_orbitals(
             f"orbitals are not orthonormal on this grid: Gram deviation "
             f"{gram:.3e} > {tol.gram_tol:.3e}"
         )
-    recon = _base_reconstruction_error(phi_up, sqrt_dn, r)
+
+    def base_sums():
+        # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
+        yield phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
+        yield sqrt_dn * sqrt_dn
+        yield phi_up * sqrt_dn
+
+    recon = _max_deviation(r, base_sums())
     shape = [1, 1, 1]
     shape[ax] = r.grid.dims[ax]
     f = phase.values.reshape(shape)
@@ -435,7 +437,7 @@ def build_orbitals(
             up=ComplexField(r.grid, frozen(phi_up * factor)),
             dn=ComplexField(r.grid, frozen(sqrt_dn * factor)),
         ))
-    scale = max(r.scale, float(np.finfo(np.float64).tiny))
+    scale = max(r.scale, TINY)
     diagnostics = {
         "gram_deviation": gram,
         "reconstruction_abs": recon,
@@ -494,9 +496,3 @@ def kinetic_bound_rhs(
     moment = float(np.sum(wax * phase.marginal ** 3))
     return 6.0 * sig_term + 4.0 * dn_term + 4.0 * np.pi ** 2 * k * k * moment
 
-
-def kinetic_bound_lhs(orbs: OrbitalSet, k: int, tol: ToleranceConfig = DEFAULT) -> float:
-    """N * integral |grad Phi_k_up|^2 (the quantity the bound controls)."""
-    orb = orbs.orbitals[k - 1]
-    g = grad_magnitude_sq(orb.grid, orb.up.values, tol.fd_order)
-    return orbs.n_electrons * float(integrate_values(orb.grid, g))

@@ -16,8 +16,7 @@ matrix is numerically zero and sqrt(R) is set to 0.
 The eigen densities of R are recovered from the sqrt entries rather than by
 a direct eigensolve: with Delta = (r_up - r_dn)^2 + 4 |s|^2 the eigenvalues
 of sqrt(R) are (r_up + r_dn +- sqrt(Delta)) / 2, and squaring them gives
-rho_plus / rho_minus.  This route keeps sqrt(rho_plus), sqrt(rho_minus)
-directly available for the regularity checks.
+rho_plus / rho_minus.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import seminorm_condition
 from .fields import ComplexField, Grid3, ScalarField, frozen
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, ToleranceConfig
@@ -118,49 +116,17 @@ def reconstruct(sq: SqrtField) -> SpinDensityField:
     )
 
 
-def _sqrt_eigen_arrays(sq: SqrtField) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of sqrt(R), i.e. sqrt(rho_plus) and sqrt(rho_minus)."""
+def eigen_densities(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> EigenDensities:
+    """Ordered eigenvalue fields rho_plus >= rho_minus of R, via the sqrt entries."""
+    sq = sqrt_field(r, tol)
     ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
+    # sp, sm: the eigenvalues of sqrt(R), i.e. sqrt(rho_plus) and sqrt(rho_minus)
     delta = (ru - rd) ** 2 + 4.0 * (s.real * s.real + s.imag * s.imag)
     root = np.sqrt(delta)
     sp = 0.5 * (ru + rd + root)
     # analytically >= 0; clamp the round-off negatives
     sm = np.clip(0.5 * (ru + rd - root), 0.0, None)
-    return sp, sm
-
-
-def eigen_densities(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> EigenDensities:
-    """Ordered eigenvalue fields rho_plus >= rho_minus of R, via the sqrt entries."""
-    sp, sm = _sqrt_eigen_arrays(sqrt_field(r, tol))
     return EigenDensities(
         rho_plus=ScalarField(r.grid, frozen(sp * sp)),
         rho_minus=ScalarField(r.grid, frozen(sm * sm)),
     )
-
-
-def eigen_regularity_check(
-    r: SpinDensityField,
-    tol: ToleranceConfig = DEFAULT,
-    refined: SpinDensityField | None = None,
-):
-    """H^1 condition on the square roots of the eigen densities.
-
-    An admissible R has sqrt(rho_plus), sqrt(rho_minus) in H^1; this evaluates
-    the two gradient seminorms exactly like the sqrt(rho) condition of the
-    main checker (finite -> pass, unstable under refinement -> fail) and
-    returns the two ConditionResult entries.
-    """
-    sp, sm = _sqrt_eigen_arrays(sqrt_field(r, tol))
-    fine = None
-    if refined is not None:
-        fine = _sqrt_eigen_arrays(sqrt_field(refined, tol))
-    results = []
-    for idx, name in ((0, "sqrt_rho_plus_h1"), (1, "sqrt_rho_minus_h1")):
-        arr = (sp, sm)[idx]
-        refined_pair = None
-        if fine is not None:
-            refined_pair = (refined.grid, fine[idx])
-        results.append(
-            seminorm_condition(name, r.grid, arr, tol, refined=refined_pair)
-        )
-    return tuple(results)

@@ -5,7 +5,7 @@ Every threshold in the package is resolved through a single
 Most knobs are *relative*: they are multiplied by a field scale
 (``max(rho)``, ``max(rho)**2`` or the electron count) at the point of
 use.  The three ``*_abs`` fields let callers (notably the CLI) pin an
-absolute value instead.  The two fixed bounds nobody tunes are module
+absolute value instead.  The fixed values nobody tunes are module
 constants here, beside the config, so each still has one definition.
 """
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-_TINY = float(np.finfo(np.float64).tiny)
-
+TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64, a floor on divisors
 WEIGHT_SUM_TOL = 1e-12      # convex weights must sum to 1 within this
 PHASE_ROUGHNESS_REL = 1e-3  # spectral-integration gap and dip bound, x n_electrons
 
@@ -100,10 +99,10 @@ class ToleranceConfig:
     def floor(self, scale: float) -> float:
         if self.floor_abs is not None:
             return self.floor_abs
-        return max(self.floor_rel * scale, _TINY)
+        return max(self.floor_rel * scale, TINY)
 
     def sqrt_floor(self, scale: float) -> float:
-        return max(self.sqrt_floor_rel * scale, _TINY)
+        return max(self.sqrt_floor_rel * scale, TINY)
 
     def null_det_tol(self, scale: float) -> float:
         return self.null_det_rel * scale * scale

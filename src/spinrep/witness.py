@@ -6,18 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import FAIL, PASS, ConditionResult, DensityNorms
-from .fields import (
-    ComplexField,
-    Grid3,
-    ScalarField,
-    frozen,
-    grad_magnitude_sq,
-    integrate_values,
-)
-from .orbitals import OrbitalSet, gram_deviation
+from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminorm
+from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
+from .orbitals import OrbitalSet, _density_sums, _overlaps, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
-from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
+from .tolerances import DEFAULT, TINY, WEIGHT_SUM_TOL, ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,9 @@ class Witness:
 
 def density_of(w: Witness) -> SpinDensityField:
     """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
-    up = np.zeros(w.grid.dims)
-    dn = np.zeros(w.grid.dims)
-    sg = np.zeros(w.grid.dims, dtype=np.complex128)
-    for branch in w.branches:
-        p = branch.weight
-        for orb in branch.orbitals.orbitals:
-            u, d = orb.up.values, orb.dn.values
-            up += p * (u.real * u.real + u.imag * u.imag)
-            dn += p * (d.real * d.real + d.imag * d.imag)
-            sg += p * (u * np.conj(d))
+    up, dn, sg = _density_sums(
+        w.grid, ((b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals)
+    )
     return SpinDensityField(
         rho_up=ScalarField(w.grid, frozen(up)),
         rho_dn=ScalarField(w.grid, frozen(dn)),
@@ -86,14 +72,11 @@ def kinetic_by_spin(w: Witness, tol: ToleranceConfig = DEFAULT) -> tuple[float, 
     """
     t_up = 0.0
     t_dn = 0.0
-    order = tol.fd_order
     for branch in w.branches:
         p = branch.weight
         for orb in branch.orbitals.orbitals:
-            t_up += p * float(integrate_values(
-                w.grid, grad_magnitude_sq(w.grid, orb.up.values, order)))
-            t_dn += p * float(integrate_values(
-                w.grid, grad_magnitude_sq(w.grid, orb.dn.values, order)))
+            t_up += p * h1_seminorm(w.grid, orb.up.values, tol.fd_order)
+            t_dn += p * h1_seminorm(w.grid, orb.dn.values, tol.fd_order)
     return t_up, t_dn
 
 
@@ -111,27 +94,14 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     matrix K_ij = sqrt(p_i p_j) <Phi_i | Phi_j> over all branch orbitals.
     For an admissible mixed state every eigenvalue lies in [0, 1].
     """
-    entries = [
-        (b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals
-    ]
-    m = len(entries)
-    k = np.empty((m, m), dtype=np.complex128)
-    roots = np.sqrt([max(p, 0.0) for p, _ in entries])
-    for i in range(m):
-        for j in range(i, m):
-            oi, oj = entries[i][1], entries[j][1]
-            ov = integrate_values(
-                w.grid,
-                np.conj(oi.up.values) * oj.up.values
-                + np.conj(oi.dn.values) * oj.dn.values,
-            )
-            k[i, j] = roots[i] * roots[j] * ov
-            k[j, i] = np.conj(k[i, j])
+    orbs = [orb for b in w.branches for orb in b.orbitals.orbitals]
+    roots = np.sqrt([max(b.weight, 0.0) for b in w.branches for _ in b.orbitals.orbitals])
+    k = np.outer(roots, roots) * _overlaps(orbs)
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Report):
     """Outcome of verifying a witness against a target density."""
 
     checks: tuple[ConditionResult, ...]
@@ -141,26 +111,18 @@ class VerifyReport:
     kinetic_up: float
     kinetic_dn: float
 
+    section = "check"
+
+    @property
+    def results(self) -> tuple[ConditionResult, ...]:
+        return self.checks
+
     @property
     def kinetic_total(self) -> float:
         return self.kinetic_up + self.kinetic_dn
 
-    @property
-    def verdict(self) -> str:
-        return FAIL if any(c.verdict == FAIL for c in self.checks) else PASS
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
-    def __getitem__(self, name: str) -> ConditionResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_text(self) -> str:
-        lines = [
+    def header(self) -> list[str]:
+        return [
             "report: verify",
             f"overall: {self.verdict}",
             f"mismatch: {self.mismatch:.12g}",
@@ -169,15 +131,6 @@ class VerifyReport:
             f"kinetic_dn: {self.kinetic_dn:.12g}",
             f"kinetic_total: {self.kinetic_total:.12g}",
         ]
-        for c in self.checks:
-            lines.append("")
-            lines.append(f"check: {c.name}")
-            lines.append(f"verdict: {c.verdict}")
-            lines.append(f"value: {c.value:.12g}")
-            for key in sorted(c.details):
-                val = c.details[key]
-                lines.append(f"{key}: {val:.12g}" if isinstance(val, float) else f"{key}: {val}")
-        return "\n".join(lines) + "\n"
 
 
 def verify(
@@ -206,7 +159,7 @@ def verify(
     rec = density_of(w)
 
     # (i) density match, relative L1
-    denom = max(trace_integral(target), float(np.finfo(np.float64).tiny))
+    denom = max(trace_integral(target), TINY)
     l1 = (
         float(integrate_values(w.grid, np.abs(rec.rho_up.values - target.rho_up.values)))
         + float(integrate_values(w.grid, np.abs(rec.rho_dn.values - target.rho_dn.values)))

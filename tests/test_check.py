@@ -195,15 +195,22 @@ def test_refined_grid_must_share_box(mixture48):
         sr.check(mixture48, refined=other)
 
 
+def spinless(grid, rho, n_electrons):
+    """A spin-unresolved density rho embedded as R = diag(rho/2, rho/2)."""
+    half = 0.5 * rho
+    zero = np.zeros(grid.dims, dtype=np.complex128)
+    return field_from_arrays(grid, half, half, zero, n_electrons)
+
+
 def test_check_spinless_gaussian(grid32):
-    rho = sr.ScalarField(grid32, 2.0 * gaussian_values(grid32))
-    report = sr.check_spinless(rho, 2)
+    rho = 2.0 * gaussian_values(grid32)
+    report = sr.check(spinless(grid32, rho, 2))
     assert report.passed
 
 
 def test_check_spinless_wrong_count(grid32):
-    rho = sr.ScalarField(grid32, 2.0 * gaussian_values(grid32))
-    assert_single_failure(sr.check_spinless(rho, 3), "normalization")
+    rho = 2.0 * gaussian_values(grid32)
+    assert_single_failure(sr.check(spinless(grid32, rho, 3)), "normalization")
 
 
 def test_report_text_roundup(mixture32):

@@ -168,6 +168,33 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_directory_as_input_exit_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_plain_file_as_witness_exit_2(tmp_path, capsys):
+    path = gen(tmp_path)
+    assert main(["verify", str(path), str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_as_report_exit_2(tmp_path, capsys):
+    path = gen(tmp_path)
+    capsys.readouterr()
+    assert main(["check", str(path), "--report", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_ascii_manifest_exit_2(tmp_path, capsys):
+    path = gen(tmp_path)
+    witness = tmp_path / "w"
+    witness.mkdir()
+    (witness / "witness.txt").write_bytes("witness 1\ngrid 24 24 24 é\n".encode("utf-8"))
+    assert main(["verify", str(witness), str(path)]) == 2
+    assert "not ascii" in capsys.readouterr().err
+
+
 def test_bad_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

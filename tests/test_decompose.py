@@ -168,7 +168,7 @@ def test_witness_polarized_rank1_single_branch(grid32):
     # fully up-polarized pure state: one branch of weight 1, built via swap
     g = gaussian_values(grid32)
     psi = sr.ComplexField(grid32, np.sqrt(g).astype(complex))
-    zero = sr.zeros_complex(grid32)
+    zero = sr.ComplexField(grid32, np.zeros(grid32.dims, dtype=np.complex128))
     r = sr.rank1_from_orbital(psi, zero, 1)
     w = sr.construct_witness(r)
     assert len(w.branches) == 1

@@ -134,7 +134,7 @@ def test_field_rejects_grid_mismatch(grid32):
         sr.SpinDensityField(
             rho_up=sr.ScalarField(grid32, g),
             rho_dn=sr.ScalarField(other, gaussian_values(other)),
-            sigma=sr.zeros_complex(grid32),
+            sigma=sr.ComplexField(grid32, np.zeros(grid32.dims, dtype=np.complex128)),
             n_electrons=2,
         )
 
@@ -146,6 +146,6 @@ def test_field_rejects_bad_electron_count(grid32, n):
         sr.SpinDensityField(
             rho_up=sr.ScalarField(grid32, g),
             rho_dn=sr.ScalarField(grid32, g),
-            sigma=sr.zeros_complex(grid32),
+            sigma=sr.ComplexField(grid32, np.zeros(grid32.dims, dtype=np.complex128)),
             n_electrons=n,
         )

@@ -169,15 +169,20 @@ def test_eigen_rank1_collapses(rank1_32):
 
 
 def test_eigen_regularity_check_passes(mixture32, mixture48):
-    results = sr.eigen_regularity_check(mixture32, refined=mixture48)
-    names = [res.name for res in results]
-    assert names == ["sqrt_rho_plus_h1", "sqrt_rho_minus_h1"]
-    assert all(res.passed for res in results)
+    def seminorms(r):
+        eig = sr.eigen_densities(r)
+        return [sr.h1_seminorm(r.grid, np.sqrt(f.values)) for f in (eig.rho_plus, eig.rho_minus)]
+
+    values = seminorms(mixture32)
+    # finite, and stable under refinement
+    for coarse, fine in zip(values, seminorms(mixture48)):
+        assert np.isfinite(coarse)
+        assert abs(fine - coarse) <= sr.DEFAULT.refine_threshold * max(coarse, fine)
     # values agree with the direct eigensolve route
     plus, minus = direct_eigenvalues(mixture32)
-    for res, lam in zip(results, (plus, minus)):
+    for value, lam in zip(values, (plus, minus)):
         oracle = sr.h1_seminorm(mixture32.grid, np.sqrt(np.clip(lam, 0.0, None)))
-        np.testing.assert_allclose(res.value, oracle, rtol=1e-8)
+        np.testing.assert_allclose(value, oracle, rtol=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
