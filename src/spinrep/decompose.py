@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .check import check
-from .fields import ComplexField, ScalarField, frozen, integrate_values
+from .fields import ComplexField, ScalarField, _abs2, blockwise_arrays, frozen, integrate_values
 from .orbitals import build_orbitals, exchange_components, require_null_determinant
 from .spin_density import SpinDensityField, spin_swap
 from .sqrtm import sqrt_field
@@ -105,6 +105,13 @@ def _piece(
     )
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, written block by block into a new array."""
+    af, bf = a.reshape(-1), b.reshape(-1)
+    return blockwise_arrays(a.shape, (np.result_type(a, b),),
+                            lambda lo, hi, out: np.multiply(af[lo:hi], bf[lo:hi], out=out))[0]
+
+
 def _weigh(
     up_one: np.ndarray, dn_one: np.ndarray, template: SpinDensityField, tol: ToleranceConfig
 ) -> tuple[float, float, bool, bool]:
@@ -129,16 +136,18 @@ def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitRes
     sq = sqrt_field(r, tol)
     ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
     del sq
-    s2 = s.real * s.real + s.imag * s.imag
-    uu = ru * ru
+    sf = s.reshape(-1)
+    s2, = blockwise_arrays(s.shape, (float,),
+                           lambda lo, hi, out, buf: _abs2(sf[lo:hi], out, buf[:hi - lo]), scratch=1)
+    uu = _product(ru, ru)
     t, weight, keep_one, keep_two = _weigh(uu, s2, r, tol)
     one = two = None
     if keep_one:
         # |s|^2 is a part of both pieces; each piece scales its own
-        one = _piece((uu, s2.copy() if keep_two else s2, s * ru), t, r)
+        one = _piece((uu, s2.copy() if keep_two else s2, _product(s, ru)), t, r)
     del uu, ru
     if keep_two:
-        two = _piece((s2, rd * rd, s * rd), 1.0 - t, r)
+        two = _piece((s2, _product(rd, rd), _product(s, rd)), 1.0 - t, r)
     return SplitResult(weight, one, two)
 
 
@@ -154,23 +163,39 @@ def ratio_split(
     rho_up <= 2 rho_dn.  Points where both densities vanish get ratio 1.
     """
     require_null_determinant(r, tol)
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = up / dn
-    ratio[np.isnan(ratio)] = 1.0  # 0/0: weightless points, any finite value works
-    w = cutoff(ratio) ** 2
-    del ratio
-    up_one, dn_one = w * up, w * dn
+    rho_up, rho_dn, sg = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
+    dims = r.grid.dims
+
+    def clipped(lo, hi, bufs):
+        """max(rho_up, 0) and max(rho_dn, 0) on the flat points lo:hi, in ``bufs``."""
+        return [np.clip(x[lo:hi], 0.0, None, out=b[:hi - lo])
+                for x, b in zip((rho_up, rho_dn), bufs)]
+
+    def weigh_step(lo, hi, w, up_one, dn_one, *bufs):
+        up, dn = clipped(lo, hi, bufs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(up, dn, out=w)
+        ratio[np.isnan(ratio)] = 1.0  # 0/0: weightless points, any finite value works
+        np.square(cutoff(ratio), out=w)
+        np.multiply(w, up, out=up_one)
+        np.multiply(w, dn, out=dn_one)
+
+    w, up_one, dn_one = blockwise_arrays(dims, (float,) * 3, weigh_step, scratch=2)
     t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r, tol)
-    sg = r.sigma.values
     one = two = None
     if keep_one:
-        one = _piece((up_one, dn_one, w * sg), t, r)
+        one = _piece((up_one, dn_one, _product(w, r.sigma.values)), t, r)
     del up_one, dn_one
     if keep_two:
-        wc = np.subtract(1.0, w, out=w)
-        two = _piece((wc * up, wc * dn, wc * sg), 1.0 - t, r)
+        wf = w.reshape(-1)
+
+        def rest_step(lo, hi, up_two, dn_two, sg_two, *bufs):
+            wc = np.subtract(1.0, wf[lo:hi], out=wf[lo:hi])
+            for x, out in zip((*clipped(lo, hi, bufs), sg[lo:hi]), (up_two, dn_two, sg_two)):
+                np.multiply(wc, x, out=out)
+
+        two = _piece(blockwise_arrays(dims, (float, float, complex), rest_step, scratch=2),
+                     1.0 - t, r)
     return SplitResult(weight, one, two)
 
 

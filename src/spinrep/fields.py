@@ -20,6 +20,9 @@ the process's CPU affinity mask (``os.cpu_count()`` where there is none):
 the calling thread and the threads of one pool, created on first use and
 again in a forked child.  Each worker owns its buffers and writes only the
 output of the blocks it takes, so no result depends on the scheduling.
+The witness path (``sqrt_field``, the splits of ``decompose``, the base
+spinor, orbitals, overlaps and density sums of ``orbitals`` and the
+density match of ``verify``) uses the same blocks and the same rules.
 
 The stencil kernel works in slabs of axis-0 rows.  For each slab,
 :func:`grad_magnitude_sq` writes the three axis derivatives one after the
@@ -448,6 +451,26 @@ def blockwise(n: int, step, scratch: int = 0) -> None:
             step(lo, hi, *bufs)
 
     _over_blocks(blocks, work)
+
+
+def blockwise_arrays(shape, dtypes, step, scratch: int = 0) -> list[np.ndarray]:
+    """New arrays of ``shape``, one per dtype, filled by ``step(lo, hi, *outs, *bufs)``.
+
+    ``outs`` are the arrays' flat views of the points lo:hi; the ranges and
+    buffers are those of :func:`blockwise`.
+    """
+    arrays = [np.empty(shape, dtype) for dtype in dtypes]
+    flat = [a.reshape(-1) for a in arrays]
+    blockwise(flat[0].size, lambda lo, hi, *bufs: step(lo, hi, *(f[lo:hi] for f in flat), *bufs),
+              scratch)
+    return arrays
+
+
+def _abs2(z: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``z.real * z.real + z.imag * z.imag`` into ``out``, with ``buf`` as scratch."""
+    np.multiply(z.real, z.real, out=out)
+    out += np.multiply(z.imag, z.imag, out=buf)
+    return out
 
 
 def _slab_rows(v: np.ndarray) -> int:

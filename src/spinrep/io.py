@@ -196,7 +196,14 @@ def _replacing(path: str | os.PathLike):
 
 def _write_blocks(fh, blocks) -> None:
     for block in blocks:
-        fh.write(np.ascontiguousarray(block, dtype=_F8).tobytes())
+        fh.write(np.ascontiguousarray(block, dtype=_F8).data)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with exactly these real and imaginary parts, read-only."""
+    out = np.empty(re.shape, np.complex128)
+    out.real, out.imag = re, im
+    return frozen(out)
 
 
 def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
@@ -237,7 +244,7 @@ def read_spdf(path: str | os.PathLike) -> SpinDensityField:
     return SpinDensityField(
         rho_up=ScalarField(grid, up),
         rho_dn=ScalarField(grid, dn),
-        sigma=ComplexField(grid, frozen(re + 1j * im)),
+        sigma=ComplexField(grid, _complex(re, im)),
         n_electrons=n,
     )
 
@@ -340,8 +347,8 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
                     ),
                 )
             orbitals.append(Spinor(
-                up=ComplexField(grid, frozen(re_up + 1j * im_up)),
-                dn=ComplexField(grid, frozen(re_dn + 1j * im_dn)),
+                up=ComplexField(grid, _complex(re_up, im_up)),
+                dn=ComplexField(grid, _complex(re_dn, im_dn)),
             ))
         branches.append(WitnessBranch(
             weight=weight,

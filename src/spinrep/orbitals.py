@@ -22,13 +22,15 @@ determinant hypothesis, so reconstruction is unaffected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _weighted_sum,
+                     blockwise, blockwise_arrays, frozen)
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, TINY, ToleranceConfig
@@ -269,17 +271,21 @@ def _base_spinor(
         )
     if floor is None:
         floor = tol.sqrt_floor(r.scale)
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    sqrt_dn = np.sqrt(dn)
-    live = dn >= floor
-    phi_up = np.zeros(r.grid.dims, dtype=np.complex128)
-    np.divide(r.sigma.values, sqrt_dn, out=phi_up, where=live)
-    # nodal set of rho_dn: sigma vanishes there (null det), any phase works
-    nodal = ~live
-    phi_up[nodal] = np.sqrt(up[nodal])
-    stats["nodal_points"] = float(np.count_nonzero(nodal))
-    stats["nodal_fallback_points"] = float(np.count_nonzero(nodal & (up >= floor)))
+    rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
+    counts = []
+
+    def step(lo, hi, phi, sqrt_dn, up):
+        up = np.clip(rho_up[lo:hi], 0.0, None, out=up[:hi - lo])
+        dn = np.clip(rho_dn[lo:hi], 0.0, None, out=sqrt_dn)
+        live = dn >= floor
+        np.divide(sigma[lo:hi], np.sqrt(dn, out=dn), out=phi, where=live)
+        # nodal set of rho_dn: sigma vanishes there (null det), any phase works
+        nodal = ~live
+        phi[nodal] = np.sqrt(up[nodal])
+        counts.append((np.count_nonzero(nodal), np.count_nonzero(nodal & (up >= floor))))
+
+    phi_up, sqrt_dn = blockwise_arrays(r.grid.dims, (complex, float), step, scratch=1)
+    stats["nodal_points"], stats["nodal_fallback_points"] = map(float, np.sum(counts, axis=0))
     return phi_up, sqrt_dn, stats
 
 
@@ -303,6 +309,18 @@ def base_spinor(
 # -- orbital set ---------------------------------------------------------------
 
 
+def _overlap(a: Spinor, b: Spinor):
+    """<a | b>: the integrand conj(a.up) b.up + conj(a.dn) b.dn is formed leaf by leaf."""
+    au, ad, bu, bd = (f.values.reshape(-1) for f in (a.up, a.dn, b.up, b.dn))
+
+    def integrand(lo, hi, buf):
+        x = np.multiply(np.conj(au[lo:hi], out=buf), bu[lo:hi], out=buf)
+        y = np.conj(ad[lo:hi])
+        return np.add(x, np.multiply(y, bd[lo:hi], out=y), out=x)
+
+    return _weighted_sum(a.grid, np.complex128, integrand)
+
+
 def _overlaps(orbitals: Sequence[Spinor]) -> np.ndarray:
     """Matrix of <Phi_i | Phi_j> under the trapezoid inner product.
 
@@ -310,16 +328,10 @@ def _overlaps(orbitals: Sequence[Spinor]) -> np.ndarray:
     diagonal included, holds the conjugates.
     """
     n = len(orbitals)
-    grid = orbitals[0].grid
     o = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
-        a = orbitals[i]
         for j in range(i, n):
-            b = orbitals[j]
-            o[i, j] = integrate_values(
-                grid,
-                np.conj(a.up.values) * b.up.values + np.conj(a.dn.values) * b.dn.values,
-            )
+            o[i, j] = _overlap(orbitals[i], orbitals[j])
             o[j, i] = np.conj(o[i, j])
     return o
 
@@ -341,34 +353,55 @@ def gram_deviation(orbitals: Sequence[Spinor]) -> float:
     return float(np.max(np.abs(g - np.eye(len(orbitals)))))
 
 
+def _sum_block(weighted, lo: int, hi: int, up, dn, sg) -> None:
+    """sum_k p_k Phi_k^a conj(Phi_k^b) on the flat points lo:hi, into up, dn and sg.
+
+    Each point adds the terms onto 0 in order.  numpy's complex multiply is
+    fused, so its bits depend on the operand order: conj(dn) * up is the
+    order of a whole-grid ``up * conj(dn)`` whose temporary numpy reuses
+    (it does from 256 KiB, i.e. 16384 points, on).
+    """
+    for a in (up, dn, sg):
+        a.fill(0.0)
+    c = np.empty(hi - lo, np.complex128)
+    sq = c.view(np.float64).reshape(2, -1)  # two real rows, used before c is
+    for p, orb in weighted:
+        u, d = orb.up.values.reshape(-1)[lo:hi], orb.dn.values.reshape(-1)[lo:hi]
+        for acc, v in ((up, u), (dn, d)):
+            acc += np.multiply(p, _abs2(v, sq[0], sq[1]), out=sq[0])
+        np.multiply(np.conj(d, out=c), u, out=c)
+        sg += np.multiply(p, c, out=c)
+
+
 def _density_sums(
     grid: Grid3, weighted: Iterable[tuple[float, Spinor]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_k p_k Phi_k^a conj(Phi_k^b) over (p_k, Phi_k) pairs, as up-up, dn-dn, up-dn."""
-    up = np.zeros(grid.dims)
-    dn = np.zeros(grid.dims)
-    sg = np.zeros(grid.dims, dtype=np.complex128)
-    for p, orb in weighted:
-        u, d = orb.up.values, orb.dn.values
-        up += p * (u.real * u.real + u.imag * u.imag)
-        dn += p * (d.real * d.real + d.imag * d.imag)
-        sg += p * (u * np.conj(d))
-    return up, dn, sg
+    return tuple(blockwise_arrays(grid.dims, (float, float, complex),
+                                  functools.partial(_sum_block, list(weighted))))
 
 
-def _max_deviation(r: SpinDensityField, sums: Iterable[np.ndarray]) -> float:
-    """Largest pointwise |deviation| of the up-up, dn-dn and up-dn sums from R.
+def _max_deviation(r: SpinDensityField, sums) -> float:
+    """Largest pointwise |sum - R| of the up-up, dn-dn and up-dn sums; NaN if any is NaN.
 
-    ``sums`` may be a generator, so that only one sum exists at a time.
+    ``sums(lo, hi, up, dn, sg)`` writes the sums on the flat points lo:hi.
     """
-    targets = (r.rho_up.values, r.rho_dn.values, r.sigma.values)
-    return max(float(np.max(np.abs(a - t))) for a, t in zip(sums, targets))
+    targets = [f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma)]
+    maxima = []
+
+    def step(lo, hi, up, dn):
+        parts = (up[:hi - lo], dn[:hi - lo], np.empty(hi - lo, np.complex128))
+        sums(lo, hi, *parts)
+        maxima.extend([np.max(np.abs(a - t[lo:hi])) for a, t in zip(parts, targets)])
+
+    blockwise(r.grid.npoints, step, scratch=2)
+    return float(np.max(maxima))
 
 
 def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> float:
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
     # a weight of 1.0 leaves every product's bits as they are
-    return _max_deviation(r, _density_sums(r.grid, ((1.0, orb) for orb in orbitals)))
+    return _max_deviation(r, functools.partial(_sum_block, [(1.0, orb) for orb in orbitals]))
 
 
 def _phase_gram_deviation(
@@ -382,8 +415,14 @@ def _phase_gram_deviation(
     equals :func:`gram_deviation` of the built orbitals up to round-off,
     without building them.
     """
-    base_sq = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
-    base_sq += sqrt_dn * sqrt_dn
+    pu, sd = phi_up.reshape(-1), sqrt_dn.reshape(-1)
+
+    def step(lo, hi, out, buf):
+        s, t = sd[lo:hi], buf[:hi - lo]
+        _abs2(pu[lo:hi], out, t)
+        out += np.multiply(s, s, out=t)
+
+    base_sq, = blockwise_arrays(grid.dims, (float,), step, scratch=1)
     ax = phase.axis
     mu = grid.axis_weights[ax] * _transverse_marginal(grid, base_sq, ax) / phase.n_electrons
     dev = abs(float(np.sum(mu)) - 1.0)
@@ -419,24 +458,34 @@ def build_orbitals(
             f"{gram:.3e} > {tol.gram_tol:.3e}"
         )
 
-    def base_sums():
-        # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
-        yield phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
-        yield sqrt_dn * sqrt_dn
-        yield phi_up * sqrt_dn
+    pu, sd = phi_up.reshape(-1), sqrt_dn.reshape(-1)
 
-    recon = _max_deviation(r, base_sums())
+    def base_sums(lo, hi, up, dn, sg):
+        # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
+        p, s = pu[lo:hi], sd[lo:hi]
+        _abs2(p, up, dn)
+        np.multiply(s, s, out=dn)
+        np.multiply(p, s, out=sg)
+
+    recon = _max_deviation(r, base_sums)
     shape = [1, 1, 1]
     shape[ax] = r.grid.dims[ax]
     f = phase.values.reshape(shape)
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    orbitals = []
-    for k in range(1, n + 1):
-        factor = np.exp(2j * np.pi * k * f) * inv_sqrt_n
-        orbitals.append(Spinor(
-            up=ComplexField(r.grid, frozen(phi_up * factor)),
-            dn=ComplexField(r.grid, frozen(sqrt_dn * factor)),
-        ))
+    factors = [np.exp(2j * np.pi * k * f) * inv_sqrt_n for k in range(1, n + 1)]
+    parts = [[np.empty(r.grid.dims, np.complex128) for _ in range(2)] for _ in factors]
+
+    def work(slabs):
+        # axis-0 row blocks, along which each factor broadcasts
+        for lo, hi in slabs:
+            for factor, (up, dn) in zip(factors, parts):
+                factor = factor[lo:hi] if ax == 0 else factor
+                np.multiply(phi_up[lo:hi], factor, out=up[lo:hi])
+                np.multiply(sqrt_dn[lo:hi], factor, out=dn[lo:hi])
+
+    _over_slabs(phi_up, work)
+    orbitals = [Spinor(up=ComplexField(r.grid, frozen(up)), dn=ComplexField(r.grid, frozen(dn)))
+                for up, dn in parts]
     scale = max(r.scale, TINY)
     diagnostics = {
         "gram_deviation": gram,

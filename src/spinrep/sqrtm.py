@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, frozen
+from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, ToleranceConfig
 
@@ -83,23 +83,31 @@ def _validate_psd(r: SpinDensityField, tol: ToleranceConfig) -> np.ndarray:
 
 def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField:
     """Pointwise matrix square root; rejects inputs that are not PSD within tolerance."""
-    sq_det = np.sqrt(np.clip(_validate_psd(r, tol), 0.0, None))
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    denom = up + dn + 2.0 * sq_det
+    det = _validate_psd(r, tol).reshape(-1)
+    rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
     floor = tol.sqrt_floor(r.scale)
-    mask = denom >= floor
-    inv = np.zeros(r.grid.dims)
-    np.divide(1.0, np.sqrt(denom, out=denom), out=inv, where=mask)
-    del denom, mask
-    # (x + sq_det) * inv, in place
-    for a in (up, dn):
-        a += sq_det
-        a *= inv
+
+    def step(lo, hi, u, d, s, sq_det, denom, inv):
+        sq_det, denom, inv = sq_det[:hi - lo], denom[:hi - lo], inv[:hi - lo]
+        np.sqrt(np.clip(det[lo:hi], 0.0, None, out=sq_det), out=sq_det)
+        np.clip(rho_up[lo:hi], 0.0, None, out=u)
+        np.clip(rho_dn[lo:hi], 0.0, None, out=d)
+        denom = np.add(u, d, out=denom)
+        denom += np.multiply(2.0, sq_det, out=inv)
+        mask = denom >= floor
+        inv.fill(0.0)
+        np.divide(1.0, np.sqrt(denom, out=denom), out=inv, where=mask)
+        # (x + sq_det) * inv, in place
+        for a in (u, d):
+            a += sq_det
+            a *= inv
+        np.multiply(sigma[lo:hi], inv, out=s)
+
+    up, dn, s = blockwise_arrays(r.grid.dims, (float, float, complex), step, scratch=3)
     return SqrtField(
         r_up=ScalarField(r.grid, frozen(up)),
         r_dn=ScalarField(r.grid, frozen(dn)),
-        s=ComplexField(r.grid, frozen(r.sigma.values * inv)),
+        s=ComplexField(r.grid, frozen(s)),
         n_electrons=r.n_electrons,
     )
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminorm
-from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
+from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, frozen
 from .orbitals import OrbitalSet, _density_sums, _overlaps, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
 from .tolerances import DEFAULT, TINY, WEIGHT_SUM_TOL, ToleranceConfig
@@ -100,6 +101,12 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
+def _l1_distance(a: Field, b: Field):
+    """integral |a - b|, the integrand formed leaf by leaf."""
+    af, bf = a.values.reshape(-1), b.values.reshape(-1)
+    return _weighted_sum(a.grid, float, lambda lo, hi, buf: np.abs(af[lo:hi] - bf[lo:hi], out=buf))
+
+
 @dataclass(frozen=True)
 class VerifyReport(Report):
     """Outcome of verifying a witness against a target density."""
@@ -161,9 +168,9 @@ def verify(
     # (i) density match, relative L1
     denom = max(trace_integral(target), TINY)
     l1 = (
-        float(integrate_values(w.grid, np.abs(rec.rho_up.values - target.rho_up.values)))
-        + float(integrate_values(w.grid, np.abs(rec.rho_dn.values - target.rho_dn.values)))
-        + 2.0 * float(integrate_values(w.grid, np.abs(rec.sigma.values - target.sigma.values)))
+        float(_l1_distance(rec.rho_up, target.rho_up))
+        + float(_l1_distance(rec.rho_dn, target.rho_dn))
+        + 2.0 * float(_l1_distance(rec.sigma, target.sigma))
     )
     mismatch = l1 / denom
     checks.append(ConditionResult(
@@ -205,7 +212,8 @@ def verify(
     ))
 
     # (v) integrated regularity bounds on the reconstructed density
-    norms = DensityNorms(rec, tol, tol.floor(rec.scale))
+    # a non-finite witness density must surface as failing bounds, not as a floor error
+    norms = DensityNorms(rec, tol, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
     bounds = (
         ("sqrt_rho_up_h1", norms.h1_up, t_up),
         ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
@@ -220,7 +228,7 @@ def verify(
         details[f"{name}_rhs"] = float(rhs)
         margin = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf)
         worst_margin = max(worst_margin, margin)
-        if lhs > rhs * (1.0 + tol.slack):
+        if not lhs <= rhs * (1.0 + tol.slack):  # NaN fails
             ok = False
     checks.append(ConditionResult(
         "kinetic_bounds",

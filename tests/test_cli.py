@@ -145,6 +145,25 @@ def test_verify_flags_corrupted_weights(tmp_path, capsys):
     assert "overall: fail" in out
 
 
+def test_verify_reports_a_nan_orbital(tmp_path, capsys):
+    grid = cube(24)
+    psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6,
+                                        phase_gradient=0.0)
+    path = tmp_path / "target.spdf"
+    sr.write_spdf(path, sr.rank1_from_orbital(psi_up, psi_dn, 1))
+    dn = psi_dn.values.copy()
+    dn[12, 12, 12] = np.nan
+    orb = sr.Spinor(up=psi_up, dn=sr.ComplexField(grid, dn))
+    wdir = tmp_path / "witness"
+    sr.write_witness(wdir, sr.Witness(grid=grid, n_electrons=1, branches=(
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(orb,))),)))
+
+    assert main(["verify", str(wdir), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "overall: fail" in captured.out and "density_match" in captured.out
+    assert "error" not in captured.err
+
+
 def test_construct_rejects_inadmissible(tmp_path, capsys):
     grid = cube(24)
     g = gaussian_values(grid, width=1.5)

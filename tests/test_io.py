@@ -3,6 +3,7 @@
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,59 @@ def test_spdf_round_trip_bit_exact(tmp_path):
     assert back.rho_dn.values.tobytes() == dn.tobytes()
     assert back.sigma.values.real.tobytes() == sig.real.copy().tobytes()
     assert back.sigma.values.imag.tobytes() == sig.imag.copy().tobytes()
+
+
+SPECIAL_PARTS = (-0.0, np.inf, -np.inf, np.nan)
+
+
+def with_special_parts(values):
+    """A complex copy of ``values`` whose first entries pair each special float with each."""
+    v = np.array(values, dtype=np.complex128)
+    flat = v.reshape(-1)
+    pairs = [(a, b) for a in SPECIAL_PARTS + (1.5,) for b in SPECIAL_PARTS + (-2.5,)]
+    for k, (re, im) in enumerate(pairs):
+        flat[k] = 0.0  # then set each part on its own: no complex arithmetic
+        flat.real[k], flat.imag[k] = re, im
+    return v
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spdf_round_trip_keeps_special_complex_parts(tmp_path):
+    grid = cube(6, 3.0)
+    rng = np.random.default_rng(12)
+    up = rng.random(grid.dims)
+    up.reshape(-1)[:4] = SPECIAL_PARTS
+    sig = with_special_parts(rng.standard_normal(grid.dims))
+    field = field_from_arrays(grid, up, rng.random(grid.dims), sig)
+    path = tmp_path / "f.spdf"
+    sr.write_spdf(path, field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = sr.read_spdf(path)
+    assert_same_bytes(back.rho_up.values, field.rho_up.values)
+    assert_same_bytes(back.sigma.values, field.sigma.values)
+
+
+def test_witness_round_trip_keeps_special_complex_parts(tmp_path):
+    grid = cube(6, 3.0)
+    rng = np.random.default_rng(13)
+    orb = sr.Spinor(
+        up=sr.ComplexField(grid, with_special_parts(rng.standard_normal(grid.dims))),
+        dn=sr.ComplexField(grid, with_special_parts(rng.standard_normal(grid.dims))[::-1]),
+    )
+    witness = sr.Witness(grid=grid, n_electrons=1, branches=(
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(orb,))),))
+    sr.write_witness(tmp_path / "w", witness)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = sr.read_witness(tmp_path / "w")
+    got = back.branches[0].orbitals.orbitals[0]
+    assert_same_bytes(got.up.values, orb.up.values)
+    assert_same_bytes(got.dn.values, orb.dn.values)
 
 
 def test_spdf_round_trip_non_round_box(tmp_path):

@@ -183,6 +183,31 @@ def test_verify_flags_corrupted_orbital(mixture48, witness48):
     assert report["orbital_gram"].verdict == "fail"
 
 
+def nan_witness():
+    """A one-orbital witness of a 24^3 gaussian spinor (N = 1), one dn value NaN, and its target."""
+    grid = cube(24)
+    psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6,
+                                        phase_gradient=0.0)
+    dn = psi_dn.values.copy()
+    dn[12, 12, 12] = np.nan
+    return single_orbital_witness(grid, psi_up.values, dn), sr.rank1_from_orbital(psi_up, psi_dn, 1)
+
+
+def test_verify_reports_a_non_finite_witness_density():
+    w, target = nan_witness()
+    report = sr.verify(w, target)
+    assert report.verdict == "fail"
+    for name in ("density_match", "orbital_gram", "kinetic_finite", "kinetic_bounds"):
+        assert report[name].verdict == "fail"
+    assert report["weight_sum"].verdict == "pass"
+    assert "overall: fail" in report.to_text()
+
+
+def test_reconstruction_error_of_a_non_finite_witness_is_nan():
+    w, target = nan_witness()
+    assert np.isnan(sr.reconstruction_error(w.branches[0].orbitals.orbitals, target))
+
+
 def test_verify_rejects_grid_mismatch(witness48):
     other = sr.gaussian_diagonal(cube(32), 2)
     with pytest.raises(ValueError):
