@@ -33,7 +33,8 @@ from .fields import (
     Grid3,
     ScalarField,
     WeightedGradientL1,
-    blockwise,
+    _worst,
+    blockwise_arrays,
     boundary_max,
     frozen,
     grad_magnitude_sq,
@@ -159,7 +160,7 @@ def w32_norms(
 
 
 def _rel_change(coarse: float, fine: float) -> float:
-    denom = max(abs(coarse), abs(fine))
+    denom = _worst((abs(coarse), abs(fine)), largest=True)[0]
     if denom == 0.0:
         return 0.0
     return abs(fine - coarse) / denom
@@ -174,11 +175,11 @@ def _norm_verdict(
     """Verdict policy for the finiteness conditions (d)-(g)."""
     if not math.isfinite(value):
         return FAIL, "non-finite value"
-    if sig_fraction > tol.masked_fraction:
+    if not sig_fraction <= tol.masked_fraction:
         return INDETERMINATE, "masked points dominate"
     if change is None:
         return PASS, "finite at this resolution"
-    if change > tol.refine_threshold:
+    if not change <= tol.refine_threshold:
         return FAIL, f"unstable under refinement (change {change:.3g})"
     return PASS, f"stable under refinement (change {change:.3g})"
 
@@ -189,14 +190,11 @@ def _norm_verdict(
 def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
     """sqrt(max(values, 0)), written block by block into one new array."""
     v = values.reshape(-1)
-    out = np.empty(values.shape)
-    flat = out.reshape(-1)
 
-    def step(lo, hi):
-        np.sqrt(np.clip(v[lo:hi], 0.0, None, out=flat[lo:hi]), out=flat[lo:hi])
+    def step(lo, hi, out):
+        np.sqrt(np.clip(v[lo:hi], 0.0, None, out=out), out=out)
 
-    blockwise(v.size, step)
-    return out
+    return blockwise_arrays(values.shape, (float,), step)[0]
 
 
 class DensityNorms:
@@ -312,7 +310,7 @@ def _finiteness(
     details: dict[str, object] = dict(parts) if len(parts) > 1 else {}
     change = None
     if fine is not None:
-        change = max(_rel_change(parts[k], fine[k]) for k in parts)
+        change = _worst([_rel_change(parts[k], fine[k]) for k in parts], largest=True)[0]
         if len(parts) > 1:
             details.update({f"refined_{k}": fine[k] for k in parts})
         else:
@@ -328,8 +326,36 @@ def _finiteness(
     return ConditionResult(name, verdict, value, details)
 
 
-def _argmin_loc(values: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.unravel_index(np.argmin(values), values.shape))
+def _psd_conditions(
+    r: SpinDensityField, tol: ToleranceConfig
+) -> tuple[ConditionResult, ConditionResult, np.ndarray]:
+    """Conditions (a) and (b) on R, and the values of ``det_field(r, tol)``."""
+    # (a) pointwise nonnegativity of the diagonal
+    neg_tol = tol.neg_tol(r.scale)
+    (min_up, loc_up), (min_dn, loc_dn) = _worst(r.rho_up.values), _worst(r.rho_dn.values)
+    worst, (k,) = _worst((min_up, min_dn))
+    nonneg = ConditionResult(
+        "rho_nonneg",
+        PASS if worst >= -neg_tol else FAIL,
+        worst,
+        {
+            "min_rho_up": min_up,
+            "min_rho_dn": min_dn,
+            "worst_location": (loc_up, loc_dn)[k],
+            "threshold": -neg_tol,
+        },
+    )
+    # (b) pointwise nonnegativity of the determinant
+    det_tol = tol.det_tol(r.scale)
+    dt = det_field(r, tol).values
+    min_det, loc = _worst(dt)
+    det_nonneg = ConditionResult(
+        "det_nonneg",
+        PASS if min_det >= -det_tol else FAIL,
+        min_det,
+        {"worst_location": loc, "threshold": -det_tol},
+    )
+    return nonneg, det_nonneg, dt
 
 
 def check(
@@ -352,39 +378,8 @@ def check(
         if any(refined.grid.dims[ax] <= r.grid.dims[ax] for ax in range(3)):
             raise ValueError("refined field must be strictly finer on every axis")
 
-    scale = r.scale
     n = r.n_electrons
-    conditions: list[ConditionResult] = []
-
-    # (a) pointwise nonnegativity of the diagonal
-    neg_tol = tol.neg_tol(scale)
-    min_up = float(np.min(r.rho_up.values))
-    min_dn = float(np.min(r.rho_dn.values))
-    worst = min(min_up, min_dn)
-    conditions.append(ConditionResult(
-        "rho_nonneg",
-        PASS if worst >= -neg_tol else FAIL,
-        worst,
-        {
-            "min_rho_up": min_up,
-            "min_rho_dn": min_dn,
-            "worst_location": _argmin_loc(
-                r.rho_up.values if min_up <= min_dn else r.rho_dn.values
-            ),
-            "threshold": -neg_tol,
-        },
-    ))
-
-    # (b) pointwise nonnegativity of the determinant
-    det_tol = tol.det_tol(scale)
-    dt = det_field(r, tol).values
-    min_det = float(np.min(dt))
-    conditions.append(ConditionResult(
-        "det_nonneg",
-        PASS if min_det >= -det_tol else FAIL,
-        min_det,
-        {"worst_location": _argmin_loc(dt), "threshold": -det_tol},
-    ))
+    *conditions, dt = _psd_conditions(r, tol)
 
     # (c) normalization of the trace
     norm_tol = tol.norm_tol(n)
@@ -404,11 +399,10 @@ def check(
         conditions.append(_finiteness(name, part, fine_part, tol, ratios.get(name)))
 
     bmax = boundary_max(r.rho_total)
-    warning = bmax > tol.boundary_rel * max(scale, TINY)
     return CheckReport(
         conditions=tuple(conditions),
         n_electrons=n,
-        boundary_warning=bool(warning),
+        boundary_warning=not bmax <= tol.boundary_rel * _worst((r.scale, TINY), largest=True)[0],
         boundary_value=bmax,
     )
 

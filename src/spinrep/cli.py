@@ -256,6 +256,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # usage errors, found before any file is read or written
+        if hasattr(args, "box"):
+            _cubic_grid(args)
+        _tolerances(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if getattr(args, "n_electrons", 1) < 1:
+        parser.error(f"--n-electrons must be at least 1, got {args.n_electrons}")
+    try:
         return args.func(args)
     except (SpdfFormatError, WitnessFormatError, GeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

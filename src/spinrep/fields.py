@@ -756,8 +756,20 @@ def weighted_gradient_l1(
     return WeightedGradientL1(value, sum(masked.values()), sum(significant), grid.npoints)
 
 
+def _worst(values, largest: bool = False) -> tuple[float, tuple[int, ...]]:
+    """The smallest entry of ``values`` (with ``largest``, the largest) and its index.
+
+    NaN is worse than any number, and of equal entries the first wins, as in
+    ``np.argmin`` (``np.argmax``).  Every tolerance test reduces its values
+    here and compares the result as ``not value <= limit``, which NaN fails.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    i = np.argmax(a) if largest else np.argmin(a)
+    return float(a.flat[i]), tuple(int(k) for k in np.unravel_index(i, a.shape))
+
+
 def boundary_max(f: ScalarField) -> float:
-    """Largest |f| over the six boundary faces of the box."""
+    """Largest |f| over the six boundary faces of the box; NaN if any face holds one."""
     v = f.values
     faces = (v[0], v[-1], v[:, 0], v[:, -1], v[:, :, 0], v[:, :, -1])
-    return max(float(np.max(np.abs(face))) for face in faces)
+    return _worst([np.max(np.abs(face)) for face in faces], largest=True)[0]

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _weighted_sum,
-                     blockwise, blockwise_arrays, frozen)
+                     _worst, blockwise, blockwise_arrays, frozen)
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, TINY, ToleranceConfig
@@ -185,7 +185,7 @@ def build_phase(
     # normalization is judged against the canonical (trapezoid) quadrature
     trap_total = float(np.sum(rho.grid.axis_weights[ax] * marginal))
     adjustment = n_electrons - trap_total
-    if abs(adjustment) > tol.phase_renorm_factor * tol.norm_tol(n_electrons):
+    if not abs(adjustment) <= tol.phase_renorm_factor * tol.norm_tol(n_electrons):
         raise PhaseNormalizationError(
             f"density mass {trap_total!r} is too far from n_electrons={n_electrons} "
             f"to renormalize (|adjustment| {abs(adjustment):.3e} > "
@@ -193,12 +193,12 @@ def build_phase(
         )
     raw = _spectral_antiderivative(marginal, h)
     raw_end = float(raw[-1])
-    if raw_end <= 0.0:
+    if not raw_end > 0.0:
         raise PhaseNormalizationError("density has no mass along the phase axis")
     # spectral vs trapezoid gap is integrator truncation, nonzero only for
     # piecewise-smooth marginals; bounded like the monotonicity ringing below
     quadrature_gap = raw_end - trap_total
-    if abs(quadrature_gap) > PHASE_ROUGHNESS_REL * n_electrons:
+    if not abs(quadrature_gap) <= PHASE_ROUGHNESS_REL * n_electrons:
         raise PhaseNormalizationError(
             f"spectral and trapezoid cumulatives disagree by {quadrature_gap:.3e}; "
             "the marginal is too rough to integrate spectrally"
@@ -211,9 +211,8 @@ def build_phase(
     # merely piecewise smooth, e.g. cutoff-windowed pieces).  Flatten it,
     # record it — the orbital Gram check downstream judges the damage — and
     # reject only outright pathological amplitudes.
-    dips = np.diff(values)
-    max_dip = max(0.0, -float(np.min(dips))) if dips.size else 0.0
-    if max_dip > PHASE_ROUGHNESS_REL * n_electrons:
+    max_dip = _worst(np.append(0.0, -np.diff(values)), largest=True)[0]
+    if not max_dip <= PHASE_ROUGHNESS_REL * n_electrons:
         raise PhaseNormalizationError(
             f"cumulative phase decreases by {max_dip:.3e}; "
             "the marginal is too rough to integrate spectrally"
@@ -241,16 +240,18 @@ def require_null_determinant(r: SpinDensityField, tol: ToleranceConfig = DEFAULT
     """Check |det R| <= tol pointwise, allowing a tiny violating fraction.
 
     Returns the violating-point count; raises NullDeterminantError when more
-    than ``tol.null_det_fraction`` of the grid violates.
+    than ``tol.null_det_fraction`` of the grid violates, or when det R holds
+    a NaN anywhere (the allowance is for finite violations only).
     """
     dt = det_field(r, tol).values
     thr = tol.null_det_tol(r.scale)
-    bad = int(np.count_nonzero(np.abs(dt) > thr))
-    if bad > tol.null_det_fraction * r.grid.npoints:
-        worst = np.unravel_index(np.argmax(np.abs(dt)), dt.shape)
+    abs_det = np.abs(dt)
+    worst, loc = _worst(abs_det, largest=True)
+    bad = int(np.count_nonzero(~(abs_det <= thr)))
+    if math.isnan(worst) or not bad <= tol.null_det_fraction * r.grid.npoints:
         raise NullDeterminantError(
             f"|det| > {thr:.3e} at {bad} of {r.grid.npoints} points; "
-            f"worst {dt[worst]:.3e} at {tuple(int(i) for i in worst)}"
+            f"worst {dt[loc]:.3e} at {loc}"
         )
     return bad
 
@@ -261,13 +262,10 @@ def _base_spinor(
     floor: float | None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     stats: dict[str, float] = {"null_det_violations": float(require_null_determinant(r, tol))}
-    ratio_excess = r.rho_up.values - 2.0 * r.rho_dn.values
-    worst = float(np.max(ratio_excess))
-    if worst > tol.ratio_tol(r.scale):
-        loc = np.unravel_index(np.argmax(ratio_excess), ratio_excess.shape)
+    worst, loc = _worst(r.rho_up.values - 2.0 * r.rho_dn.values, largest=True)
+    if not worst <= tol.ratio_tol(r.scale):
         raise RatioHypothesisError(
-            f"rho_up - 2 rho_dn = {worst:.3e} at {tuple(int(i) for i in loc)} "
-            f"(tolerance {tol.ratio_tol(r.scale):.3e})"
+            f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {tol.ratio_tol(r.scale):.3e})"
         )
     if floor is None:
         floor = tol.sqrt_floor(r.scale)
@@ -425,10 +423,10 @@ def _phase_gram_deviation(
     base_sq, = blockwise_arrays(grid.dims, (float,), step, scratch=1)
     ax = phase.axis
     mu = grid.axis_weights[ax] * _transverse_marginal(grid, base_sq, ax) / phase.n_electrons
-    dev = abs(float(np.sum(mu)) - 1.0)
-    for d in range(1, phase.n_electrons):
-        dev = max(dev, float(abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))))
-    return dev
+    devs = [abs(float(np.sum(mu)) - 1.0)]
+    devs += [abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))
+             for d in range(1, phase.n_electrons)]
+    return _worst(devs, largest=True)[0]
 
 
 def build_orbitals(
@@ -486,7 +484,7 @@ def build_orbitals(
     _over_slabs(phi_up, work)
     orbitals = [Spinor(up=ComplexField(r.grid, frozen(up)), dn=ComplexField(r.grid, frozen(dn)))
                 for up, dn in parts]
-    scale = max(r.scale, TINY)
+    scale = _worst((r.scale, TINY), largest=True)[0]
     diagnostics = {
         "gram_deviation": gram,
         "reconstruction_abs": recon,

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, blockwise, frozen, integrate
+from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen, integrate
 from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
 
 
@@ -41,9 +41,8 @@ class SpinDensityField:
     @cached_property
     def rho_total(self) -> ScalarField:
         up, dn = self.rho_up.values.reshape(-1), self.rho_dn.values.reshape(-1)
-        total = np.empty(self.grid.dims)
-        flat = total.reshape(-1)
-        blockwise(flat.size, lambda lo, hi: np.add(up[lo:hi], dn[lo:hi], out=flat[lo:hi]))
+        total, = blockwise_arrays(self.grid.dims, (float,),
+                                  lambda lo, hi, out: np.add(up[lo:hi], dn[lo:hi], out=out))
         return ScalarField(self.grid, frozen(total))
 
     @cached_property
@@ -63,19 +62,17 @@ def det_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> ScalarFiel
     up, dn = r.rho_up.values.reshape(-1), r.rho_dn.values.reshape(-1)
     s = r.sigma.values.reshape(-1)
     clamp = tol.det_clamp(r.scale)
-    det = np.empty(r.grid.dims)
-    out = det.reshape(-1)
 
-    def step(lo, hi, re2, im2):
-        # up * dn - (re^2 + im^2), written block by block into out
+    def step(lo, hi, d, re2, im2):
+        # up * dn - (re^2 + im^2), written block by block into d
         sg, n = s[lo:hi], hi - lo
         mod2 = np.multiply(sg.real, sg.real, out=re2[:n])
         mod2 += np.multiply(sg.imag, sg.imag, out=im2[:n])
-        d = np.multiply(up[lo:hi], dn[lo:hi], out=out[lo:hi])
+        np.multiply(up[lo:hi], dn[lo:hi], out=d)
         d -= mod2
         d[(d < 0.0) & (d >= -clamp)] = 0.0
 
-    blockwise(out.size, step, scratch=2)
+    det, = blockwise_arrays(r.grid.dims, (float,), step, scratch=2)
     return ScalarField(r.grid, frozen(det))
 
 

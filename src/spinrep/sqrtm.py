@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .check import _psd_conditions
 from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen
-from .spin_density import SpinDensityField, det_field
+from .spin_density import SpinDensityField
 from .tolerances import DEFAULT, ToleranceConfig
 
 
@@ -60,30 +61,19 @@ class EigenDensities:
         return self.rho_plus.grid
 
 
-def _validate_psd(r: SpinDensityField, tol: ToleranceConfig) -> np.ndarray:
-    """Reject R unless it is PSD within tolerance; return the values of det_field."""
-    scale = r.scale
-    neg = tol.neg_tol(scale)
-    for name, f in (("rho_up", r.rho_up), ("rho_dn", r.rho_dn)):
-        mn = float(np.min(f.values))
-        if mn < -neg:
-            loc = np.unravel_index(np.argmin(f.values), f.values.shape)
-            raise NotPositiveSemidefiniteError(
-                f"{name} = {mn:.3e} at {tuple(int(i) for i in loc)} (tolerance -{neg:.3e})"
-            )
-    dt = det_field(r, tol).values
-    mn = float(np.min(dt))
-    if mn < -tol.det_tol(scale):
-        loc = np.unravel_index(np.argmin(dt), dt.shape)
-        raise NotPositiveSemidefiniteError(
-            f"det = {mn:.3e} at {tuple(int(i) for i in loc)} (tolerance -{tol.det_tol(scale):.3e})"
-        )
-    return dt
-
-
 def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField:
-    """Pointwise matrix square root; rejects inputs that are not PSD within tolerance."""
-    det = _validate_psd(r, tol).reshape(-1)
+    """Pointwise matrix square root; rejects inputs that are not PSD within tolerance.
+
+    The test is conditions (a) and (b) of :func:`spinrep.check.check`.
+    """
+    *conditions, det = _psd_conditions(r, tol)
+    for c in conditions:
+        if not c.passed:
+            raise NotPositiveSemidefiniteError(
+                f"{c.name}: {c.value:.3e} at {c.details['worst_location']} "
+                f"(threshold {c.details['threshold']:.3e})"
+            )
+    det = det.reshape(-1)
     rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
     floor = tol.sqrt_floor(r.scale)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminorm
-from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, frozen
+from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
 from .orbitals import OrbitalSet, _density_sums, _overlaps, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
 from .tolerances import DEFAULT, TINY, WEIGHT_SUM_TOL, ToleranceConfig
@@ -166,7 +166,7 @@ def verify(
     rec = density_of(w)
 
     # (i) density match, relative L1
-    denom = max(trace_integral(target), TINY)
+    denom = _worst((trace_integral(target), TINY), largest=True)[0]
     l1 = (
         float(_l1_distance(rec.rho_up, target.rho_up))
         + float(_l1_distance(rec.rho_dn, target.rho_dn))
@@ -182,7 +182,7 @@ def verify(
 
     # (ii) per-branch orthonormality
     gram_devs = tuple(gram_deviation(b.orbitals.orbitals) for b in w.branches)
-    worst_gram = max(gram_devs)
+    worst_gram = _worst(gram_devs, largest=True)[0]
     checks.append(ConditionResult(
         "orbital_gram",
         PASS if worst_gram <= tol.gram_tol else FAIL,
@@ -192,7 +192,7 @@ def verify(
 
     # (iii) convex weights
     weight_sum = float(np.sum(w.weights))
-    min_weight = min(w.weights)
+    min_weight = _worst(w.weights)[0]
     weights_ok = abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL and min_weight >= -WEIGHT_SUM_TOL
     checks.append(ConditionResult(
         "weight_sum",
@@ -221,19 +221,18 @@ def verify(
         ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
     )
     details: dict[str, object] = {"slack": tol.slack}
-    worst_margin = 0.0
+    margins = [0.0]
     ok = True
     for name, lhs, rhs in bounds:
         details[f"{name}_lhs"] = float(lhs)
         details[f"{name}_rhs"] = float(rhs)
-        margin = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf)
-        worst_margin = max(worst_margin, margin)
-        if not lhs <= rhs * (1.0 + tol.slack):  # NaN fails
+        margins.append(lhs / rhs if not rhs <= 0.0 else (0.0 if lhs == 0.0 else np.inf))
+        if not lhs <= rhs * (1.0 + tol.slack):
             ok = False
     checks.append(ConditionResult(
         "kinetic_bounds",
         PASS if ok else FAIL,
-        worst_margin,
+        _worst(margins, largest=True)[0],
         details,
     ))
 

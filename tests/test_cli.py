@@ -174,6 +174,35 @@ def test_construct_rejects_inadmissible(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BAD_ARGUMENTS = [
+    ["gen", "--n-electrons", "2", "--grid", "3"],
+    ["gen", "--n-electrons", "2", "--box", "8", "-8"],
+    ["gen", "--n-electrons", "0"],
+    *([command, *args, option, value]
+      for command, args in (("check", []), ("sqrt", []), ("eigs", []), ("construct", []),
+                            ("verify", ["witness"]), ("norms", ["--n-electrons", "2"]))
+      for option in ("--tol-neg", "--tol-norm", "--floor")
+      for value in ("0", "-1")),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
+    # exit 2 before the input is read or any output is written
+    command, *rest = argv
+    path = tmp_path / "field.spdf"
+    inputs = []
+    if command not in ("gen", "norms"):
+        sr.write_spdf(path, sr.gaussian_diagonal(cube(24), 2))
+        inputs = [str(path)]
+    outputs = ["--out", str(tmp_path / "out")] if command in ("gen", "sqrt", "construct") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, *rest, *outputs])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([path] if inputs else [])
+
+
 def test_missing_input_exit_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.spdf")]) == 2
     assert main(["verify", str(tmp_path / "nodir"), str(tmp_path / "no.spdf")]) == 2

@@ -8,7 +8,8 @@ the density match of ``verify``, the base spinor (``orbitals._base_spinor``),
 The blocked code must reproduce them byte for byte, the sign of every zero
 included, on 48^3 and on the uneven 45x38x51 grid, for the default block
 size and for 1000-byte blocks that cut rows, on 1, 2 and 3 workers, and on
-inputs with NaN and -0.0 entries.
+inputs with NaN and -0.0 entries.  The stages whose hypotheses a NaN breaks
+(``sqrt_field``, both splits and the base spinor) must refuse a NaN input.
 
 Both grids have more than 16384 points.  There numpy reuses the grid-sized
 temporary of ``u * np.conj(d)`` in place, which multiplies in the order
@@ -25,7 +26,6 @@ import pytest
 import spinrep as sr
 from spinrep import fields, orbitals
 from spinrep.decompose import _piece, _weigh
-from spinrep.sqrtm import _validate_psd
 from spinrep.witness import _l1_distance
 
 from _helpers import cube
@@ -128,7 +128,7 @@ def ref_orbital_values(phi_up, sqrt_dn, phase, grid):
 
 
 def ref_sqrt_field(r, tol=sr.DEFAULT):
-    sq_det = np.sqrt(np.clip(_validate_psd(r, tol), 0.0, None))
+    sq_det = np.sqrt(np.clip(sr.det_field(r, tol).values, 0.0, None))
     up = np.clip(r.rho_up.values, 0.0, None)
     dn = np.clip(r.rho_dn.values, 0.0, None)
     denom = up + dn + 2.0 * sq_det
@@ -320,6 +320,10 @@ def test_density_match(case, blocks, special):
 def test_base_spinor_and_gram_gate(case, blocks, special):
     for f in case[3]:
         f = spoiled_field(f, special)
+        if special == "nan":
+            with pytest.raises(sr.NullDeterminantError):
+                orbitals._base_spinor(f, sr.DEFAULT, None)
+            continue
         phi_up, sqrt_dn, stats = orbitals._base_spinor(f, sr.DEFAULT, None)
         ref_phi, ref_sqrt, ref_stats = ref_base_spinor(f, sr.DEFAULT)
         assert_same(phi_up, ref_phi)
@@ -352,6 +356,10 @@ def test_orbitals_materialised(case, blocks, axis):
 @pytest.mark.parametrize("special", SPECIALS)
 def test_sqrt_field(case, blocks, special):
     r = spoiled_field(case[0], special)
+    if special == "nan":
+        with pytest.raises(sr.NotPositiveSemidefiniteError):
+            sr.sqrt_field(r)
+        return
     sq = sr.sqrt_field(r)
     for got, ref in zip((sq.r_up, sq.r_dn, sq.s), ref_sqrt_field(r)):
         assert_same(got.values, ref)
@@ -360,6 +368,10 @@ def test_sqrt_field(case, blocks, special):
 @pytest.mark.parametrize("special", SPECIALS)
 def test_rank1_split(case, blocks, special):
     r = spoiled_field(case[0], special)
+    if special == "nan":
+        with pytest.raises(sr.NotPositiveSemidefiniteError):
+            sr.rank1_split(r)
+        return
     assert_same_split(sr.rank1_split(r), ref_rank1_split(r))
 
 
@@ -367,6 +379,10 @@ def test_rank1_split(case, blocks, special):
 def test_ratio_split(case, blocks, special):
     for piece in case[2]:
         piece = spoiled_field(piece, special)
+        if special == "nan":
+            with pytest.raises(sr.NullDeterminantError):
+                sr.ratio_split(piece)
+            continue
         assert_same_split(sr.ratio_split(piece), ref_ratio_split(piece))
 
 
