@@ -10,8 +10,6 @@ from .fields import (
     WeightedGradientL1,
     boundary_max,
     grad_magnitude_sq,
-    gradient,
-    gradient_arrays,
     integrate,
     integrate_values,
     lp_norm,
@@ -48,7 +46,6 @@ from .orbitals import (
     PhaseNormalizationError,
     RatioHypothesisError,
     Spinor,
-    base_spinor,
     build_orbitals,
     build_phase,
     choose_phase_axis,
@@ -96,8 +93,8 @@ from .io import (
 
 __all__ = [
     "ComplexField", "Grid3", "ScalarField", "WeightedGradientL1",
-    "boundary_max", "grad_magnitude_sq", "gradient", "gradient_arrays",
-    "integrate", "integrate_values", "lp_norm", "weighted_gradient_l1",
+    "boundary_max", "grad_magnitude_sq", "integrate",
+    "integrate_values", "lp_norm", "weighted_gradient_l1",
     "SpinDensityField", "convex_combine", "det_field", "spin_swap",
     "trace_integral",
     "DEFAULT", "ToleranceConfig",
@@ -107,7 +104,7 @@ __all__ = [
     "eigen_densities", "reconstruct", "sqrt_field",
     "NullDeterminantError", "OrbitalSet", "OrthonormalityError", "PhaseFunction",
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
-    "base_spinor", "build_orbitals", "build_phase", "choose_phase_axis",
+    "build_orbitals", "build_phase", "choose_phase_axis",
     "exchange_components", "gram_deviation", "gram_matrix",
     "kinetic_bound_rhs", "reconstruction_error", "resolve_axis",
     "CutoffFunction", "PipelineError", "SplitResult", "construct_witness",

@@ -139,15 +139,14 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def h1_seminorm(grid: Grid3, values: np.ndarray, order: int = 4) -> float:
+def h1_seminorm(grid: Grid3, values: np.ndarray) -> float:
     """integral |grad f|^2 over the box."""
-    return float(integrate_values(grid, grad_magnitude_sq(grid, values, order)))
+    return float(integrate_values(grid, grad_magnitude_sq(grid, values)))
 
 
 def w32_norms(
     grid: Grid3,
     values: np.ndarray,
-    order: int = 4,
     grad_sq: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(L^{3/2} norm of f, L^{3/2} norm of |grad f|).
@@ -155,7 +154,7 @@ def w32_norms(
     ``grad_sq`` passes |grad f|^2 when the caller has already computed it.
     """
     if grad_sq is None:
-        grad_sq = grad_magnitude_sq(grid, values, order)
+        grad_sq = grad_magnitude_sq(grid, values)
     return lp_norm(grid, values, 1.5), lp_norm(grid, grad_sq, 1.5, squared=True)
 
 
@@ -220,7 +219,7 @@ class DensityNorms:
         self._det = det
 
     def _h1_sqrt(self, values: np.ndarray) -> float:
-        return h1_seminorm(self.r.grid, _sqrt_clipped(values), self.tol.fd_order)
+        return h1_seminorm(self.r.grid, _sqrt_clipped(values))
 
     @cached_property
     def h1_up(self) -> float:
@@ -237,11 +236,11 @@ class DensityNorms:
 
     @cached_property
     def _sigma_grad_sq(self) -> np.ndarray:
-        return grad_magnitude_sq(self.r.grid, self.r.sigma.values, self.tol.fd_order)
+        return grad_magnitude_sq(self.r.grid, self.r.sigma.values)
 
     @cached_property
     def _sqrtdet_grad_sq(self) -> np.ndarray:
-        return grad_magnitude_sq(self.r.grid, self._sqrt_det.values, self.tol.fd_order)
+        return grad_magnitude_sq(self.r.grid, self._sqrt_det.values)
 
     @cached_property
     def sigma_w32(self) -> tuple[float, float]:
@@ -252,9 +251,8 @@ class DensityNorms:
         return w32_norms(self.r.grid, self._sqrt_det.values, grad_sq=self._sqrtdet_grad_sq)
 
     def _over_rho(self, f, grad_sq: np.ndarray) -> WeightedGradientL1:
-        tol = self.tol
         return weighted_gradient_l1(
-            f, self.r.rho_total, self.floor, tol.fd_order, tol.sig_rel, grad_sq=grad_sq
+            f, self.r.rho_total, self.floor, self.tol.sig_rel, grad_sq=grad_sq
         )
 
     @cached_property
@@ -334,14 +332,19 @@ def _psd_conditions(
     neg_tol = tol.neg_tol(r.scale)
     (min_up, loc_up), (min_dn, loc_dn) = _worst(r.rho_up.values), _worst(r.rho_dn.values)
     worst, (k,) = _worst((min_up, min_dn))
+    loc, passed = (loc_up, loc_dn)[k], worst >= -neg_tol
+    if not math.isfinite(r.scale):
+        # max(rho) scales the tolerances: an infinite one would pass anything
+        worst, loc = _worst(r.rho_total.values, largest=True)
+        passed = False
     nonneg = ConditionResult(
         "rho_nonneg",
-        PASS if worst >= -neg_tol else FAIL,
+        PASS if passed else FAIL,
         worst,
         {
             "min_rho_up": min_up,
             "min_rho_dn": min_dn,
-            "worst_location": (loc_up, loc_dn)[k],
+            "worst_location": loc,
             "threshold": -neg_tol,
         },
     )

@@ -8,9 +8,9 @@ Conventions used throughout the package:
   ``weights`` being the 3-D outer product of the axis weights: numpy's
   pairwise summation fixes the order, so results are reproducible
   bit-for-bit for a given grid;
-* derivatives are central finite differences (order 2 by default, order 4
-  available for the norm integrals) with one-sided second-order stencils on
-  the boundary planes.
+* derivatives are fourth-order central finite differences, second-order
+  central one node from the edge and one-sided second-order on the
+  boundary planes.
 
 Blocked passes.  The gradient kernel, the integrals and the pointwise
 passes of ``check`` run block by block, each block about ``_SLAB_BYTES``
@@ -35,8 +35,7 @@ also writes meaningless values on the axis's four boundary planes, which
 are then rewritten with the one-sided expressions.  The axis-0 stencil
 reads its halo rows straight from the input.  ``8 v`` is formed once per
 slab (with its two halo rows) and gives both ``8b`` and ``8c`` of every
-axis: multiplying by a power of two is exact.  :func:`gradient_arrays` uses
-the same slab stencil.
+axis: multiplying by a power of two is exact.
 
 The kernel is bit-identical to evaluating the stencil expressions
 directly, for any slab height and any number of workers, and any change to
@@ -277,36 +276,31 @@ def _scale(a: np.ndarray, d: float, complex_data: bool) -> None:
 
 
 def _interior(
-    vf: np.ndarray, v8f: np.ndarray | None, off8: int, s: int, q0: int, q1: int,
-    h: float, order: int, gf: np.ndarray, g0: int, complex_data: bool,
+    vf: np.ndarray, v8f: np.ndarray, off8: int, s: int, q0: int, q1: int,
+    h: float, gf: np.ndarray, g0: int, complex_data: bool,
 ) -> None:
     """The interior stencil with flat shift ``s`` at flat points q0:q1 of vf, into gf.
 
     ``gf`` holds the flat points from ``g0`` on and ``v8f`` holds ``8 * vf``
-    from flat point ``off8`` on (order 4 only).  It is one contiguous pass;
-    the points it computes on the axis's boundary planes are rewritten by
-    :func:`_ends`.
+    from flat point ``off8`` on.  It is one contiguous pass; the points it
+    computes on the axis's boundary planes are rewritten by :func:`_ends`.
     """
     if q0 >= q1:
         return
     g = gf[q0 - g0:q1 - g0]
-    if order == 2:
-        np.subtract(vf[q0 + s:q1 + s], vf[q0 - s:q1 - s], out=g)
-        _scale(g, 2.0 * h, complex_data)
-    else:
-        # ((a - 8b) + 8c) - d
-        np.subtract(vf[q0 - 2 * s:q1 - 2 * s], v8f[q0 - s - off8:q1 - s - off8], out=g)
-        np.add(g, v8f[q0 + s - off8:q1 + s - off8], out=g)
-        np.subtract(g, vf[q0 + 2 * s:q1 + 2 * s], out=g)
-        _scale(g, 12.0 * h, complex_data)
+    # ((a - 8b) + 8c) - d
+    np.subtract(vf[q0 - 2 * s:q1 - 2 * s], v8f[q0 - s - off8:q1 - s - off8], out=g)
+    np.add(g, v8f[q0 + s - off8:q1 + s - off8], out=g)
+    np.subtract(g, vf[q0 + 2 * s:q1 + 2 * s], out=g)
+    _scale(g, 12.0 * h, complex_data)
 
 
 def _ends(
-    vm: np.ndarray, h: float, order: int, lo: int, hi: int, g: np.ndarray, complex_data: bool,
+    vm: np.ndarray, h: float, lo: int, hi: int, g: np.ndarray, complex_data: bool,
 ) -> None:
     """The boundary planes of d vm / d x_0 that lie in rows lo:hi, into g, whose row 0 is row lo."""
     n = vm.shape[0]
-    for i in (0, n - 1) + ((1, n - 2) if order == 4 else ()):
+    for i in (0, 1, n - 2, n - 1):
         if not lo <= i < hi:
             continue
         if i == 0:
@@ -323,37 +317,33 @@ def _ends(
 
 
 def _slab_derivatives(
-    v: np.ndarray, spacing, order: int, lo: int, hi: int,
-    dest, v8buf: np.ndarray | None, complex_data: bool,
+    v: np.ndarray, spacing, lo: int, hi: int, g: np.ndarray, v8buf: np.ndarray,
+    complex_data: bool,
 ):
-    """Yield d v / d x_ax on rows lo:hi for ax = 0, 1, 2, each written into dest[ax].
+    """Yield d v / d x_ax on rows lo:hi for ax = 0, 1, 2, each written into g.
 
-    ``v`` is C-contiguous and ``dest[ax]`` a C-contiguous array of the slab's
-    rows.  Each axis's interior stencil is one pass over the flattened slab
-    with flat shift ``ny nz``, ``nz`` or 1 (times 2 for pair data); with
-    order 4, ``8 * v`` is formed once for the slab and its two halo rows, in
-    the flat buffer ``v8buf``, and serves all three axes.
+    ``v`` is C-contiguous and ``g`` a C-contiguous array of the slab's rows.
+    Each axis's interior stencil is one pass over the flattened slab with
+    flat shift ``ny nz``, ``nz`` or 1 (times 2 for pair data); ``8 * v`` is
+    formed once for the slab and its two halo rows, in the flat buffer
+    ``v8buf``, and serves all three axes.
     """
     n0, row = v.shape[0], v[0].size
-    vf, e = v.reshape(-1), order // 2
-    v8f = off8 = None
-    if order == 4:
-        off, end = max(lo - 1, 0), min(hi + 1, n0)
-        v8f = np.multiply(vf[off * row:end * row], 8.0, out=v8buf[:(end - off) * row])
-        off8 = off * row
+    vf = v.reshape(-1)
+    off, end = max(lo - 1, 0), min(hi + 1, n0)
+    v8f = np.multiply(vf[off * row:end * row], 8.0, out=v8buf[:(end - off) * row])
     for ax in range(3):
         s = row // math.prod(v.shape[1:ax + 1])  # flat shift of one step along ax
         if ax == 0:
-            q0, q1 = max(lo, e) * row, min(hi, n0 - e) * row
+            q0, q1 = max(lo, 2) * row, min(hi, n0 - 2) * row
         else:
-            q0, q1 = lo * row + e * s, hi * row - e * s
-        g = dest[ax]
-        _interior(vf, v8f, off8, s, q0, q1, spacing[ax], order, g.reshape(-1), lo * row,
+            q0, q1 = lo * row + 2 * s, hi * row - 2 * s
+        _interior(vf, v8f, off * row, s, q0, q1, spacing[ax], g.reshape(-1), lo * row,
                   complex_data)
         if ax == 0:
-            _ends(v, spacing[0], order, lo, hi, g, complex_data)
+            _ends(v, spacing[0], lo, hi, g, complex_data)
         else:
-            _ends(np.moveaxis(v[lo:hi], ax, 0), spacing[ax], order, 0, v.shape[ax],
+            _ends(np.moveaxis(v[lo:hi], ax, 0), spacing[ax], 0, v.shape[ax],
                   np.moveaxis(g, ax, 0), complex_data)
         yield g
 
@@ -484,56 +474,25 @@ def _over_slabs(v: np.ndarray, work) -> None:
     _over_blocks([(lo, min(lo + rows, n0)) for lo in range(0, n0, rows)], work)
 
 
-def _v8_buffer(v: np.ndarray, order: int) -> np.ndarray | None:
-    """A worker's flat buffer for ``8 * v`` on one slab and its two halo rows (order 4)."""
-    return np.empty((_slab_rows(v) + 2) * v[0].size) if order == 4 else None
-
-
-def _check_order(order: int) -> None:
-    if order not in (2, 4):
-        raise ValueError(f"unsupported stencil order {order} (use 2 or 4)")
-
-
-def gradient_arrays(grid: Grid3, values: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """The three partial derivatives of values (float64 or complex128 arrays)."""
-    _check_order(order)
-    v, complex_data = _float_view(values)
-    grads = [np.empty_like(v) for _ in range(3)]
-
-    def work(slabs):
-        v8 = _v8_buffer(v, order)
-        for lo, hi in slabs:
-            for _ in _slab_derivatives(v, grid.spacing, order, lo, hi,
-                                       [g[lo:hi] for g in grads], v8, complex_data):
-                pass
-
-    _over_slabs(v, work)
-    return tuple(g.view(np.complex128)[..., 0] if complex_data else g for g in grads)
-
-
-def gradient(f: Field, order: int = 2):
-    """Componentwise gradient, returned as three fields of the input type."""
-    cls = type(f)
-    return tuple(cls(f.grid, g) for g in gradient_arrays(f.grid, f.values, order))
-
-
-def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 2) -> np.ndarray:
+def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 4) -> np.ndarray:
     """|grad f|^2 pointwise; for complex f the moduli of the components add.
 
     Slab by slab, each axis derivative goes into one reused slab buffer and
-    is squared in place and accumulated; the result is bit-identical to
-    squaring and summing the arrays of :func:`gradient_arrays` axis by axis.
+    is squared in place and accumulated into the result, axis 0 first.
+    ``order`` must be 4, the one stencil there is.
     """
-    _check_order(order)
+    if order != 4:
+        raise ValueError(f"unsupported stencil order {order} (only 4)")
     v, complex_data = _float_view(values)
     out = np.empty(grid.dims)
 
     def work(slabs):
-        deriv, v8 = np.empty((_slab_rows(v),) + v.shape[1:]), _v8_buffer(v, order)
+        rows = _slab_rows(v)
+        deriv, v8 = np.empty((rows,) + v.shape[1:]), np.empty((rows + 2) * v[0].size)
         for lo, hi in slabs:
             d, o = deriv[:hi - lo], out[lo:hi]
-            for ax, g in enumerate(_slab_derivatives(v, grid.spacing, order, lo, hi,
-                                                     (d, d, d), v8, complex_data)):
+            for ax, g in enumerate(_slab_derivatives(v, grid.spacing, lo, hi, d, v8,
+                                                     complex_data)):
                 if complex_data:
                     np.multiply(g, g, out=g)
                     # re^2 + im^2, summed into the real slot
@@ -711,7 +670,6 @@ def weighted_gradient_l1(
     f: Field,
     w: ScalarField,
     floor: float,
-    order: int = 2,
     sig_rel: float = DEFAULT.sig_rel,
     grad_sq: np.ndarray | None = None,
 ) -> WeightedGradientL1:
@@ -724,7 +682,7 @@ def weighted_gradient_l1(
     if f.grid != w.grid:
         raise ValueError("field and weight live on different grids")
     grid = f.grid
-    gsq = grad_magnitude_sq(grid, f.values, order) if grad_sq is None else grad_sq
+    gsq = grad_magnitude_sq(grid, f.values) if grad_sq is None else grad_sq
     g, wv = _flat(grid, gsq), _flat(grid, w.values)
     masked = {}  # leaf start -> points of the leaf below the floor
 

@@ -261,6 +261,11 @@ def _base_spinor(
     tol: ToleranceConfig,
     floor: float | None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """The unnormalized spinor (sigma / sqrt(rho_dn), sqrt(rho_dn)) and its counts.
+
+    Requires det R = 0 and rho_up <= 2 rho_dn within tolerance; on the nodal
+    set of rho_dn the up component falls back to sqrt(rho_up).
+    """
     stats: dict[str, float] = {"null_det_violations": float(require_null_determinant(r, tol))}
     worst, loc = _worst(r.rho_up.values - 2.0 * r.rho_dn.values, largest=True)
     if not worst <= tol.ratio_tol(r.scale):
@@ -285,23 +290,6 @@ def _base_spinor(
     phi_up, sqrt_dn = blockwise_arrays(r.grid.dims, (complex, float), step, scratch=1)
     stats["nodal_points"], stats["nodal_fallback_points"] = map(float, np.sum(counts, axis=0))
     return phi_up, sqrt_dn, stats
-
-
-def base_spinor(
-    r: SpinDensityField,
-    tol: ToleranceConfig = DEFAULT,
-    floor: float | None = None,
-) -> tuple[ComplexField, ComplexField]:
-    """The unnormalized spinor (sigma / sqrt(rho_dn), sqrt(rho_dn)).
-
-    Requires det R = 0 and rho_up <= 2 rho_dn within tolerance; on the nodal
-    set of rho_dn the up component falls back to sqrt(rho_up).
-    """
-    up, dn, _ = _base_spinor(r, tol, floor)
-    return (
-        ComplexField(r.grid, frozen(up)),
-        ComplexField(r.grid, frozen(dn.astype(np.complex128))),
-    )
 
 
 # -- orbital set ---------------------------------------------------------------

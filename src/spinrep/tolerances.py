@@ -40,9 +40,6 @@ class ToleranceConfig:
     sig_rel: float = 1e-9            # significance cutoff for masked points
     boundary_rel: float = 1e-8       # boundary-density warning level, x max(rho)
 
-    # numerics
-    fd_order: int = 4             # stencil order used for norm/kinetic integrals
-
     # constructive pipeline
     degenerate_weight: float = 1e-12  # split weight below which a branch drops
     null_det_rel: float = 1e-10       # |det| tolerance for null-determinant input
@@ -71,8 +68,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
-        if self.fd_order not in (2, 4):
-            raise ValueError(f"fd_order must be 2 or 4, got {self.fd_order}")
         for name in ("neg_abs", "norm_abs", "floor_abs"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):

@@ -65,7 +65,7 @@ def density_of(w: Witness) -> SpinDensityField:
     )
 
 
-def kinetic_by_spin(w: Witness, tol: ToleranceConfig = DEFAULT) -> tuple[float, float]:
+def kinetic_by_spin(w: Witness) -> tuple[float, float]:
     """(T_up, T_dn): weighted sums of integral |grad Phi^a|^2 per spin component.
 
     This is Tr(-Laplacian gamma^aa) for the one-body operator of the witness
@@ -76,14 +76,14 @@ def kinetic_by_spin(w: Witness, tol: ToleranceConfig = DEFAULT) -> tuple[float, 
     for branch in w.branches:
         p = branch.weight
         for orb in branch.orbitals.orbitals:
-            t_up += p * h1_seminorm(w.grid, orb.up.values, tol.fd_order)
-            t_dn += p * h1_seminorm(w.grid, orb.dn.values, tol.fd_order)
+            t_up += p * h1_seminorm(w.grid, orb.up.values)
+            t_dn += p * h1_seminorm(w.grid, orb.dn.values)
     return t_up, t_dn
 
 
-def kinetic_energy(w: Witness, tol: ToleranceConfig = DEFAULT) -> float:
+def kinetic_energy(w: Witness) -> float:
     """Tr(-Laplacian gamma) of the witness (no 1/2 factor)."""
-    t_up, t_dn = kinetic_by_spin(w, tol)
+    t_up, t_dn = kinetic_by_spin(w)
     return t_up + t_dn
 
 
@@ -202,7 +202,7 @@ def verify(
     ))
 
     # (iv) finite kinetic energy
-    t_up, t_dn = kinetic_by_spin(w, tol)
+    t_up, t_dn = kinetic_by_spin(w)
     total = t_up + t_dn
     checks.append(ConditionResult(
         "kinetic_finite",

@@ -48,49 +48,35 @@ def test_field_rejects_wrong_size(grid32):
 
 def test_gradient_exact_on_affine(grid32):
     x, y, z = grid32.meshgrid()
-    f = sr.ScalarField(grid32, 2.0 * x - 3.0 * y + 0.5 * z)
-    for order in (2, 4):
-        gx, gy, gz = sr.gradient_arrays(grid32, f.values, order=order)
-        np.testing.assert_allclose(gx, 2.0, atol=1e-12)
-        np.testing.assert_allclose(gy, -3.0, atol=1e-12)
-        np.testing.assert_allclose(gz, 0.5, atol=1e-12)
+    gsq = sr.grad_magnitude_sq(grid32, 2.0 * x - 3.0 * y + 0.5 * z)
+    np.testing.assert_allclose(gsq, 2.0**2 + 3.0**2 + 0.5**2, atol=1e-12)
 
 
 def test_gradient_order4_exact_on_quartic_interior():
     grid = cube(16, 2.0)
     x, _, _ = grid.meshgrid()
-    gx = sr.gradient_arrays(grid, x**4 - 2.0 * x**3, order=4)[0]
+    gsq = sr.grad_magnitude_sq(grid, x**4 - 2.0 * x**3)
     exact = 4.0 * x**3 - 6.0 * x**2
-    np.testing.assert_allclose(gx[2:-2], exact[2:-2], atol=1e-10)
+    np.testing.assert_allclose(np.sqrt(gsq[2:-2]), np.abs(exact[2:-2]), atol=1e-10)
 
 
-def test_gradient_second_order_convergence():
-    # gaussian: max-norm error of the order-2 stencil should shrink ~h^2
+def test_gradient_fourth_order_convergence():
+    # gaussian: max-norm error of |grad f| should shrink ~h^4 as h halves
     errs = []
-    for n in (24, 48):
+    for n in (33, 65):
         grid = cube(n)
         vals = gaussian_values(grid, width=1.5)
-        x, _, _ = grid.meshgrid()
-        exact = -2.0 * x / 1.5**2 * vals
-        gx = sr.gradient_arrays(grid, vals, order=2)[0]
-        errs.append(np.max(np.abs(gx - exact)))
-    ratio = errs[0] / errs[1]
-    assert 3.2 < ratio < 5.5
-
-
-def test_gradient_order4_beats_order2():
-    grid = cube(32)
-    f = sr.ScalarField(grid, gaussian_values(grid, width=1.5))
-    x, _, _ = grid.meshgrid()
-    exact = -2.0 * x / 1.5**2 * f.values
-    err2 = np.max(np.abs(sr.gradient_arrays(grid, f.values, order=2)[0] - exact))
-    err4 = np.max(np.abs(sr.gradient_arrays(grid, f.values, order=4)[0] - exact))
-    assert err4 < 0.2 * err2
+        x, y, z = grid.meshgrid()
+        exact = 2.0 * np.sqrt(x * x + y * y + z * z) / 1.5**2 * vals
+        errs.append(np.max(np.abs(np.sqrt(sr.grad_magnitude_sq(grid, vals)) - exact)))
+    order = np.log2(errs[0] / errs[1])
+    assert 3.5 < order < 4.5
 
 
 def test_gradient_rejects_bad_order(grid32):
-    with pytest.raises(ValueError):
-        sr.gradient_arrays(grid32, gaussian_values(grid32), order=3)
+    for order in (2, 3):
+        with pytest.raises(ValueError):
+            sr.grad_magnitude_sq(grid32, gaussian_values(grid32), order)
 
 
 def test_integrate_unit_gaussian(grid32):
@@ -104,14 +90,6 @@ def test_integrate_complex(grid32):
     val = sr.integrate(f)
     assert isinstance(val, complex)
     np.testing.assert_allclose(val, 1.0 + 2.0j, rtol=1e-10)
-
-
-def test_grad_magnitude_sq_matches_components(grid32):
-    vals = gaussian_values(grid32, width=1.5)
-    gx, gy, gz = sr.gradient_arrays(grid32, vals, order=4)
-    np.testing.assert_allclose(
-        sr.grad_magnitude_sq(grid32, vals, order=4), gx**2 + gy**2 + gz**2,
-        rtol=1e-14)
 
 
 def test_h1_seminorm_gaussian_oracle():
@@ -139,7 +117,7 @@ def test_weighted_gradient_l1_analytic():
     rho = 2.0 * gaussian_values(grid)
     f = sr.ScalarField(grid, rho)
     w = sr.ScalarField(grid, rho)
-    res = weighted_gradient_l1(f, w, floor=1e-12 * rho.max(), order=4)
+    res = weighted_gradient_l1(f, w, floor=1e-12 * rho.max())
     assert abs(res.value - 12.0) < 0.12
     assert res.significant_masked_points == 0
 
@@ -149,8 +127,8 @@ def test_weighted_gradient_l1_floor_insensitive():
     rho = 2.0 * gaussian_values(grid)
     f = sr.ScalarField(grid, rho)
     w = sr.ScalarField(grid, rho)
-    lo = weighted_gradient_l1(f, w, floor=1e-14 * rho.max(), order=4)
-    hi = weighted_gradient_l1(f, w, floor=1e-10 * rho.max(), order=4)
+    lo = weighted_gradient_l1(f, w, floor=1e-14 * rho.max())
+    hi = weighted_gradient_l1(f, w, floor=1e-10 * rho.max())
     # finite-difference leakage in the decaying tail leaves a ~1e-5 relative
     # shell contribution between floor levels; the value itself is stable
     np.testing.assert_allclose(lo.value, hi.value, rtol=1e-4)

@@ -75,7 +75,7 @@ def test_ratio_test_refuses_a_nan_excess(rank1_32):
     up[3, 4, 5] = dn[3, 4, 5] = np.inf
     r = field_from_arrays(rank1_32.grid, up, dn, rank1_32.sigma.values)
     with pytest.raises(sr.RatioHypothesisError), np.errstate(invalid="ignore"):
-        sr.base_spinor(r)
+        sr.orbitals._base_spinor(r, sr.DEFAULT, None)
 
 
 # -- the reports show the NaN --------------------------------------------------------

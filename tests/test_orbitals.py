@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 import spinrep as sr
-from spinrep.orbitals import kinetic_bound_rhs
+from spinrep.orbitals import _base_spinor, kinetic_bound_rhs
 
 from _helpers import (
     cube,
@@ -84,24 +84,24 @@ def test_base_spinor_symmetric_real(grid32):
     # sigma = sqrt(rho_up rho_dn) real: phi_up must reduce to sqrt(rho_up)
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, g.copy(), g.astype(complex))
-    up, dn = sr.base_spinor(r)
-    np.testing.assert_allclose(up.values, np.sqrt(g), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(dn.values, np.sqrt(g), rtol=0, atol=1e-14)
+    up, dn, _ = _base_spinor(r, sr.DEFAULT, None)
+    np.testing.assert_allclose(up, np.sqrt(g), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dn, np.sqrt(g), rtol=0, atol=1e-14)
 
 
 def test_base_spinor_carries_phase(grid32):
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, g.copy(), 1j * g)
-    up, _ = sr.base_spinor(r)
+    up, _, _ = _base_spinor(r, sr.DEFAULT, None)
     # compare away from the nodal fallback set, where the phase is arbitrary
     live = g >= 1e-10 * g.max()
-    np.testing.assert_allclose(up.values[live], 1j * np.sqrt(g[live]),
+    np.testing.assert_allclose(up[live], 1j * np.sqrt(g[live]),
                                rtol=0, atol=1e-14)
 
 
 def test_base_spinor_requires_null_det(mixture32):
     with pytest.raises(sr.NullDeterminantError):
-        sr.base_spinor(mixture32)
+        _base_spinor(mixture32, sr.DEFAULT, None)
 
 
 def test_base_spinor_requires_dominated_up(grid32):
@@ -109,7 +109,7 @@ def test_base_spinor_requires_dominated_up(grid32):
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, np.zeros_like(g), np.zeros_like(g, dtype=complex))
     with pytest.raises(sr.RatioHypothesisError):
-        sr.base_spinor(r)
+        _base_spinor(r, sr.DEFAULT, None)
 
 
 # -- orbital construction --------------------------------------------------------

@@ -219,7 +219,7 @@ def test_weighted_gradient_l1_bit_exact(blocks, grid_name, masked, leaf, workers
     gsq, w = _ratio_inputs(grid, masked)
     floor, sig_rel = 1e-6, 1e-9
     f = sr.ScalarField(grid, np.zeros(grid.dims))
-    res = sr.weighted_gradient_l1(f, sr.ScalarField(grid, w), floor, 4, sig_rel, grad_sq=gsq)
+    res = sr.weighted_gradient_l1(f, sr.ScalarField(grid, w), floor, sig_rel, grad_sq=gsq)
     value, n_masked, significant = _reference_weighted_gradient_l1(grid, gsq, w, floor, sig_rel)
     assert res.value == value
     assert res.masked_points == n_masked
@@ -360,7 +360,7 @@ def test_concurrent_callers_with_more_workers_than_cpus(blocks):
 
     def caller():
         for _ in range(10):
-            res = sr.weighted_gradient_l1(f, wf, 1e-6, 4, 1e-9, grad_sq=gsq)
+            res = sr.weighted_gradient_l1(f, wf, 1e-6, 1e-9, grad_sq=gsq)
             got = (sr.integrate_values(grid, v),
                    (res.value, res.masked_points, res.significant_masked_points))
             exact.append(got == expected)

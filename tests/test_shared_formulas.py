@@ -1,11 +1,12 @@
 """Each formula that has one home now gives the bits of the separate bodies it replaced.
 
-The reference bodies below are the former implementations of ``gram_matrix``,
-``occupation_spectrum``, ``density_of``, ``reconstruction_error``,
-``kinetic_by_spin`` and the base-spinor reconstruction error of
-``build_orbitals``.  Results are compared byte for byte, so the sign of every
-zero counts, on a one-branch (rank-1), a two-branch (mixture) and a
-four-branch witness, with the blocked passes on one and on two workers.
+The reference bodies in ``_reference.py`` are the former implementations of
+``gram_matrix``, ``occupation_spectrum``, ``density_of``,
+``reconstruction_error``, ``kinetic_by_spin`` and the base-spinor
+reconstruction error of ``build_orbitals``.  Results are compared byte for
+byte, so the sign of every zero counts, on a one-branch (rank-1), a
+two-branch (mixture) and a four-branch witness, with the blocked passes on
+one and on two workers.
 """
 
 from dataclasses import replace
@@ -14,111 +15,20 @@ import numpy as np
 import pytest
 
 import spinrep as sr
-from spinrep import fields
+from spinrep import fields, orbitals
 
 from _helpers import cube, mixture
-
-# -- the former bodies --------------------------------------------------------
-
-
-def ref_gram_matrix(orbitals):
-    n = len(orbitals)
-    grid = orbitals[0].grid
-    g = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            val = sr.integrate_values(
-                grid,
-                np.conj(orbitals[i].up.values) * orbitals[j].up.values
-                + np.conj(orbitals[i].dn.values) * orbitals[j].dn.values,
-            )
-            if i == j:
-                val = complex(val.real, 0.0)
-            g[i, j] = val
-            g[j, i] = np.conj(val)
-    return g
-
-
-def ref_occupation_spectrum(w):
-    entries = [(b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals]
-    m = len(entries)
-    k = np.empty((m, m), dtype=np.complex128)
-    roots = np.sqrt([max(p, 0.0) for p, _ in entries])
-    for i in range(m):
-        for j in range(i, m):
-            oi, oj = entries[i][1], entries[j][1]
-            ov = sr.integrate_values(
-                w.grid,
-                np.conj(oi.up.values) * oj.up.values + np.conj(oi.dn.values) * oj.dn.values,
-            )
-            k[i, j] = roots[i] * roots[j] * ov
-            k[j, i] = np.conj(k[i, j])
-    return np.sort(np.linalg.eigvalsh(k))[::-1]
-
-
-def ref_density_of(w):
-    up = np.zeros(w.grid.dims)
-    dn = np.zeros(w.grid.dims)
-    sg = np.zeros(w.grid.dims, dtype=np.complex128)
-    for branch in w.branches:
-        p = branch.weight
-        for orb in branch.orbitals.orbitals:
-            u, d = orb.up.values, orb.dn.values
-            up += p * (u.real * u.real + u.imag * u.imag)
-            dn += p * (d.real * d.real + d.imag * d.imag)
-            sg += p * (u * np.conj(d))
-    return up, dn, sg
-
-
-def ref_reconstruction_error(orbitals, r):
-    up = np.zeros(r.grid.dims)
-    dn = np.zeros(r.grid.dims)
-    sg = np.zeros(r.grid.dims, dtype=np.complex128)
-    for orb in orbitals:
-        u, d = orb.up.values, orb.dn.values
-        up += u.real * u.real + u.imag * u.imag
-        dn += d.real * d.real + d.imag * d.imag
-        sg += u * np.conj(d)
-    return max(
-        float(np.max(np.abs(up - r.rho_up.values))),
-        float(np.max(np.abs(dn - r.rho_dn.values))),
-        float(np.max(np.abs(sg - r.sigma.values))),
-    )
-
-
-def ref_kinetic_by_spin(w, tol=sr.DEFAULT):
-    t_up = 0.0
-    t_dn = 0.0
-    order = tol.fd_order
-    for branch in w.branches:
-        p = branch.weight
-        for orb in branch.orbitals.orbitals:
-            t_up += p * float(sr.integrate_values(
-                w.grid, sr.grad_magnitude_sq(w.grid, orb.up.values, order)))
-            t_dn += p * float(sr.integrate_values(
-                w.grid, sr.grad_magnitude_sq(w.grid, orb.dn.values, order)))
-    return t_up, t_dn
-
-
-def ref_base_reconstruction_error(phi_up, sqrt_dn, r):
-    up = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
-    err = float(np.max(np.abs(up - r.rho_up.values)))
-    err = max(err, float(np.max(np.abs(sqrt_dn * sqrt_dn - r.rho_dn.values))))
-    return max(err, float(np.max(np.abs(phi_up * sqrt_dn - r.sigma.values))))
-
+from _reference import (
+    build_fields,
+    ref_base_reconstruction_error,
+    ref_density_of,
+    ref_gram_matrix,
+    ref_kinetic_by_spin,
+    ref_occupation_spectrum,
+    ref_reconstruction_error,
+)
 
 # -- witnesses ------------------------------------------------------------------
-
-
-def build_fields(r, tol):
-    """The rank-1 fields construct_witness hands to build_orbitals, in its order."""
-    out = []
-    for outer, piece in sr.rank1_split(r, tol).pairs():
-        slots = sr.ratio_split(piece, tol).slots()
-        for needs_swap, (inner, sub) in zip((True, False), slots):
-            if sub is not None and outer * inner >= tol.degenerate_weight:
-                out.append(sr.spin_swap(sub) if needs_swap else sub)
-    return out
 
 
 def polarized_rank1():
@@ -183,8 +93,7 @@ def test_density_of(case, workers):
 
 
 def test_kinetic_by_spin(case, workers):
-    _, tol, w = case
-    assert_same_bits(sr.kinetic_by_spin(w, tol), ref_kinetic_by_spin(w, tol))
+    assert_same_bits(sr.kinetic_by_spin(case[2]), ref_kinetic_by_spin(case[2]))
 
 
 def test_reconstruction_errors(case, workers):
@@ -195,8 +104,8 @@ def test_reconstruction_errors(case, workers):
         orbs = sr.build_orbitals(f, tol=tol)
         assert_same_bits(sr.reconstruction_error(orbs.orbitals, f),
                          ref_reconstruction_error(orbs.orbitals, f))
-        phi_up, sqrt_dn = sr.base_spinor(f, tol)
+        phi_up, sqrt_dn, _ = orbitals._base_spinor(f, tol, None)
         assert_same_bits(
             orbs.diagnostics["reconstruction_abs"],
-            ref_base_reconstruction_error(phi_up.values, sqrt_dn.values.real, f),
+            ref_base_reconstruction_error(phi_up, sqrt_dn, f),
         )

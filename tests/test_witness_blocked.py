@@ -1,6 +1,6 @@
 """The blocked passes of the witness path against the whole-array bodies they replaced.
 
-The references below are the former bodies, kept verbatim: the overlap
+The references in ``_reference.py`` are the former bodies: the overlap
 loop (``orbitals._overlaps``), the density sums (``orbitals._density_sums``),
 the density match of ``verify``, the base spinor (``orbitals._base_spinor``),
 ``|base|^2`` of the Gram gate, the orbital materialisation of
@@ -25,10 +25,22 @@ import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
-from spinrep.decompose import _piece, _weigh
 from spinrep.witness import _l1_distance
 
 from _helpers import cube
+from _reference import (
+    build_fields,
+    ref_base_reconstruction_error,
+    ref_base_spinor,
+    ref_density_match,
+    ref_density_sums,
+    ref_orbital_values,
+    ref_overlaps,
+    ref_phase_gram_deviation,
+    ref_ratio_split,
+    ref_rank1_split,
+    ref_sqrt_field,
+)
 
 GRIDS = {
     "48^3": cube(48),
@@ -40,144 +52,6 @@ LEAF_BYTES = [None, 1000]
 WORKERS = [1, 2, 3]
 # -0.0 among the smallest entries (the data is otherwise unchanged), or NaN
 SPECIALS = ["negzero", "nan"]
-
-# -- the former bodies --------------------------------------------------------
-
-
-def ref_overlaps(orbitals):
-    n = len(orbitals)
-    grid = orbitals[0].grid
-    o = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        a = orbitals[i]
-        for j in range(i, n):
-            b = orbitals[j]
-            o[i, j] = sr.integrate_values(
-                grid,
-                np.conj(a.up.values) * b.up.values + np.conj(a.dn.values) * b.dn.values,
-            )
-            o[j, i] = np.conj(o[i, j])
-    return o
-
-
-def ref_density_sums(grid, weighted):
-    up = np.zeros(grid.dims)
-    dn = np.zeros(grid.dims)
-    sg = np.zeros(grid.dims, dtype=np.complex128)
-    for p, orb in weighted:
-        u, d = orb.up.values, orb.dn.values
-        up += p * (u.real * u.real + u.imag * u.imag)
-        dn += p * (d.real * d.real + d.imag * d.imag)
-        sg += p * (u * np.conj(d))
-    return up, dn, sg
-
-
-def ref_density_match(rec, target):
-    grid = rec.grid
-    return (
-        sr.integrate_values(grid, np.abs(rec.rho_up.values - target.rho_up.values)),
-        sr.integrate_values(grid, np.abs(rec.rho_dn.values - target.rho_dn.values)),
-        sr.integrate_values(grid, np.abs(rec.sigma.values - target.sigma.values)),
-    )
-
-
-def ref_base_spinor(r, tol, floor=None):
-    stats = {"null_det_violations": float(orbitals.require_null_determinant(r, tol))}
-    ratio_excess = r.rho_up.values - 2.0 * r.rho_dn.values
-    worst = float(np.max(ratio_excess))
-    if worst > tol.ratio_tol(r.scale):
-        raise sr.RatioHypothesisError(worst)
-    if floor is None:
-        floor = tol.sqrt_floor(r.scale)
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    sqrt_dn = np.sqrt(dn)
-    live = dn >= floor
-    phi_up = np.zeros(r.grid.dims, dtype=np.complex128)
-    np.divide(r.sigma.values, sqrt_dn, out=phi_up, where=live)
-    nodal = ~live
-    phi_up[nodal] = np.sqrt(up[nodal])
-    stats["nodal_points"] = float(np.count_nonzero(nodal))
-    stats["nodal_fallback_points"] = float(np.count_nonzero(nodal & (up >= floor)))
-    return phi_up, sqrt_dn, stats
-
-
-def ref_phase_gram_deviation(phi_up, sqrt_dn, phase, grid):
-    base_sq = phi_up.real * phi_up.real + phi_up.imag * phi_up.imag
-    base_sq += sqrt_dn * sqrt_dn
-    ax = phase.axis
-    mu = (grid.axis_weights[ax] * orbitals._transverse_marginal(grid, base_sq, ax)
-          / phase.n_electrons)
-    dev = abs(float(np.sum(mu)) - 1.0)
-    for d in range(1, phase.n_electrons):
-        dev = max(dev, float(abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))))
-    return dev
-
-
-def ref_orbital_values(phi_up, sqrt_dn, phase, grid):
-    ax, n = phase.axis, phase.n_electrons
-    shape = [1, 1, 1]
-    shape[ax] = grid.dims[ax]
-    f = phase.values.reshape(shape)
-    inv_sqrt_n = 1.0 / math.sqrt(n)
-    out = []
-    for k in range(1, n + 1):
-        factor = np.exp(2j * np.pi * k * f) * inv_sqrt_n
-        out.append((phi_up * factor, sqrt_dn * factor))
-    return out
-
-
-def ref_sqrt_field(r, tol=sr.DEFAULT):
-    sq_det = np.sqrt(np.clip(sr.det_field(r, tol).values, 0.0, None))
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    denom = up + dn + 2.0 * sq_det
-    floor = tol.sqrt_floor(r.scale)
-    mask = denom >= floor
-    inv = np.zeros(r.grid.dims)
-    np.divide(1.0, np.sqrt(denom, out=denom), out=inv, where=mask)
-    del denom, mask
-    for a in (up, dn):
-        a += sq_det
-        a *= inv
-    return up, dn, r.sigma.values * inv
-
-
-def ref_rank1_split(r, tol=sr.DEFAULT):
-    ru, rd, s = ref_sqrt_field(r, tol)
-    s2 = s.real * s.real + s.imag * s.imag
-    uu = ru * ru
-    t, weight, keep_one, keep_two = _weigh(uu, s2, r, tol)
-    one = two = None
-    if keep_one:
-        one = _piece((uu, s2.copy() if keep_two else s2, s * ru), t, r)
-    del uu, ru
-    if keep_two:
-        two = _piece((s2, rd * rd, s * rd), 1.0 - t, r)
-    return sr.SplitResult(weight, one, two)
-
-
-def ref_ratio_split(r, tol=sr.DEFAULT, cutoff=sr.CutoffFunction()):
-    orbitals.require_null_determinant(r, tol)
-    up = np.clip(r.rho_up.values, 0.0, None)
-    dn = np.clip(r.rho_dn.values, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = up / dn
-    ratio[np.isnan(ratio)] = 1.0
-    w = cutoff(ratio) ** 2
-    del ratio
-    up_one, dn_one = w * up, w * dn
-    t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r, tol)
-    sg = r.sigma.values
-    one = two = None
-    if keep_one:
-        one = _piece((up_one, dn_one, w * sg), t, r)
-    del up_one, dn_one
-    if keep_two:
-        wc = np.subtract(1.0, w, out=w)
-        two = _piece((wc * up, wc * dn, wc * sg), 1.0 - t, r)
-    return sr.SplitResult(weight, one, two)
-
 
 # -- inputs -------------------------------------------------------------------
 
@@ -254,16 +128,6 @@ def spoiled_witness(w, special):
                         dn=sr.ComplexField(w.grid, spoiled(first.dn.values, special, 20 + bi)))
         branches.append(replace(b, orbitals=replace(b.orbitals, orbitals=(orb, *rest))))
     return sr.Witness(grid=w.grid, n_electrons=w.n_electrons, branches=tuple(branches))
-
-
-def build_fields(r, tol=sr.DEFAULT):
-    """The rank-1 fields construct_witness hands to build_orbitals, in its order."""
-    out = []
-    for outer, piece in sr.rank1_split(r, tol).pairs():
-        for needs_swap, (inner, sub) in zip((True, False), sr.ratio_split(piece, tol).slots()):
-            if sub is not None and outer * inner >= tol.degenerate_weight:
-                out.append(sr.spin_swap(sub) if needs_swap else sub)
-    return out
 
 
 @pytest.fixture(scope="module", params=list(GRIDS))
@@ -346,11 +210,8 @@ def test_orbitals_materialised(case, blocks, axis):
     for orb, (up, dn) in zip(orbs.orbitals, refs):
         assert_same(orb.up.values, up)
         assert_same(orb.dn.values, dn)
-    targets = (f.rho_up.values, f.rho_dn.values, f.sigma.values)
-    sums = (phi_up.real * phi_up.real + phi_up.imag * phi_up.imag, sqrt_dn * sqrt_dn,
-            phi_up * sqrt_dn)
-    assert orbs.diagnostics["reconstruction_abs"] == max(
-        float(np.max(np.abs(a - t))) for a, t in zip(sums, targets))
+    assert orbs.diagnostics["reconstruction_abs"] == ref_base_reconstruction_error(
+        phi_up, sqrt_dn, f)
 
 
 @pytest.mark.parametrize("special", SPECIALS)
