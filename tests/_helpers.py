@@ -3,6 +3,7 @@
 import numpy as np
 
 import spinrep as sr
+from spinrep import fields
 
 
 def cube(n: int, half: float = 8.0) -> sr.Grid3:
@@ -58,3 +59,26 @@ def max_abs_diff(r1: sr.SpinDensityField, r2: sr.SpinDensityField) -> float:
         float(np.max(np.abs(r1.rho_dn.values - r2.rho_dn.values))),
         float(np.max(np.abs(r1.sigma.values - r2.sigma.values))),
     )
+
+
+def kernel_derivatives(grid: sr.Grid3, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three axis derivatives that the |grad f|^2 kernel forms, as whole arrays.
+
+    Runs ``fields._slab_derivatives`` over the slabs and workers that
+    ``grad_magnitude_sq`` uses, and copies each slab's derivative out of the
+    reused buffer; complex data gives complex128 derivatives.
+    """
+    v, complex_data = fields._float_view(values)
+    dtype = np.complex128 if complex_data else np.float64
+    out = [np.empty(grid.dims, dtype=dtype) for _ in range(3)]
+
+    def work(slabs):
+        rows = fields._slab_rows(v)
+        deriv, v8 = np.empty((rows,) + v.shape[1:]), np.empty((rows + 2) * v[0].size)
+        for lo, hi in slabs:
+            for ax, g in enumerate(fields._slab_derivatives(
+                    v, grid.spacing, lo, hi, deriv[:hi - lo], v8, complex_data)):
+                out[ax][lo:hi] = g.view(np.complex128)[..., 0] if complex_data else g
+
+    fields._over_slabs(v, work)
+    return tuple(out)

@@ -4,7 +4,7 @@ import pytest
 import spinrep as sr
 from spinrep.fields import boundary_max, weighted_gradient_l1
 
-from _helpers import cube, gaussian_values
+from _helpers import cube, gaussian_values, kernel_derivatives
 
 
 def test_grid_geometry():
@@ -73,6 +73,31 @@ def test_gradient_fourth_order_convergence():
     assert 3.5 < order < 4.5
 
 
+def test_gradient_second_order_convergence():
+    # the one-sided closure on the boundary planes is second order: where the
+    # field does not vanish there, the max-norm error of |grad f| shrinks ~h^2
+    errs = []
+    for n in (25, 49):
+        grid = cube(n, 1.0)
+        x, y, z = grid.meshgrid()
+        vals = np.exp(0.6 * x - 0.4 * y + 0.2 * z)
+        exact = np.sqrt(0.6**2 + 0.4**2 + 0.2**2) * vals
+        errs.append(np.max(np.abs(np.sqrt(sr.grad_magnitude_sq(grid, vals)) - exact)))
+    ratio = errs[0] / errs[1]
+    assert 3.2 < ratio < 5.5
+
+
+def test_gradient_order4_beats_order2():
+    # the kernel's x derivative against a second-order central difference
+    grid = cube(32)
+    f = sr.ScalarField(grid, gaussian_values(grid, width=1.5))
+    x, _, _ = grid.meshgrid()
+    exact = -2.0 * x / 1.5**2 * f.values
+    err2 = np.max(np.abs(np.gradient(f.values, grid.spacing[0], axis=0, edge_order=2) - exact))
+    err4 = np.max(np.abs(kernel_derivatives(grid, f.values)[0] - exact))
+    assert err4 < 0.2 * err2
+
+
 def test_gradient_rejects_bad_order(grid32):
     for order in (2, 3):
         with pytest.raises(ValueError):
@@ -90,6 +115,13 @@ def test_integrate_complex(grid32):
     val = sr.integrate(f)
     assert isinstance(val, complex)
     np.testing.assert_allclose(val, 1.0 + 2.0j, rtol=1e-10)
+
+
+def test_grad_magnitude_sq_matches_components(grid32):
+    vals = gaussian_values(grid32, width=1.5)
+    gx, gy, gz = kernel_derivatives(grid32, vals)
+    np.testing.assert_allclose(
+        sr.grad_magnitude_sq(grid32, vals, 4), gx**2 + gy**2 + gz**2, rtol=1e-14)
 
 
 def test_h1_seminorm_gaussian_oracle():

@@ -3,7 +3,12 @@
 ``_reference_axis_gradient`` and ``_reference_grad_magnitude_sq`` are the
 allocate-per-expression implementation kept verbatim as the reference: the
 kernel must reproduce it bit for bit, not merely to a tolerance, for every
-slab height and every number of workers.
+slab height and every number of workers.  Order 4 is compared everywhere,
+both as |grad f|^2 and as the three axis derivatives the kernel forms.
+Order 2 is no longer a stencil of its own, but its formulas are the
+kernel's boundary closure: the order-2 cases compare the kernel with the
+order-2 reference on the boundary planes of each axis (for |grad f|^2, on
+the points that lie on boundary planes of all three axes).
 """
 
 import multiprocessing
@@ -17,29 +22,43 @@ import pytest
 import spinrep as sr
 from spinrep import fields
 
-from _helpers import cube
+from _helpers import cube, kernel_derivatives
 
 
-def _reference_axis_gradient(v, h, axis):
+def _reference_axis_gradient(v, h, axis, order):
     vm = np.moveaxis(v, axis, 0)
     g = np.empty_like(vm)
-    g[2:-2] = (vm[:-4] - 8.0 * vm[1:-3] + 8.0 * vm[3:-1] - vm[4:]) / (12.0 * h)
-    g[1] = (vm[2] - vm[0]) / (2.0 * h)
-    g[-2] = (vm[-1] - vm[-3]) / (2.0 * h)
+    if order == 2:
+        g[1:-1] = (vm[2:] - vm[:-2]) / (2.0 * h)
+    elif order == 4:
+        g[2:-2] = (vm[:-4] - 8.0 * vm[1:-3] + 8.0 * vm[3:-1] - vm[4:]) / (12.0 * h)
+        g[1] = (vm[2] - vm[0]) / (2.0 * h)
+        g[-2] = (vm[-1] - vm[-3]) / (2.0 * h)
+    else:
+        raise ValueError(f"unsupported stencil order {order} (use 2 or 4)")
     g[0] = (-3.0 * vm[0] + 4.0 * vm[1] - vm[2]) / (2.0 * h)
     g[-1] = (3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]) / (2.0 * h)
     return np.moveaxis(g, 0, axis)
 
 
-def _reference_grad_magnitude_sq(grid, values):
+def _reference_gradient_arrays(grid, values, order):
+    return tuple(_reference_axis_gradient(values, grid.spacing[ax], ax, order)
+                 for ax in range(3))
+
+
+def _reference_grad_magnitude_sq(grid, values, order):
     out = np.zeros(grid.dims)
-    for ax in range(3):
-        g = _reference_axis_gradient(values, grid.spacing[ax], ax)
+    for g in _reference_gradient_arrays(grid, values, order):
         if np.iscomplexobj(g):
             out += g.real * g.real + g.imag * g.imag
         else:
             out += g * g
     return out
+
+
+def _closure(n):
+    """Indices along an axis of n nodes where the order-4 stencil uses the order-2 formulas."""
+    return sorted({0, 1, n - 2, n - 1})
 
 
 GRIDS = {
@@ -70,10 +89,24 @@ def _sample(grid, complex_data):
 def _assert_grad_sq_exact(grid, complex_data, order):
     vals = _sample(grid, complex_data)
     before = vals.copy()
-    got = sr.grad_magnitude_sq(grid, vals, order)
+    got = sr.grad_magnitude_sq(grid, vals, 4)
     assert got.dtype == np.float64 and got.shape == grid.dims
-    assert np.array_equal(got, _reference_grad_magnitude_sq(grid, vals))
+    ref = _reference_grad_magnitude_sq(grid, vals, order)
+    if order == 2:
+        closure = np.ix_(*(_closure(n) for n in grid.dims))
+        got, ref = got[closure], ref[closure]
+    assert np.array_equal(got, ref)
     assert np.array_equal(vals, before)
+
+
+def _assert_gradient_arrays_exact(grid, complex_data, order):
+    vals = _sample(grid, complex_data)
+    got = kernel_derivatives(grid, vals)
+    for ax, (g, ref) in enumerate(zip(got, _reference_gradient_arrays(grid, vals, order))):
+        assert g.dtype == ref.dtype and g.shape == grid.dims
+        if order == 2:
+            g, ref = (np.take(a, _closure(grid.dims[ax]), axis=ax) for a in (g, ref))
+        assert np.array_equal(g, ref)
 
 
 def _set_slabs_and_workers(monkeypatch, grid, complex_data, rows, workers):
@@ -83,17 +116,23 @@ def _set_slabs_and_workers(monkeypatch, grid, complex_data, rows, workers):
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
 
 
-# ``order`` is passed positionally, as the benchmark's probe passes it
 @pytest.mark.parametrize("grid_name", GRIDS)
 @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("order", [4])
+@pytest.mark.parametrize("order", [2, 4])
 def test_grad_magnitude_sq_bit_exact(grid_name, complex_data, order):
     _assert_grad_sq_exact(GRIDS[grid_name], complex_data, order)
 
 
 @pytest.mark.parametrize("grid_name", GRIDS)
 @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("order", [4])
+@pytest.mark.parametrize("order", [2, 4])
+def test_gradient_arrays_bit_exact(grid_name, complex_data, order):
+    _assert_gradient_arrays_exact(GRIDS[grid_name], complex_data, order)
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("rows", SLAB_ROWS, ids=["1row", "3rows", "default"])
 @pytest.mark.parametrize("workers", WORKERS, ids=lambda w: f"{w}w")
 def test_grad_magnitude_sq_bit_exact_any_slabs_and_workers(
@@ -103,12 +142,24 @@ def test_grad_magnitude_sq_bit_exact_any_slabs_and_workers(
     _assert_grad_sq_exact(grid, complex_data, order)
 
 
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("rows", SLAB_ROWS, ids=["1row", "3rows", "default"])
+@pytest.mark.parametrize("workers", WORKERS, ids=lambda w: f"{w}w")
+def test_gradient_arrays_bit_exact_any_slabs_and_workers(
+        monkeypatch, grid_name, complex_data, order, rows, workers):
+    grid = GRIDS[grid_name]
+    _set_slabs_and_workers(monkeypatch, grid, complex_data, rows, workers)
+    _assert_gradient_arrays_exact(grid, complex_data, order)
+
+
 def test_concurrent_callers_with_more_workers_than_cpus(monkeypatch):
     """Four callers share the pool, each with eight workers on one-row slabs, under fast thread switching."""
     grid = GRIDS["37x6x5"]
     _set_slabs_and_workers(monkeypatch, grid, True, 1, 8)
     vals = _sample(grid, True)
-    expected = _reference_grad_magnitude_sq(grid, vals)
+    expected = _reference_grad_magnitude_sq(grid, vals, 4)
     exact = []
 
     def caller():
