@@ -57,7 +57,6 @@ from .orbitals import (
     resolve_axis,
 )
 from .decompose import (
-    CutoffFunction,
     PipelineError,
     SplitResult,
     construct_witness,
@@ -107,7 +106,7 @@ __all__ = [
     "build_orbitals", "build_phase", "choose_phase_axis",
     "exchange_components", "gram_deviation", "gram_matrix",
     "kinetic_bound_rhs", "reconstruction_error", "resolve_axis",
-    "CutoffFunction", "PipelineError", "SplitResult", "construct_witness",
+    "PipelineError", "SplitResult", "construct_witness",
     "rank1_split", "ratio_split",
     "VerifyReport", "Witness", "WitnessBranch", "density_of",
     "kinetic_by_spin", "kinetic_energy", "occupation_spectrum", "verify",

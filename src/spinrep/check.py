@@ -43,7 +43,8 @@ from .fields import (
     weighted_gradient_l1,
 )
 from .spin_density import SpinDensityField, det_field, trace_integral
-from .tolerances import DEFAULT, TINY, ToleranceConfig
+from .tolerances import (BOUNDARY_REL, DEFAULT, DET_REL, MASKED_FRACTION, REFINE_THRESHOLD,
+                         TINY, ToleranceConfig)
 
 PASS = "pass"
 FAIL = "fail"
@@ -167,18 +168,17 @@ def _rel_change(coarse: float, fine: float) -> float:
 
 def _norm_verdict(
     value: float,
-    tol: ToleranceConfig,
     sig_fraction: float = 0.0,
     change: float | None = None,
 ) -> tuple[str, str]:
     """Verdict policy for the finiteness conditions (d)-(g)."""
     if not math.isfinite(value):
         return FAIL, "non-finite value"
-    if not sig_fraction <= tol.masked_fraction:
+    if not sig_fraction <= MASKED_FRACTION:
         return INDETERMINATE, "masked points dominate"
     if change is None:
         return PASS, "finite at this resolution"
-    if not change <= tol.refine_threshold:
+    if not change <= REFINE_THRESHOLD:
         return FAIL, f"unstable under refinement (change {change:.3g})"
     return PASS, f"stable under refinement (change {change:.3g})"
 
@@ -202,19 +202,17 @@ class DensityNorms:
     Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
     taken at most once, when a norm first needs it, so a caller pays only for
     the norms it reads.  ``floor`` is the division floor of the /rho
-    integrals; ``det`` passes the values of ``det_field(r, tol)`` when the
+    integrals; ``det`` passes the values of ``det_field(r)`` when the
     caller already has them.
     """
 
     def __init__(
         self,
         r: SpinDensityField,
-        tol: ToleranceConfig,
         floor: float,
         det: np.ndarray | None = None,
     ) -> None:
         self.r = r
-        self.tol = tol
         self.floor = floor
         self._det = det
 
@@ -231,7 +229,7 @@ class DensityNorms:
 
     @cached_property
     def _sqrt_det(self) -> ScalarField:
-        det = self._det if self._det is not None else det_field(self.r, self.tol).values
+        det = self._det if self._det is not None else det_field(self.r).values
         return ScalarField(self.r.grid, frozen(_sqrt_clipped(det)))
 
     @cached_property
@@ -251,9 +249,7 @@ class DensityNorms:
         return w32_norms(self.r.grid, self._sqrt_det.values, grad_sq=self._sqrtdet_grad_sq)
 
     def _over_rho(self, f, grad_sq: np.ndarray) -> WeightedGradientL1:
-        return weighted_gradient_l1(
-            f, self.r.rho_total, self.floor, self.tol.sig_rel, grad_sq=grad_sq
-        )
+        return weighted_gradient_l1(f, self.r.rho_total, self.floor, grad_sq=grad_sq)
 
     @cached_property
     def sigma_ratio(self) -> WeightedGradientL1:
@@ -273,7 +269,7 @@ def _eq_norms(
     """
     # non-finite data must surface as failing norms, not as a floor error
     scale = r.scale if math.isfinite(r.scale) else 0.0
-    norms = DensityNorms(r, tol, tol.floor(scale), det)
+    norms = DensityNorms(r, tol.floor(scale), det)
     h1 = {"h1_up": norms.h1_up, "h1_dn": norms.h1_dn}
     sig_f, sig_g = norms.sigma_w32
     det_f, det_g = norms.sqrtdet_w32
@@ -296,13 +292,12 @@ def _finiteness(
     name: str,
     parts: dict[str, float],
     fine: dict[str, float] | None,
-    tol: ToleranceConfig,
     ratio: WeightedGradientL1 | None = None,
 ) -> ConditionResult:
     """One of conditions (d)-(g): the sum of its parts must be finite.
 
     With ``fine``, the same parts on a refined grid, the largest relative
-    change of any part must also stay below ``tol.refine_threshold``.
+    change of any part must also stay below ``REFINE_THRESHOLD``.
     """
     value = float(sum(parts.values()))
     details: dict[str, object] = dict(parts) if len(parts) > 1 else {}
@@ -320,14 +315,14 @@ def _finiteness(
         details["masked_points"] = ratio.masked_points
         details["masked_fraction"] = ratio.masked_fraction
         details["significant_masked_points"] = ratio.significant_masked_points
-    verdict, details["status"] = _norm_verdict(value, tol, sig_fraction, change)
+    verdict, details["status"] = _norm_verdict(value, sig_fraction, change)
     return ConditionResult(name, verdict, value, details)
 
 
 def _psd_conditions(
     r: SpinDensityField, tol: ToleranceConfig
 ) -> tuple[ConditionResult, ConditionResult, np.ndarray]:
-    """Conditions (a) and (b) on R, and the values of ``det_field(r, tol)``."""
+    """Conditions (a) and (b) on R, and the values of ``det_field(r)``."""
     # (a) pointwise nonnegativity of the diagonal
     neg_tol = tol.neg_tol(r.scale)
     (min_up, loc_up), (min_dn, loc_dn) = _worst(r.rho_up.values), _worst(r.rho_dn.values)
@@ -349,8 +344,8 @@ def _psd_conditions(
         },
     )
     # (b) pointwise nonnegativity of the determinant
-    det_tol = tol.det_tol(r.scale)
-    dt = det_field(r, tol).values
+    det_tol = DET_REL * r.scale * r.scale
+    dt = det_field(r).values
     min_det, loc = _worst(dt)
     det_nonneg = ConditionResult(
         "det_nonneg",
@@ -370,7 +365,7 @@ def check(
 
     ``refined`` optionally supplies the same density sampled on a finer grid;
     when present, the finiteness conditions additionally require the discrete
-    norms to move by less than ``tol.refine_threshold`` relative, which is
+    norms to move by less than ``REFINE_THRESHOLD`` relative, which is
     what actually distinguishes a finite seminorm from a divergent one.
     """
     if refined is not None:
@@ -399,13 +394,13 @@ def check(
     fine = _eq_norms(refined, tol)[0] if refined is not None else None
     for name, part in parts.items():
         fine_part = None if fine is None else fine[name]
-        conditions.append(_finiteness(name, part, fine_part, tol, ratios.get(name)))
+        conditions.append(_finiteness(name, part, fine_part, ratios.get(name)))
 
     bmax = boundary_max(r.rho_total)
     return CheckReport(
         conditions=tuple(conditions),
         n_electrons=n,
-        boundary_warning=not bmax <= tol.boundary_rel * _worst((r.scale, TINY), largest=True)[0],
+        boundary_warning=not bmax <= BOUNDARY_REL * _worst((r.scale, TINY), largest=True)[0],
         boundary_value=bmax,
     )
 

@@ -33,7 +33,7 @@ from .io import (
 )
 from .sqrtm import NotPositiveSemidefiniteError, eigen_densities, sqrt_field
 from .spin_density import SpinDensityField, trace_integral
-from .tolerances import DEFAULT
+from .tolerances import ToleranceConfig
 from .witness import verify
 
 
@@ -64,7 +64,7 @@ def _add_tol_args(p: argparse.ArgumentParser) -> None:
 
 
 def _tolerances(args):
-    return DEFAULT.with_overrides(
+    return ToleranceConfig(
         neg_abs=getattr(args, "tol_neg", None),
         norm_abs=getattr(args, "tol_norm", None),
         floor_abs=getattr(args, "floor", None),

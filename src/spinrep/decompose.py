@@ -37,7 +37,7 @@ from .fields import ComplexField, ScalarField, _abs2, blockwise_arrays, frozen, 
 from .orbitals import build_orbitals, exchange_components, require_null_determinant
 from .spin_density import SpinDensityField, spin_swap
 from .sqrtm import sqrt_field
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, DEGENERATE_WEIGHT, ToleranceConfig
 from .witness import Witness, WitnessBranch
 
 
@@ -49,20 +49,10 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class CutoffFunction:
-    """C^2 monotone step: 0 for x <= lo, 1 for x >= hi, quintic in between."""
-
-    lo: float = 0.5
-    hi: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.hi > self.lo:
-            raise ValueError(f"cutoff needs hi > lo, got {self.lo} .. {self.hi}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        u = np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return u * u * u * (10.0 + u * (6.0 * u - 15.0))
+def cutoff(x: np.ndarray) -> np.ndarray:
+    """C^2 monotone step: 0 for x <= 1/2, 1 for x >= 2, quintic in between."""
+    u = np.clip((np.asarray(x, dtype=np.float64) - 0.5) / 1.5, 0.0, 1.0)
+    return u * u * u * (10.0 + u * (6.0 * u - 15.0))
 
 
 @dataclass(frozen=True)
@@ -113,20 +103,20 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _weigh(
-    up_one: np.ndarray, dn_one: np.ndarray, template: SpinDensityField, tol: ToleranceConfig
+    up_one: np.ndarray, dn_one: np.ndarray, template: SpinDensityField
 ) -> tuple[float, float, bool, bool]:
     """Weigh piece one by its unnormalized densities ``up_one``, ``dn_one``.
 
     Returns (t, split weight, keep piece one, keep piece two): t is the mass
     fraction of piece one, and a piece whose weight falls below
-    ``tol.degenerate_weight`` is not kept, so it need not be built.
+    ``DEGENERATE_WEIGHT`` is not kept, so it need not be built.
     """
     grid = template.grid
     t = float(integrate_values(grid, up_one) + integrate_values(grid, dn_one))
     t /= template.n_electrons
-    if t < tol.degenerate_weight:
+    if t < DEGENERATE_WEIGHT:
         return t, 0.0, False, True
-    if t > 1.0 - tol.degenerate_weight:
+    if t > 1.0 - DEGENERATE_WEIGHT:
         return t, 1.0, True, False
     return t, t, True, True
 
@@ -140,7 +130,7 @@ def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitRes
     s2, = blockwise_arrays(s.shape, (float,),
                            lambda lo, hi, out, buf: _abs2(sf[lo:hi], out, buf[:hi - lo]), scratch=1)
     uu = _product(ru, ru)
-    t, weight, keep_one, keep_two = _weigh(uu, s2, r, tol)
+    t, weight, keep_one, keep_two = _weigh(uu, s2, r)
     one = two = None
     if keep_one:
         # |s|^2 is a part of both pieces; each piece scales its own
@@ -151,18 +141,14 @@ def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitRes
     return SplitResult(weight, one, two)
 
 
-def ratio_split(
-    r: SpinDensityField,
-    tol: ToleranceConfig = DEFAULT,
-    cutoff: CutoffFunction = CutoffFunction(),
-) -> SplitResult:
+def ratio_split(r: SpinDensityField) -> SplitResult:
     """Split a null-determinant R by the spin ratio.
 
-    piece_one (weight t) is supported where rho_up / rho_dn > lo and
+    piece_one (weight t) is supported where rho_up / rho_dn > 1/2 and
     satisfies rho_dn <= 2 rho_up wherever it is nonzero; piece_two satisfies
     rho_up <= 2 rho_dn.  Points where both densities vanish get ratio 1.
     """
-    require_null_determinant(r, tol)
+    require_null_determinant(r)
     rho_up, rho_dn, sg = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
     dims = r.grid.dims
 
@@ -181,7 +167,7 @@ def ratio_split(
         np.multiply(w, dn, out=dn_one)
 
     w, up_one, dn_one = blockwise_arrays(dims, (float,) * 3, weigh_step, scratch=2)
-    t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r, tol)
+    t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r)
     one = two = None
     if keep_one:
         one = _piece((up_one, dn_one, _product(w, r.sigma.values)), t, r)
@@ -241,7 +227,7 @@ def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
     branches: list[WitnessBranch] = []
     for outer_weight, piece in _drain(pieces):
         try:
-            second = ratio_split(piece, tol)
+            second = ratio_split(piece)
         except ValueError as exc:
             raise PipelineError("ratio_split", str(exc)) from exc
         del piece
@@ -249,12 +235,12 @@ def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
         del second
         for needs_swap, (inner_weight, sub) in _drain(subs):
             weight = outer_weight * inner_weight
-            if sub is None or weight < tol.degenerate_weight:
+            if sub is None or weight < DEGENERATE_WEIGHT:
                 continue
             build_field = spin_swap(sub) if needs_swap else sub
             del sub
             try:
-                # refuses orbitals that miss orthonormality by more than gram_tol
+                # refuses orbitals that miss orthonormality by more than GRAM_TOL
                 orbs = build_orbitals(build_field, axis, tol)
             except ValueError as exc:
                 raise PipelineError("orbitals", str(exc)) from exc

@@ -72,7 +72,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tolerances import DEFAULT, TINY
+from .tolerances import SIG_REL, TINY
 
 # float64 bytes in one block of a blocked pass (a slab of the gradient
 # kernel, a leaf of an integral), so that a block's buffers stay in a
@@ -648,7 +648,7 @@ class WeightedGradientL1:
     w >= floor.  ``masked_points`` counts every node excluded by the floor;
     ``significant_masked_points`` counts only those whose floor-bounded
     contribution |grad f|^2 / floor * dV would have moved the result by more
-    than ``sig_rel`` relative — tail points of a decaying density are masked
+    than ``SIG_REL`` relative — tail points of a decaying density are masked
     but not significant, genuine kinks over a vanishing density are.
     """
 
@@ -670,7 +670,6 @@ def weighted_gradient_l1(
     f: Field,
     w: ScalarField,
     floor: float,
-    sig_rel: float = DEFAULT.sig_rel,
     grad_sq: np.ndarray | None = None,
 ) -> WeightedGradientL1:
     """Integral of |grad f|^2 / w with a positive division floor on w.
@@ -698,7 +697,7 @@ def weighted_gradient_l1(
     leaves = [(lo, hi) for lo, hi in _leaves(grid, np.float64)[0] if masked[lo]]
     significant = []
     if leaves:
-        threshold = sig_rel * max(abs(value), TINY)
+        threshold = SIG_REL * max(abs(value), TINY)
 
         def bound(claimed):
             # lower bound on what each masked point could have contributed

@@ -15,7 +15,7 @@ from scipy.special import erf
 
 from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
 from .spin_density import SpinDensityField
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import NORM_REL
 
 BOUNDARY_MASS_TOL = 1e-8
 
@@ -61,7 +61,6 @@ def gaussian_diagonal(
     n_electrons: int,
     width: float = 1.0,
     center: tuple[float, float, float] | None = None,
-    tol: ToleranceConfig = DEFAULT,
 ) -> SpinDensityField:
     """Unpolarized gaussian: rho_up = rho_dn = (N/2) g_width, sigma = 0.
 
@@ -115,7 +114,6 @@ def rank1_from_orbital(
     psi_up: ComplexField,
     psi_dn: ComplexField,
     n_electrons: int,
-    tol: ToleranceConfig = DEFAULT,
 ) -> SpinDensityField:
     """Pure-state density R = N psi psi^dagger from one normalized spinor.
 
@@ -130,10 +128,10 @@ def rank1_from_orbital(
     up = u.real * u.real + u.imag * u.imag
     dn = d.real * d.real + d.imag * d.imag
     total = float(integrate_values(grid, up + dn))
-    if abs(total - 1.0) > tol.norm_tol(1):
+    if abs(total - 1.0) > NORM_REL:
         raise GeneratorError(
             f"spinor is not normalized: integral = {total!r} "
-            f"(tolerance {tol.norm_tol(1):.3e})"
+            f"(tolerance {NORM_REL:.3e})"
         )
     n = float(n_electrons)
     return SpinDensityField(
@@ -154,7 +152,6 @@ def full_rank_mixture(
     phase_gradient: float = 0.0,
     center_up: tuple[float, float, float] | None = None,
     center_dn: tuple[float, float, float] | None = None,
-    tol: ToleranceConfig = DEFAULT,
 ) -> SpinDensityField:
     """Strictly mixed family: gaussian diagonal with partial coupling
 

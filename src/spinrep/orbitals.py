@@ -33,7 +33,8 @@ from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _weig
                      _worst, blockwise, blockwise_arrays, frozen)
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
-from .tolerances import DEFAULT, PHASE_ROUGHNESS_REL, TINY, ToleranceConfig
+from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
+                         PHASE_ROUGHNESS_REL, RATIO_REL, TINY, ToleranceConfig, sqrt_floor)
 
 AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
@@ -51,7 +52,7 @@ class PhaseNormalizationError(ValueError):
 
 
 class OrthonormalityError(ValueError):
-    """The orbitals would miss orthonormality on the grid by more than ``gram_tol``."""
+    """The orbitals would miss orthonormality on the grid by more than ``GRAM_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def build_phase(
 
     The raw cumulative ends at integral(rho); it is rescaled to end at N
     exactly and the correction is recorded.  A correction larger than
-    ``tol.phase_renorm_factor`` times the normalization tolerance means the
+    ``PHASE_RENORM_FACTOR`` times the normalization tolerance means the
     input was not normalized to start with and is rejected.
     """
     ax = resolve_axis(axis, rho)
@@ -185,11 +186,11 @@ def build_phase(
     # normalization is judged against the canonical (trapezoid) quadrature
     trap_total = float(np.sum(rho.grid.axis_weights[ax] * marginal))
     adjustment = n_electrons - trap_total
-    if not abs(adjustment) <= tol.phase_renorm_factor * tol.norm_tol(n_electrons):
+    if not abs(adjustment) <= PHASE_RENORM_FACTOR * tol.norm_tol(n_electrons):
         raise PhaseNormalizationError(
             f"density mass {trap_total!r} is too far from n_electrons={n_electrons} "
             f"to renormalize (|adjustment| {abs(adjustment):.3e} > "
-            f"{tol.phase_renorm_factor * tol.norm_tol(n_electrons):.3e})"
+            f"{PHASE_RENORM_FACTOR * tol.norm_tol(n_electrons):.3e})"
         )
     raw = _spectral_antiderivative(marginal, h)
     raw_end = float(raw[-1])
@@ -236,19 +237,22 @@ def build_phase(
 # -- base spinor --------------------------------------------------------------
 
 
-def require_null_determinant(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> int:
-    """Check |det R| <= tol pointwise, allowing a tiny violating fraction.
+def require_null_determinant(r: SpinDensityField) -> int:
+    """Check |det R| <= NULL_DET_REL max(rho)^2 pointwise, allowing a tiny violating fraction.
 
     Returns the violating-point count; raises NullDeterminantError when more
-    than ``tol.null_det_fraction`` of the grid violates, or when det R holds
-    a NaN anywhere (the allowance is for finite violations only).
+    than ``NULL_DET_FRACTION`` of the grid violates, or when det R is not
+    finite somewhere, as at a ±inf or NaN entry of R (the allowance is for
+    finite violations only).
     """
-    dt = det_field(r, tol).values
-    thr = tol.null_det_tol(r.scale)
+    dt = det_field(r).values
+    thr = NULL_DET_REL * r.scale * r.scale
     abs_det = np.abs(dt)
     worst, loc = _worst(abs_det, largest=True)
+    if not math.isfinite(worst):
+        raise NullDeterminantError(f"det R = {dt[loc]} at {loc}")
     bad = int(np.count_nonzero(~(abs_det <= thr)))
-    if math.isnan(worst) or not bad <= tol.null_det_fraction * r.grid.npoints:
+    if not bad <= NULL_DET_FRACTION * r.grid.npoints:
         raise NullDeterminantError(
             f"|det| > {thr:.3e} at {bad} of {r.grid.npoints} points; "
             f"worst {dt[loc]:.3e} at {loc}"
@@ -256,24 +260,19 @@ def require_null_determinant(r: SpinDensityField, tol: ToleranceConfig = DEFAULT
     return bad
 
 
-def _base_spinor(
-    r: SpinDensityField,
-    tol: ToleranceConfig,
-    floor: float | None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+def _base_spinor(r: SpinDensityField) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """The unnormalized spinor (sigma / sqrt(rho_dn), sqrt(rho_dn)) and its counts.
 
     Requires det R = 0 and rho_up <= 2 rho_dn within tolerance; on the nodal
     set of rho_dn the up component falls back to sqrt(rho_up).
     """
-    stats: dict[str, float] = {"null_det_violations": float(require_null_determinant(r, tol))}
+    stats: dict[str, float] = {"null_det_violations": float(require_null_determinant(r))}
     worst, loc = _worst(r.rho_up.values - 2.0 * r.rho_dn.values, largest=True)
-    if not worst <= tol.ratio_tol(r.scale):
+    if not worst <= RATIO_REL * r.scale:
         raise RatioHypothesisError(
-            f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {tol.ratio_tol(r.scale):.3e})"
+            f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {RATIO_REL * r.scale:.3e})"
         )
-    if floor is None:
-        floor = tol.sqrt_floor(r.scale)
+    floor = sqrt_floor(r.scale)
     rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
     counts = []
 
@@ -386,7 +385,8 @@ def _max_deviation(r: SpinDensityField, sums) -> float:
 
 def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> float:
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
-    # a weight of 1.0 leaves every product's bits as they are
+    # on finite data a weight of 1.0 changes only the sign of a zero, which |sum - R|
+    # does not see; 1.0 * complex(inf, y) is complex(inf, nan), so an inf entry gives NaN
     return _max_deviation(r, functools.partial(_sum_block, [(1.0, orb) for orb in orbitals]))
 
 
@@ -421,12 +421,11 @@ def build_orbitals(
     r: SpinDensityField,
     axis="auto",
     tol: ToleranceConfig = DEFAULT,
-    floor: float | None = None,
 ) -> OrbitalSet:
     """Construct the N phase-modulated orbitals reproducing a rank-1 R.
 
     The orbitals are gated before any of them is allocated: when their Gram
-    deviation on the grid exceeds ``tol.gram_tol``, this raises
+    deviation on the grid exceeds ``GRAM_TOL``, this raises
     :class:`OrthonormalityError`.  The diagnostics carry that Gram deviation
     (a 1-D sum along the phase axis, exact for these orbitals), the
     absolute and relative reconstruction errors (from the base spinor, in
@@ -435,13 +434,13 @@ def build_orbitals(
     """
     ax = resolve_axis(axis, r.rho_total)
     n = r.n_electrons
-    phi_up, sqrt_dn, stats = _base_spinor(r, tol, floor)
+    phi_up, sqrt_dn, stats = _base_spinor(r)
     phase = build_phase(r.rho_total, n, ax, tol)
     gram = _phase_gram_deviation(phi_up, sqrt_dn, phase, r.grid)
-    if not gram <= tol.gram_tol:
+    if not gram <= GRAM_TOL:
         raise OrthonormalityError(
             f"orbitals are not orthonormal on this grid: Gram deviation "
-            f"{gram:.3e} > {tol.gram_tol:.3e}"
+            f"{gram:.3e} > {GRAM_TOL:.3e}"
         )
 
     pu, sd = phi_up.reshape(-1), sqrt_dn.reshape(-1)
@@ -524,7 +523,7 @@ def kinetic_bound_rhs(
 
     the last term being integral(rho f'^2) after the transverse integration.
     """
-    norms = DensityNorms(r, tol, tol.floor(r.scale))
+    norms = DensityNorms(r, tol.floor(r.scale))
     sig_term = norms.sigma_ratio.value
     dn_term = norms.h1_dn
     wax = r.grid.axis_weights[phase.axis]

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen, integrate
-from .tolerances import DEFAULT, WEIGHT_SUM_TOL, ToleranceConfig
+from .tolerances import DET_CLAMP_REL, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,17 @@ class SpinDensityField:
         return float(np.max(self.rho_total.values))
 
 
-def det_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> ScalarField:
+def det_field(r: SpinDensityField) -> ScalarField:
     """Pointwise determinant rho_up*rho_dn - |sigma|^2.
 
     Negative values within round-off of zero (magnitude up to
-    ``tol.det_clamp_rel * max(rho)^2``) are clamped to 0 so that downstream
+    ``DET_CLAMP_REL * max(rho)^2``) are clamped to 0 so that downstream
     square roots stay real; larger negatives are genuine PSD violations and
     are preserved for the checker to flag.
     """
     up, dn = r.rho_up.values.reshape(-1), r.rho_dn.values.reshape(-1)
     s = r.sigma.values.reshape(-1)
-    clamp = tol.det_clamp(r.scale)
+    clamp = DET_CLAMP_REL * r.scale * r.scale
 
     def step(lo, hi, d, re2, im2):
         # up * dn - (re^2 + im^2), written block by block into d

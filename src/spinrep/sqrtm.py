@@ -28,7 +28,7 @@ import numpy as np
 from .check import _psd_conditions
 from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen
 from .spin_density import SpinDensityField
-from .tolerances import DEFAULT, ToleranceConfig
+from .tolerances import DEFAULT, ToleranceConfig, sqrt_floor
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -75,7 +75,7 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
             )
     det = det.reshape(-1)
     rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
-    floor = tol.sqrt_floor(r.scale)
+    floor = sqrt_floor(r.scale)
 
     def step(lo, hi, u, d, s, sq_det, denom, inv):
         sq_det, denom, inv = sq_det[:hi - lo], denom[:hi - lo], inv[:hi - lo]

@@ -11,7 +11,8 @@ from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminor
 from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
 from .orbitals import OrbitalSet, _density_sums, _overlaps, gram_deviation
 from .spin_density import SpinDensityField, trace_integral
-from .tolerances import DEFAULT, TINY, WEIGHT_SUM_TOL, ToleranceConfig
+from .tolerances import (DEFAULT, GRAM_TOL, MISMATCH_TOL, SLACK, TINY, WEIGHT_SUM_TOL,
+                         ToleranceConfig)
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def verify(
     mismatch = l1 / denom
     checks.append(ConditionResult(
         "density_match",
-        PASS if mismatch <= tol.mismatch_tol else FAIL,
+        PASS if mismatch <= MISMATCH_TOL else FAIL,
         mismatch,
-        {"threshold": tol.mismatch_tol, "l1_absolute": l1},
+        {"threshold": MISMATCH_TOL, "l1_absolute": l1},
     ))
 
     # (ii) per-branch orthonormality
@@ -185,9 +186,9 @@ def verify(
     worst_gram = _worst(gram_devs, largest=True)[0]
     checks.append(ConditionResult(
         "orbital_gram",
-        PASS if worst_gram <= tol.gram_tol else FAIL,
+        PASS if worst_gram <= GRAM_TOL else FAIL,
         worst_gram,
-        {"threshold": tol.gram_tol, "per_branch": tuple(float(g) for g in gram_devs)},
+        {"threshold": GRAM_TOL, "per_branch": tuple(float(g) for g in gram_devs)},
     ))
 
     # (iii) convex weights
@@ -213,21 +214,21 @@ def verify(
 
     # (v) integrated regularity bounds on the reconstructed density
     # a non-finite witness density must surface as failing bounds, not as a floor error
-    norms = DensityNorms(rec, tol, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
+    norms = DensityNorms(rec, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
     bounds = (
         ("sqrt_rho_up_h1", norms.h1_up, t_up),
         ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
         ("sigma_grad_over_rho", norms.sigma_ratio.value, total),
         ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
     )
-    details: dict[str, object] = {"slack": tol.slack}
+    details: dict[str, object] = {"slack": SLACK}
     margins = [0.0]
     ok = True
     for name, lhs, rhs in bounds:
         details[f"{name}_lhs"] = float(lhs)
         details[f"{name}_rhs"] = float(rhs)
         margins.append(lhs / rhs if not rhs <= 0.0 else (0.0 if lhs == 0.0 else np.inf))
-        if not lhs <= rhs * (1.0 + tol.slack):
+        if not lhs <= rhs * (1.0 + SLACK):
             ok = False
     checks.append(ConditionResult(
         "kinetic_bounds",

@@ -1,9 +1,12 @@
 """Shared fixture builders for the test suite."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 import spinrep as sr
-from spinrep import fields
+from spinrep import fields, orbitals
 
 
 def cube(n: int, half: float = 8.0) -> sr.Grid3:
@@ -51,6 +54,25 @@ def field_from_arrays(grid: sr.Grid3, up, dn, sigma, n_electrons: int = 2) -> sr
         sigma=sr.ComplexField(grid, sigma),
         n_electrons=n_electrons,
     )
+
+
+def dipped(r: sr.SpinDensityField, depth: float) -> sr.SpinDensityField:
+    """``r`` with rho_up[0, 0, 0] set to -depth * max(rho), which leaves max(rho) as it is."""
+    up = r.rho_up.values.copy()
+    up[0, 0, 0] = -depth * r.scale
+    return field_from_arrays(r.grid, up, r.rho_dn.values, r.sigma.values, r.n_electrons)
+
+
+@contextmanager
+def gram_gate(value: float):
+    """Run the block with ``build_orbitals`` refusing Gram deviations above ``value``.
+
+    The gate is the constant ``GRAM_TOL``; a looser one lets orbitals that miss
+    orthonormality on a coarse grid through, for tests that compare them.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbitals, "GRAM_TOL", value)
+        yield
 
 
 def max_abs_diff(r1: sr.SpinDensityField, r2: sr.SpinDensityField) -> float:

@@ -12,7 +12,9 @@ import numpy as np
 
 import spinrep as sr
 from spinrep import orbitals as orbitals_module
+from spinrep.decompose import cutoff
 from spinrep.fields import frozen
+from spinrep.tolerances import DEGENERATE_WEIGHT, RATIO_REL, sqrt_floor
 
 # -- overlaps -----------------------------------------------------------------
 
@@ -116,14 +118,13 @@ def ref_kinetic_by_spin(w):
 # -- orbitals -------------------------------------------------------------------
 
 
-def ref_base_spinor(r, tol, floor=None):
-    stats = {"null_det_violations": float(orbitals_module.require_null_determinant(r, tol))}
+def ref_base_spinor(r):
+    stats = {"null_det_violations": float(orbitals_module.require_null_determinant(r))}
     ratio_excess = r.rho_up.values - 2.0 * r.rho_dn.values
     worst = float(np.max(ratio_excess))
-    if worst > tol.ratio_tol(r.scale):
+    if worst > RATIO_REL * r.scale:
         raise sr.RatioHypothesisError(worst)
-    if floor is None:
-        floor = tol.sqrt_floor(r.scale)
+    floor = sqrt_floor(r.scale)
     up = np.clip(r.rho_up.values, 0.0, None)
     dn = np.clip(r.rho_dn.values, 0.0, None)
     sqrt_dn = np.sqrt(dn)
@@ -172,12 +173,12 @@ def ref_orbital_values(phi_up, sqrt_dn, phase, grid):
 # -- square root and splits -------------------------------------------------------
 
 
-def ref_sqrt_field(r, tol=sr.DEFAULT):
-    sq_det = np.sqrt(np.clip(sr.det_field(r, tol).values, 0.0, None))
+def ref_sqrt_field(r):
+    sq_det = np.sqrt(np.clip(sr.det_field(r).values, 0.0, None))
     up = np.clip(r.rho_up.values, 0.0, None)
     dn = np.clip(r.rho_dn.values, 0.0, None)
     denom = up + dn + 2.0 * sq_det
-    floor = tol.sqrt_floor(r.scale)
+    floor = sqrt_floor(r.scale)
     mask = denom >= floor
     inv = np.zeros(r.grid.dims)
     np.divide(1.0, np.sqrt(denom, out=denom), out=inv, where=mask)
@@ -202,22 +203,22 @@ def ref_piece(parts, weight, template):
     )
 
 
-def ref_weigh(up_one, dn_one, template, tol):
+def ref_weigh(up_one, dn_one, template):
     grid = template.grid
     t = float(sr.integrate_values(grid, up_one) + sr.integrate_values(grid, dn_one))
     t /= template.n_electrons
-    if t < tol.degenerate_weight:
+    if t < DEGENERATE_WEIGHT:
         return t, 0.0, False, True
-    if t > 1.0 - tol.degenerate_weight:
+    if t > 1.0 - DEGENERATE_WEIGHT:
         return t, 1.0, True, False
     return t, t, True, True
 
 
-def ref_rank1_split(r, tol=sr.DEFAULT):
-    ru, rd, s = ref_sqrt_field(r, tol)
+def ref_rank1_split(r):
+    ru, rd, s = ref_sqrt_field(r)
     s2 = s.real * s.real + s.imag * s.imag
     uu = ru * ru
-    t, weight, keep_one, keep_two = ref_weigh(uu, s2, r, tol)
+    t, weight, keep_one, keep_two = ref_weigh(uu, s2, r)
     one = two = None
     if keep_one:
         one = ref_piece((uu, s2.copy() if keep_two else s2, s * ru), t, r)
@@ -227,8 +228,8 @@ def ref_rank1_split(r, tol=sr.DEFAULT):
     return sr.SplitResult(weight, one, two)
 
 
-def ref_ratio_split(r, tol=sr.DEFAULT, cutoff=sr.CutoffFunction()):
-    orbitals_module.require_null_determinant(r, tol)
+def ref_ratio_split(r):
+    orbitals_module.require_null_determinant(r)
     up = np.clip(r.rho_up.values, 0.0, None)
     dn = np.clip(r.rho_dn.values, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,7 +238,7 @@ def ref_ratio_split(r, tol=sr.DEFAULT, cutoff=sr.CutoffFunction()):
     w = cutoff(ratio) ** 2
     del ratio
     up_one, dn_one = w * up, w * dn
-    t, weight, keep_one, keep_two = ref_weigh(up_one, dn_one, r, tol)
+    t, weight, keep_one, keep_two = ref_weigh(up_one, dn_one, r)
     sg = r.sigma.values
     one = two = None
     if keep_one:
@@ -249,11 +250,11 @@ def ref_ratio_split(r, tol=sr.DEFAULT, cutoff=sr.CutoffFunction()):
     return sr.SplitResult(weight, one, two)
 
 
-def build_fields(r, tol=sr.DEFAULT):
+def build_fields(r):
     """The rank-1 fields construct_witness hands to build_orbitals, in its order."""
     out = []
-    for outer, piece in sr.rank1_split(r, tol).pairs():
-        for needs_swap, (inner, sub) in zip((True, False), sr.ratio_split(piece, tol).slots()):
-            if sub is not None and outer * inner >= tol.degenerate_weight:
+    for outer, piece in sr.rank1_split(r).pairs():
+        for needs_swap, (inner, sub) in zip((True, False), sr.ratio_split(piece).slots()):
+            if sub is not None and outer * inner >= DEGENERATE_WEIGHT:
                 out.append(sr.spin_swap(sub) if needs_swap else sub)
     return out

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -145,7 +144,7 @@ def test_masked_points_without_significance_still_pass(mixture32):
 
 
 def test_huge_floor_turns_indeterminate(mixture32):
-    tol = sr.DEFAULT.with_overrides(floor_abs=0.05 * mixture32.scale)
+    tol = sr.ToleranceConfig(floor_abs=0.05 * mixture32.scale)
     report = sr.check(mixture32, tol=tol)
     assert report.verdict == INDETERMINATE
     assert report["sigma_grad_over_rho"].verdict == INDETERMINATE
@@ -158,7 +157,7 @@ def test_tightened_negativity_tolerance_flips(diagonal32):
     r = field_from_arrays(diagonal32.grid, up, diagonal32.rho_dn.values,
                           diagonal32.sigma.values)
     assert sr.check(r)["rho_nonneg"].verdict == PASS
-    tight = dataclasses.replace(sr.DEFAULT, neg_rel=1e-13)
+    tight = sr.ToleranceConfig(neg_abs=1e-13 * r.scale)
     assert sr.check(r, tol=tight)["rho_nonneg"].verdict == FAIL
 
 

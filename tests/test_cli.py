@@ -9,7 +9,7 @@ import pytest
 import spinrep as sr
 from spinrep.cli import main
 
-from _helpers import cube, field_from_arrays, gaussian_values
+from _helpers import cube, dipped, field_from_arrays, gaussian_values, mixture
 
 # 48^3 because the orbital gram check needs the oscillatory overlaps resolved;
 # at 32^3 the deviation sits near 2e-4, two orders above the verify threshold
@@ -172,6 +172,17 @@ def test_construct_rejects_inadmissible(tmp_path, capsys):
     sr.write_spdf(path, field)
     assert main(["construct", str(path), "--out", str(tmp_path / "w")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_construct_tol_neg_admits_a_shallow_dip(tmp_path, capsys):
+    r = dipped(mixture(48), 1e-8)
+    path = tmp_path / "dip.spdf"
+    sr.write_spdf(path, r)
+    assert main(["construct", str(path), "--out", str(tmp_path / "w0")]) == 1
+    assert "[admissibility]" in capsys.readouterr().err
+    tol_neg = repr(1e-7 * r.scale)
+    assert main(["construct", str(path), "--out", str(tmp_path / "w1"), "--tol-neg", tol_neg]) == 0
+    assert len(sr.read_witness(tmp_path / "w1").branches) == 2
 
 
 BAD_ARGUMENTS = [

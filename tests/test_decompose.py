@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinrep as sr
+from spinrep.decompose import cutoff
 
 from _helpers import (
     cube,
+    dipped,
     field_from_arrays,
     gaussian_values,
+    gram_gate,
     max_abs_diff,
     mixture,
     symmetric_rank1,
@@ -22,33 +24,29 @@ from _helpers import (
 
 
 def test_cutoff_plateaus():
-    chi = sr.CutoffFunction()
-    assert chi(0.5) == 0.0
-    assert chi(0.1) == 0.0
-    assert chi(2.0) == 1.0
-    assert chi(100.0) == 1.0
-    assert chi(np.inf) == 1.0
+    assert cutoff(0.5) == 0.0
+    assert cutoff(0.1) == 0.0
+    assert cutoff(2.0) == 1.0
+    assert cutoff(100.0) == 1.0
+    assert cutoff(np.inf) == 1.0
 
 
 def test_cutoff_midpoint():
     # quintic smoothstep hits 1/2 at the middle of the transition window
-    chi = sr.CutoffFunction()
-    np.testing.assert_allclose(chi(1.25), 0.5, rtol=1e-14)
+    np.testing.assert_allclose(cutoff(1.25), 0.5, rtol=1e-14)
 
 
 def test_cutoff_vectorized():
-    chi = sr.CutoffFunction()
     u = np.array([0.0, 0.5, 1.25, 2.0, np.inf])
-    np.testing.assert_allclose(chi(u), [0.0, 0.0, 0.5, 1.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(cutoff(u), [0.0, 0.0, 0.5, 1.0, 1.0], atol=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
 @given(a=st.floats(0.0, 3.0), b=st.floats(0.0, 3.0))
 def test_cutoff_monotone(a, b):
-    chi = sr.CutoffFunction()
     lo, hi = min(a, b), max(a, b)
-    assert chi(lo) <= chi(hi) + 1e-15
-    assert 0.0 <= chi(a) <= 1.0
+    assert cutoff(lo) <= cutoff(hi) + 1e-15
+    assert 0.0 <= cutoff(a) <= 1.0
 
 
 # -- rank-1 split ----------------------------------------------------------------
@@ -190,14 +188,15 @@ def test_witness_symmetric_mixture_two_branches(mixture48):
 def test_witness_asymmetric_mixture_four_branches():
     r = mixture(48, half=10.0, coupling=0.9, width_up=1.3, width_dn=2.2)
     # the cutoff-windowed pieces are only piecewise smooth: their orbitals miss
-    # orthonormality at the default gram_tol on this grid, so construct refuses
+    # orthonormality at the default GRAM_TOL on this grid, so construct refuses
     with pytest.raises(sr.PipelineError) as exc:
         sr.construct_witness(r)
     assert exc.value.stage == "orbitals"
     # a stronger coupling gives four branches whose Gram deviations (<= 7.2e-4)
     # pass a looser gate: the four-branch assembly itself
     r = mixture(48, half=10.0, coupling=0.97, width_up=1.2, width_dn=2.2)
-    w = sr.construct_witness(r, tol=replace(sr.DEFAULT, gram_tol=1e-3))
+    with gram_gate(1e-3):
+        w = sr.construct_witness(r)
     assert len(w.branches) == 4
     assert abs(sum(b.weight for b in w.branches) - 1.0) <= 1e-12
     assert all(b.weight > 0 for b in w.branches)
@@ -221,6 +220,21 @@ def test_witness_rejects_inadmissible(grid32):
     with pytest.raises(sr.PipelineError) as err:
         sr.construct_witness(r)
     assert err.value.stage == "admissibility"
+
+
+def test_negativity_override_reaches_check_and_rank1_split(mixture48):
+    # 100 times deeper than the default negativity slack of 1e-10 max(rho)
+    r = dipped(mixture48, 1e-8)
+    with pytest.raises(sr.PipelineError) as err:
+        sr.construct_witness(r)
+    assert err.value.stage == "admissibility"
+    with pytest.raises(sr.NotPositiveSemidefiniteError):
+        sr.rank1_split(r)
+    # the override passes check and, through sqrt_field, rank1_split
+    tol = sr.ToleranceConfig(neg_abs=1e-7 * r.scale)
+    w = sr.construct_witness(r, tol=tol)
+    assert len(w.branches) == 2
+    assert sr.verify(w, r, tol).verdict == "pass"
 
 
 def test_refusal_keeps_its_cause(monkeypatch, mixture48):

@@ -4,10 +4,12 @@ Each test plants one +inf or -inf in rho_up, rho_dn, Re sigma or Im sigma of
 a 16^3 gaussian and asserts that ``check`` fails condition (a) or (b) and
 that ``spinrep sqrt``, ``eigs`` and ``construct`` refuse the field and write
 nothing.  One +inf makes max(rho), and with it every tolerance scaled by it,
-infinite; condition (a) fails on it by name.  No step may warn on the way.
+infinite; condition (a) fails on it by name.  On a rank-1 field the stages
+that require a null determinant refuse it too.  No step may warn on the way.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import spinrep as sr
 from spinrep.cli import main
 
-from _helpers import cube, field_from_arrays
+from _helpers import cube, field_from_arrays, symmetric_rank1
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -26,6 +28,11 @@ INDEX = (5, 6, 7)
 @pytest.fixture(scope="module")
 def diagonal16():
     return sr.gaussian_diagonal(cube(16), 2, width=1.4)
+
+
+@pytest.fixture(scope="module")
+def rank1_16():
+    return symmetric_rank1(16, width=1.5)
 
 
 def with_inf(r, part, value, index=INDEX):
@@ -57,11 +64,21 @@ def test_rho_nonneg_names_the_infinite_entry(diagonal16):
     up = r.rho_up.values.copy()
     up[2, 3, 4] = -1.0
     r = field_from_arrays(r.grid, up, r.rho_dn.values, r.sigma.values, r.n_electrons)
-    for tol in (sr.DEFAULT, sr.DEFAULT.with_overrides(neg_abs=1e-3)):
+    for tol in (sr.DEFAULT, sr.ToleranceConfig(neg_abs=1e-3)):
         c = sr.check(r, tol)["rho_nonneg"]
         assert c.verdict == "fail"
         assert c.value == math.inf and c.details["worst_location"] == INDEX
         assert c.details["min_rho_up"] == -1.0
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("stage", [sr.orbitals.require_null_determinant, sr.ratio_split,
+                                   sr.build_orbitals], ids=lambda f: f.__name__)
+def test_null_determinant_stages_refuse(rank1_16, stage, part, value):
+    # det R is infinite at the entry; the violating allowance covers finite points only
+    with pytest.raises(sr.NullDeterminantError, match=re.escape(f"inf at {INDEX}")):
+        stage(with_inf(rank1_16, part, value))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])

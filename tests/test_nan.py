@@ -13,6 +13,7 @@ import pytest
 
 import spinrep as sr
 from spinrep.cli import main
+from spinrep.tolerances import NULL_DET_FRACTION
 
 from _helpers import cube, field_from_arrays, gaussian_values
 
@@ -51,7 +52,7 @@ def test_sqrt_field_and_rank1_split_refuse(mixture32, part):
 def test_null_determinant_stages_refuse(rank1_8, rank1_32, grid, part):
     r = with_nan(rank1_8 if grid == "8^3" else rank1_32, part, (5, 2, 3))
     # on 32^3 one violating point is inside the allowance; a NaN refuses anyway
-    assert (sr.DEFAULT.null_det_fraction * r.grid.npoints > 1) == (grid == "32^3")
+    assert (NULL_DET_FRACTION * r.grid.npoints > 1) == (grid == "32^3")
     with pytest.raises(sr.NullDeterminantError):
         sr.orbitals.require_null_determinant(r)
     with pytest.raises(sr.NullDeterminantError):
@@ -70,12 +71,13 @@ def test_build_phase_refuses(rank1_32, part):
 
 
 def test_ratio_test_refuses_a_nan_excess(rank1_32):
-    # rho_up = rho_dn = inf at one point: inf - 2 inf is NaN
+    # rho_up = rho_dn = inf at one point: inf - 2 inf is NaN, but det R is inf
+    # there, so the null-determinant test refuses first
     up, dn = rank1_32.rho_up.values.copy(), rank1_32.rho_dn.values.copy()
     up[3, 4, 5] = dn[3, 4, 5] = np.inf
     r = field_from_arrays(rank1_32.grid, up, dn, rank1_32.sigma.values)
-    with pytest.raises(sr.RatioHypothesisError), np.errstate(invalid="ignore"):
-        sr.orbitals._base_spinor(r, sr.DEFAULT, None)
+    with pytest.raises(sr.NullDeterminantError):
+        sr.orbitals._base_spinor(r)
 
 
 # -- the reports show the NaN --------------------------------------------------------

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +6,13 @@ from scipy.special import erf
 
 import spinrep as sr
 from spinrep.orbitals import _base_spinor, kinetic_bound_rhs
+from spinrep.tolerances import GRAM_TOL
 
 from _helpers import (
     cube,
     field_from_arrays,
     gaussian_values,
+    gram_gate,
     max_abs_diff,
     mixture,
     symmetric_rank1,
@@ -84,7 +85,7 @@ def test_base_spinor_symmetric_real(grid32):
     # sigma = sqrt(rho_up rho_dn) real: phi_up must reduce to sqrt(rho_up)
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, g.copy(), g.astype(complex))
-    up, dn, _ = _base_spinor(r, sr.DEFAULT, None)
+    up, dn, _ = _base_spinor(r)
     np.testing.assert_allclose(up, np.sqrt(g), rtol=0, atol=1e-14)
     np.testing.assert_allclose(dn, np.sqrt(g), rtol=0, atol=1e-14)
 
@@ -92,7 +93,7 @@ def test_base_spinor_symmetric_real(grid32):
 def test_base_spinor_carries_phase(grid32):
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, g.copy(), 1j * g)
-    up, _, _ = _base_spinor(r, sr.DEFAULT, None)
+    up, _, _ = _base_spinor(r)
     # compare away from the nodal fallback set, where the phase is arbitrary
     live = g >= 1e-10 * g.max()
     np.testing.assert_allclose(up[live], 1j * np.sqrt(g[live]),
@@ -101,7 +102,7 @@ def test_base_spinor_carries_phase(grid32):
 
 def test_base_spinor_requires_null_det(mixture32):
     with pytest.raises(sr.NullDeterminantError):
-        _base_spinor(mixture32, sr.DEFAULT, None)
+        _base_spinor(mixture32)
 
 
 def test_base_spinor_requires_dominated_up(grid32):
@@ -109,7 +110,7 @@ def test_base_spinor_requires_dominated_up(grid32):
     g = gaussian_values(grid32)
     r = field_from_arrays(grid32, g, np.zeros_like(g), np.zeros_like(g, dtype=complex))
     with pytest.raises(sr.RatioHypothesisError):
-        _base_spinor(r, sr.DEFAULT, None)
+        _base_spinor(r)
 
 
 # -- orbital construction --------------------------------------------------------
@@ -237,14 +238,14 @@ def branch_fields(r):
 def test_gate_gram_matches_the_built_orbitals(n):
     # the gate's 1-D Gram deviation against verify's 3-D one, on branches
     # inside the envelope (N = 1, 2) and far outside it (N = 3..6)
-    ungated = replace(sr.DEFAULT, gram_tol=10.0)
     for n_electrons in range(1, 7):
         for f in branch_fields(mixture(n, n_electrons=n_electrons)):
-            orbs = sr.build_orbitals(f, tol=ungated)
+            with gram_gate(10.0):
+                orbs = sr.build_orbitals(f)
             gate = orbs.diagnostics["gram_deviation"]
             full = sr.gram_deviation(orbs.orbitals)
             assert abs(gate - full) <= 1e-12
-            assert (gate <= sr.DEFAULT.gram_tol) == (full <= sr.DEFAULT.gram_tol)
+            assert (gate <= GRAM_TOL) == (full <= GRAM_TOL)
 
 
 def test_gate_refuses_before_building():

@@ -19,6 +19,7 @@ import pytest
 import spinrep as sr
 from spinrep import fields
 from spinrep.check import _sqrt_clipped
+from spinrep.tolerances import DET_CLAMP_REL
 
 from _helpers import cube, field_from_arrays
 
@@ -69,10 +70,10 @@ def _reference_weighted_gradient_l1(grid, gsq, w, floor, sig_rel):
     return value, masked, significant
 
 
-def _reference_det(r, tol=sr.DEFAULT):
+def _reference_det(r):
     s = r.sigma.values
     raw = r.rho_up.values * r.rho_dn.values - (s.real * s.real + s.imag * s.imag)
-    clamp = tol.det_clamp(r.scale)
+    clamp = DET_CLAMP_REL * r.scale * r.scale
     raw[(raw < 0.0) & (raw >= -clamp)] = 0.0
     return raw
 
@@ -219,7 +220,7 @@ def test_weighted_gradient_l1_bit_exact(blocks, grid_name, masked, leaf, workers
     gsq, w = _ratio_inputs(grid, masked)
     floor, sig_rel = 1e-6, 1e-9
     f = sr.ScalarField(grid, np.zeros(grid.dims))
-    res = sr.weighted_gradient_l1(f, sr.ScalarField(grid, w), floor, sig_rel, grad_sq=gsq)
+    res = sr.weighted_gradient_l1(f, sr.ScalarField(grid, w), floor, grad_sq=gsq)
     value, n_masked, significant = _reference_weighted_gradient_l1(grid, gsq, w, floor, sig_rel)
     assert res.value == value
     assert res.masked_points == n_masked
@@ -248,7 +249,7 @@ def _det_band_field(grid):
     phase = np.exp(2j * np.pi * rng.random(grid.dims))
     sigma = np.sqrt(up * dn) * phase
     r = field_from_arrays(grid, up, dn, sigma)
-    clamp = sr.DEFAULT.det_clamp(r.scale)
+    clamp = DET_CLAMP_REL * r.scale * r.scale
     # push a few points just past the band and a few well inside it
     flat = sigma.reshape(-1)
     flat[::5] *= np.sqrt(1.0 + 3.0 * clamp / (up * dn).reshape(-1)[::5])
@@ -265,7 +266,7 @@ def test_det_field_bit_exact(blocks, grid_name, leaf, workers):
     blocks(leaf, workers)
     r = _det_band_field(grid)
     ref = _reference_det(r)
-    clamp = sr.DEFAULT.det_clamp(r.scale)
+    clamp = DET_CLAMP_REL * r.scale * r.scale
     raw = r.rho_up.values * r.rho_dn.values - np.abs(r.sigma.values) ** 2
     assert np.any((raw < 0) & (raw >= -clamp)) and np.any(ref < -clamp)
     got = sr.det_field(r).values
@@ -360,7 +361,7 @@ def test_concurrent_callers_with_more_workers_than_cpus(blocks):
 
     def caller():
         for _ in range(10):
-            res = sr.weighted_gradient_l1(f, wf, 1e-6, 1e-9, grad_sq=gsq)
+            res = sr.weighted_gradient_l1(f, wf, 1e-6, grad_sq=gsq)
             got = (sr.integrate_values(grid, v),
                    (res.value, res.masked_points, res.significant_masked_points))
             exact.append(got == expected)

@@ -9,15 +9,14 @@ two-branch (mixture) and a four-branch witness, with the blocked passes on
 one and on two workers.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
+from spinrep.tolerances import GRAM_TOL
 
-from _helpers import cube, mixture
+from _helpers import cube, gram_gate, mixture
 from _reference import (
     build_fields,
     ref_base_reconstruction_error,
@@ -38,12 +37,14 @@ def polarized_rank1():
     return sr.rank1_from_orbital(psi_up, psi_dn, 1)
 
 
+# (field, Gram gate, branches): the four-branch pieces are cutoff-windowed, and
+# their orbitals miss orthonormality by up to 7.2e-4 on this grid
 CASES = {
-    "rank1": (polarized_rank1, sr.DEFAULT, 1),
-    "mixture": (lambda: mixture(48), sr.DEFAULT, 2),
+    "rank1": (polarized_rank1, GRAM_TOL, 1),
+    "mixture": (lambda: mixture(48), GRAM_TOL, 2),
     "four_branch": (
         lambda: mixture(48, half=10.0, coupling=0.97, width_up=1.2, width_dn=2.2),
-        replace(sr.DEFAULT, gram_tol=1e-3),
+        1e-3,
         4,
     ),
 }
@@ -51,11 +52,12 @@ CASES = {
 
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
-    make, tol, n_branches = CASES[request.param]
+    make, gate, n_branches = CASES[request.param]
     r = make()
-    w = sr.construct_witness(r, tol=tol)
+    with gram_gate(gate):
+        w = sr.construct_witness(r)
     assert len(w.branches) == n_branches
-    return r, tol, w
+    return r, gate, w
 
 
 @pytest.fixture(params=[1, 2], ids=lambda n: f"{n}w")
@@ -97,14 +99,15 @@ def test_kinetic_by_spin(case, workers):
 
 
 def test_reconstruction_errors(case, workers):
-    r, tol, w = case
-    pieces = build_fields(r, tol)
+    r, gate, w = case
+    pieces = build_fields(r)
     assert len(pieces) == len(w.branches)
     for f in pieces:
-        orbs = sr.build_orbitals(f, tol=tol)
+        with gram_gate(gate):
+            orbs = sr.build_orbitals(f)
         assert_same_bits(sr.reconstruction_error(orbs.orbitals, f),
                          ref_reconstruction_error(orbs.orbitals, f))
-        phi_up, sqrt_dn, _ = orbitals._base_spinor(f, tol, None)
+        phi_up, sqrt_dn, _ = orbitals._base_spinor(f)
         assert_same_bits(
             orbs.diagnostics["reconstruction_abs"],
             ref_base_reconstruction_error(phi_up, sqrt_dn, f),

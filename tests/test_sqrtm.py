@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinrep as sr
+from spinrep.tolerances import REFINE_THRESHOLD
 
 from _helpers import (
     cube,
@@ -177,7 +178,7 @@ def test_eigen_regularity_check_passes(mixture32, mixture48):
     # finite, and stable under refinement
     for coarse, fine in zip(values, seminorms(mixture48)):
         assert np.isfinite(coarse)
-        assert abs(fine - coarse) <= sr.DEFAULT.refine_threshold * max(coarse, fine)
+        assert abs(fine - coarse) <= REFINE_THRESHOLD * max(coarse, fine)
     # values agree with the direct eigensolve route
     plus, minus = direct_eigenvalues(mixture32)
     for value, lam in zip(values, (plus, minus)):

@@ -183,13 +183,16 @@ def test_verify_flags_corrupted_orbital(mixture48, witness48):
     assert report["orbital_gram"].verdict == "fail"
 
 
-def nan_witness():
-    """A one-orbital witness of a 24^3 gaussian spinor (N = 1), one dn value NaN, and its target."""
+def nan_witness(value=np.nan):
+    """A one-orbital witness of a 24^3 gaussian spinor (N = 1), one dn value NaN, and its target.
+
+    ``value`` replaces the NaN.
+    """
     grid = cube(24)
     psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6,
                                         phase_gradient=0.0)
     dn = psi_dn.values.copy()
-    dn[12, 12, 12] = np.nan
+    dn[12, 12, 12] = value
     return single_orbital_witness(grid, psi_up.values, dn), sr.rank1_from_orbital(psi_up, psi_dn, 1)
 
 
@@ -206,6 +209,10 @@ def test_verify_reports_a_non_finite_witness_density():
 def test_reconstruction_error_of_a_non_finite_witness_is_nan():
     w, target = nan_witness()
     assert np.isnan(sr.reconstruction_error(w.branches[0].orbitals.orbitals, target))
+    w, target = nan_witness(np.inf)
+    with np.errstate(invalid="ignore"):
+        error = sr.reconstruction_error(w.branches[0].orbitals.orbitals, target)
+    assert not np.isfinite(error)
 
 
 def test_verify_rejects_grid_mismatch(witness48):

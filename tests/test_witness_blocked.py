@@ -27,7 +27,7 @@ import spinrep as sr
 from spinrep import fields, orbitals
 from spinrep.witness import _l1_distance
 
-from _helpers import cube
+from _helpers import cube, gram_gate
 from _reference import (
     build_fields,
     ref_base_reconstruction_error,
@@ -186,10 +186,10 @@ def test_base_spinor_and_gram_gate(case, blocks, special):
         f = spoiled_field(f, special)
         if special == "nan":
             with pytest.raises(sr.NullDeterminantError):
-                orbitals._base_spinor(f, sr.DEFAULT, None)
+                orbitals._base_spinor(f)
             continue
-        phi_up, sqrt_dn, stats = orbitals._base_spinor(f, sr.DEFAULT, None)
-        ref_phi, ref_sqrt, ref_stats = ref_base_spinor(f, sr.DEFAULT)
+        phi_up, sqrt_dn, stats = orbitals._base_spinor(f)
+        ref_phi, ref_sqrt, ref_stats = ref_base_spinor(f)
         assert_same(phi_up, ref_phi)
         assert_same(sqrt_dn, ref_sqrt)
         assert stats == ref_stats and stats["nodal_points"] > 0
@@ -201,10 +201,10 @@ def test_base_spinor_and_gram_gate(case, blocks, special):
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_orbitals_materialised(case, blocks, axis):
     # any axis: the Gram gate is not what is compared here; NaN would stop at it
-    tol = replace(sr.DEFAULT, gram_tol=1.0)
     f = spoiled_field(case[3][0], "negzero")
-    orbs = sr.build_orbitals(f, axis, tol)
-    phi_up, sqrt_dn, _ = ref_base_spinor(f, tol)
+    with gram_gate(1.0):
+        orbs = sr.build_orbitals(f, axis)
+    phi_up, sqrt_dn, _ = ref_base_spinor(f)
     refs = ref_orbital_values(phi_up, sqrt_dn, orbs.phase, f.grid)
     assert orbs.axis == axis and len(refs) == len(orbs.orbitals)
     for orb, (up, dn) in zip(orbs.orbitals, refs):
