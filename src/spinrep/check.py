@@ -376,27 +376,30 @@ def check(
         if any(refined.grid.dims[ax] <= r.grid.dims[ax] for ax in range(3)):
             raise ValueError("refined field must be strictly finer on every axis")
 
-    n = r.n_electrons
-    *conditions, dt = _psd_conditions(r, tol)
+    # inf - inf and inf / inf in the passes give nan, which fails the condition it
+    # reaches; numpy need not warn about it
+    with np.errstate(invalid="ignore"):
+        n = r.n_electrons
+        *conditions, dt = _psd_conditions(r, tol)
 
-    # (c) normalization of the trace
-    norm_tol = tol.norm_tol(n)
-    total = trace_integral(r)
-    conditions.append(ConditionResult(
-        "normalization",
-        PASS if abs(total - n) <= norm_tol else FAIL,
-        total,
-        {"target": float(n), "deviation": abs(total - n), "threshold": norm_tol},
-    ))
+        # (c) normalization of the trace
+        norm_tol = tol.norm_tol(n)
+        total = trace_integral(r)
+        conditions.append(ConditionResult(
+            "normalization",
+            PASS if abs(total - n) <= norm_tol else FAIL,
+            total,
+            {"target": float(n), "deviation": abs(total - n), "threshold": norm_tol},
+        ))
 
-    # (d)-(g) finiteness of the gradient norms
-    parts, ratios = _eq_norms(r, tol, dt)
-    fine = _eq_norms(refined, tol)[0] if refined is not None else None
-    for name, part in parts.items():
-        fine_part = None if fine is None else fine[name]
-        conditions.append(_finiteness(name, part, fine_part, ratios.get(name)))
+        # (d)-(g) finiteness of the gradient norms
+        parts, ratios = _eq_norms(r, tol, dt)
+        fine = _eq_norms(refined, tol)[0] if refined is not None else None
+        for name, part in parts.items():
+            fine_part = None if fine is None else fine[name]
+            conditions.append(_finiteness(name, part, fine_part, ratios.get(name)))
 
-    bmax = boundary_max(r.rho_total)
+        bmax = boundary_max(r.rho_total)
     return CheckReport(
         conditions=tuple(conditions),
         n_electrons=n,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
 from .spin_density import SpinDensityField
@@ -41,7 +40,7 @@ def _outside_mass(grid: Grid3, width: float, center: tuple[float, float, float])
     for ax in range(3):
         lo = (grid.box[ax] - center[ax]) / width
         hi = (grid.box[3 + ax] - center[ax]) / width
-        inside *= 0.5 * (erf(hi) - erf(lo))
+        inside *= 0.5 * (math.erf(hi) - math.erf(lo))
     return 1.0 - inside
 
 

@@ -66,7 +66,8 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
 
     The test is conditions (a) and (b) of :func:`spinrep.check.check`.
     """
-    *conditions, det = _psd_conditions(r, tol)
+    with np.errstate(invalid="ignore"):  # non-finite input fails the conditions quietly
+        *conditions, det = _psd_conditions(r, tol)
     for c in conditions:
         if not c.passed:
             raise NotPositiveSemidefiniteError(

@@ -98,7 +98,8 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     """
     orbs = [orb for b in w.branches for orb in b.orbitals.orbitals]
     roots = np.sqrt([max(b.weight, 0.0) for b in w.branches for _ in b.orbitals.orbitals])
-    k = np.outer(roots, roots) * _overlaps(orbs)
+    with np.errstate(invalid="ignore"):  # an infinite orbital entry gives nan, not a warning
+        k = np.outer(roots, roots) * _overlaps(orbs)
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
@@ -162,80 +163,83 @@ def verify(
         raise ValueError("witness and target live on different grids")
     if w.n_electrons != target.n_electrons:
         raise ValueError("witness and target disagree on n_electrons")
-    checks: list[ConditionResult] = []
+    # an infinite orbital entry gives nan in the products; the checks report it, numpy
+    # need not warn about it
+    with np.errstate(invalid="ignore"):
+        checks: list[ConditionResult] = []
 
-    rec = density_of(w)
+        rec = density_of(w)
 
-    # (i) density match, relative L1
-    denom = _worst((trace_integral(target), TINY), largest=True)[0]
-    l1 = (
-        float(_l1_distance(rec.rho_up, target.rho_up))
-        + float(_l1_distance(rec.rho_dn, target.rho_dn))
-        + 2.0 * float(_l1_distance(rec.sigma, target.sigma))
-    )
-    mismatch = l1 / denom
-    checks.append(ConditionResult(
-        "density_match",
-        PASS if mismatch <= MISMATCH_TOL else FAIL,
-        mismatch,
-        {"threshold": MISMATCH_TOL, "l1_absolute": l1},
-    ))
+        # (i) density match, relative L1
+        denom = _worst((trace_integral(target), TINY), largest=True)[0]
+        l1 = (
+            float(_l1_distance(rec.rho_up, target.rho_up))
+            + float(_l1_distance(rec.rho_dn, target.rho_dn))
+            + 2.0 * float(_l1_distance(rec.sigma, target.sigma))
+        )
+        mismatch = l1 / denom
+        checks.append(ConditionResult(
+            "density_match",
+            PASS if mismatch <= MISMATCH_TOL else FAIL,
+            mismatch,
+            {"threshold": MISMATCH_TOL, "l1_absolute": l1},
+        ))
 
-    # (ii) per-branch orthonormality
-    gram_devs = tuple(gram_deviation(b.orbitals.orbitals) for b in w.branches)
-    worst_gram = _worst(gram_devs, largest=True)[0]
-    checks.append(ConditionResult(
-        "orbital_gram",
-        PASS if worst_gram <= GRAM_TOL else FAIL,
-        worst_gram,
-        {"threshold": GRAM_TOL, "per_branch": tuple(float(g) for g in gram_devs)},
-    ))
+        # (ii) per-branch orthonormality
+        gram_devs = tuple(gram_deviation(b.orbitals.orbitals) for b in w.branches)
+        worst_gram = _worst(gram_devs, largest=True)[0]
+        checks.append(ConditionResult(
+            "orbital_gram",
+            PASS if worst_gram <= GRAM_TOL else FAIL,
+            worst_gram,
+            {"threshold": GRAM_TOL, "per_branch": tuple(float(g) for g in gram_devs)},
+        ))
 
-    # (iii) convex weights
-    weight_sum = float(np.sum(w.weights))
-    min_weight = _worst(w.weights)[0]
-    weights_ok = abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL and min_weight >= -WEIGHT_SUM_TOL
-    checks.append(ConditionResult(
-        "weight_sum",
-        PASS if weights_ok else FAIL,
-        weight_sum,
-        {"threshold": WEIGHT_SUM_TOL, "min_weight": min_weight},
-    ))
+        # (iii) convex weights
+        weight_sum = float(np.sum(w.weights))
+        min_weight = _worst(w.weights)[0]
+        weights_ok = abs(weight_sum - 1.0) <= WEIGHT_SUM_TOL and min_weight >= -WEIGHT_SUM_TOL
+        checks.append(ConditionResult(
+            "weight_sum",
+            PASS if weights_ok else FAIL,
+            weight_sum,
+            {"threshold": WEIGHT_SUM_TOL, "min_weight": min_weight},
+        ))
 
-    # (iv) finite kinetic energy
-    t_up, t_dn = kinetic_by_spin(w)
-    total = t_up + t_dn
-    checks.append(ConditionResult(
-        "kinetic_finite",
-        PASS if np.isfinite(total) else FAIL,
-        total,
-        {"kinetic_up": t_up, "kinetic_dn": t_dn},
-    ))
+        # (iv) finite kinetic energy
+        t_up, t_dn = kinetic_by_spin(w)
+        total = t_up + t_dn
+        checks.append(ConditionResult(
+            "kinetic_finite",
+            PASS if np.isfinite(total) else FAIL,
+            total,
+            {"kinetic_up": t_up, "kinetic_dn": t_dn},
+        ))
 
-    # (v) integrated regularity bounds on the reconstructed density
-    # a non-finite witness density must surface as failing bounds, not as a floor error
-    norms = DensityNorms(rec, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
-    bounds = (
-        ("sqrt_rho_up_h1", norms.h1_up, t_up),
-        ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
-        ("sigma_grad_over_rho", norms.sigma_ratio.value, total),
-        ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
-    )
-    details: dict[str, object] = {"slack": SLACK}
-    margins = [0.0]
-    ok = True
-    for name, lhs, rhs in bounds:
-        details[f"{name}_lhs"] = float(lhs)
-        details[f"{name}_rhs"] = float(rhs)
-        margins.append(lhs / rhs if not rhs <= 0.0 else (0.0 if lhs == 0.0 else np.inf))
-        if not lhs <= rhs * (1.0 + SLACK):
-            ok = False
-    checks.append(ConditionResult(
-        "kinetic_bounds",
-        PASS if ok else FAIL,
-        _worst(margins, largest=True)[0],
-        details,
-    ))
+        # (v) integrated regularity bounds on the reconstructed density
+        # a non-finite witness density must surface as failing bounds, not as a floor error
+        norms = DensityNorms(rec, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
+        bounds = (
+            ("sqrt_rho_up_h1", norms.h1_up, t_up),
+            ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
+            ("sigma_grad_over_rho", norms.sigma_ratio.value, total),
+            ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
+        )
+        details: dict[str, object] = {"slack": SLACK}
+        margins = [0.0]
+        ok = True
+        for name, lhs, rhs in bounds:
+            details[f"{name}_lhs"] = float(lhs)
+            details[f"{name}_rhs"] = float(rhs)
+            margins.append(lhs / rhs if not rhs <= 0.0 else (0.0 if lhs == 0.0 else np.inf))
+            if not lhs <= rhs * (1.0 + SLACK):
+                ok = False
+        checks.append(ConditionResult(
+            "kinetic_bounds",
+            PASS if ok else FAIL,
+            _worst(margins, largest=True)[0],
+            details,
+        ))
 
     return VerifyReport(
         checks=tuple(checks),

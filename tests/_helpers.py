@@ -104,3 +104,23 @@ def kernel_derivatives(grid: sr.Grid3, values) -> tuple[np.ndarray, np.ndarray, 
 
     fields._over_slabs(v, work)
     return tuple(out)
+
+
+def single_orbital_witness(grid, up, dn):
+    orb = sr.Spinor(up=sr.ComplexField(grid, up), dn=sr.ComplexField(grid, dn))
+    return sr.Witness(grid=grid, n_electrons=1, branches=(
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1,
+                                            orbitals=(orb,))),))
+
+
+def nan_witness(value=np.nan):
+    """A one-orbital witness of a 24^3 gaussian spinor (N = 1), one dn value NaN, and its target.
+
+    ``value`` replaces the NaN.
+    """
+    grid = cube(24)
+    psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6,
+                                        phase_gradient=0.0)
+    dn = psi_dn.values.copy()
+    dn[12, 12, 12] = value
+    return single_orbital_witness(grid, psi_up.values, dn), sr.rank1_from_orbital(psi_up, psi_dn, 1)

@@ -5,7 +5,8 @@ a 16^3 gaussian and asserts that ``check`` fails condition (a) or (b) and
 that ``spinrep sqrt``, ``eigs`` and ``construct`` refuse the field and write
 nothing.  One +inf makes max(rho), and with it every tolerance scaled by it,
 infinite; condition (a) fails on it by name.  On a rank-1 field the stages
-that require a null determinant refuse it too.  No step may warn on the way.
+that require a null determinant refuse it too.  A witness with an infinite
+orbital entry gets a failing ``verify`` report.  No step may warn on the way.
 """
 
 import math
@@ -13,11 +14,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinrep as sr
 from spinrep.cli import main
 
-from _helpers import cube, field_from_arrays, symmetric_rank1
+from _helpers import cube, field_from_arrays, nan_witness, symmetric_rank1
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -71,6 +74,20 @@ def test_rho_nonneg_names_the_infinite_entry(diagonal16):
         assert c.details["min_rho_up"] == -1.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(PARTS), st.sampled_from([np.inf, -np.inf]),
+                                  st.tuples(*[st.integers(0, 15)] * 3)),
+                        min_size=1, max_size=3))
+def test_infinite_entries_at_random_points_are_refused(diagonal16, entries):
+    r = diagonal16
+    for part, value, index in entries:
+        r = with_inf(r, part, value, index)
+    report = sr.check(r)
+    assert report["rho_nonneg"].verdict == "fail" or report["det_nonneg"].verdict == "fail"
+    with pytest.raises(sr.NotPositiveSemidefiniteError):
+        sr.sqrt_field(r)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 @pytest.mark.parametrize("part", PARTS)
 @pytest.mark.parametrize("stage", [sr.orbitals.require_null_determinant, sr.ratio_split,
@@ -94,3 +111,28 @@ def test_cli_refuses_an_infinite_entry(tmp_path, capsys, diagonal16, command, pa
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+# -- a witness holding an infinite orbital entry ------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_verify_reports_an_infinite_witness(value):
+    w, target = nan_witness(value)
+    report = sr.verify(w, target)
+    for name in ("density_match", "orbital_gram", "kinetic_finite", "kinetic_bounds"):
+        assert report[name].verdict == "fail"
+    assert report["weight_sum"].verdict == "pass"
+    assert np.isnan(sr.occupation_spectrum(w)).all()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_cli_verify_reports_an_infinite_witness(tmp_path, capsys, value):
+    w, target = nan_witness(value)
+    path, wdir = tmp_path / "target.spdf", tmp_path / "witness"
+    sr.write_spdf(path, target)
+    sr.write_witness(wdir, w)
+    assert main(["verify", str(wdir), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == sr.verify(w, target).to_text() and "overall: fail" in captured.out
+    assert captured.err == ""

@@ -1,8 +1,8 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 import spinrep as sr
 from spinrep.orbitals import _base_spinor, kinetic_bound_rhs
@@ -17,6 +17,8 @@ from _helpers import (
     mixture,
     symmetric_rank1,
 )
+
+erf = np.vectorize(math.erf)
 
 
 # -- phase --------------------------------------------------------------------

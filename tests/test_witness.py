@@ -1,18 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 import spinrep as sr
 from spinrep.witness import kinetic_by_spin
 
-from _helpers import cube, max_abs_diff, symmetric_rank1
+from _helpers import cube, max_abs_diff, nan_witness, single_orbital_witness, symmetric_rank1
 
-
-def single_orbital_witness(grid, up, dn):
-    orb = sr.Spinor(up=sr.ComplexField(grid, up), dn=sr.ComplexField(grid, dn))
-    return sr.Witness(grid=grid, n_electrons=1, branches=(
-        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1,
-                                            orbitals=(orb,))),))
+erf = np.vectorize(math.erf)
 
 
 @pytest.fixture(scope="module")
@@ -181,19 +177,6 @@ def test_verify_flags_corrupted_orbital(mixture48, witness48):
     report = sr.verify(bad, mixture48)
     assert not report.passed
     assert report["orbital_gram"].verdict == "fail"
-
-
-def nan_witness(value=np.nan):
-    """A one-orbital witness of a 24^3 gaussian spinor (N = 1), one dn value NaN, and its target.
-
-    ``value`` replaces the NaN.
-    """
-    grid = cube(24)
-    psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6,
-                                        phase_gradient=0.0)
-    dn = psi_dn.values.copy()
-    dn[12, 12, 12] = value
-    return single_orbital_witness(grid, psi_up.values, dn), sr.rank1_from_orbital(psi_up, psi_dn, 1)
 
 
 def test_verify_reports_a_non_finite_witness_density():
