@@ -54,7 +54,6 @@ from .orbitals import (
     gram_matrix,
     kinetic_bound_rhs,
     reconstruction_error,
-    resolve_axis,
 )
 from .decompose import (
     PipelineError,
@@ -105,7 +104,7 @@ __all__ = [
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
     "build_orbitals", "build_phase", "choose_phase_axis",
     "exchange_components", "gram_deviation", "gram_matrix",
-    "kinetic_bound_rhs", "reconstruction_error", "resolve_axis",
+    "kinetic_bound_rhs", "reconstruction_error",
     "PipelineError", "SplitResult", "construct_witness",
     "rank1_split", "ratio_split",
     "VerifyReport", "Witness", "WitnessBranch", "density_of",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -99,7 +99,13 @@ class Report:
         raise KeyError(name)
 
     def to_text(self) -> str:
-        return "\n".join(self.header() + sections(self.section, self.results)) + "\n"
+        """Header lines, then one block per result headed ``<section>: <name>``."""
+        lines = self.header()
+        for c in self.results:
+            lines += ["", f"{self.section}: {c.name}", f"verdict: {c.verdict}",
+                      f"value: {c.value:.12g}"]
+            lines += [f"{key}: {_fmt(c.details[key])}" for key in sorted(c.details)]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,6 @@ class CheckReport(Report):
             f"boundary_warning: {'yes' if self.boundary_warning else 'no'}",
             f"boundary_value: {self.boundary_value:.12g}",
         ]
-
-
-def sections(label: str, results: Iterable[ConditionResult]) -> list[str]:
-    """Text lines of ``results``, one block each, headed ``<label>: <name>``."""
-    lines = []
-    for c in results:
-        lines += ["", f"{label}: {c.name}", f"verdict: {c.verdict}", f"value: {c.value:.12g}"]
-        lines += [f"{key}: {_fmt(c.details[key])}" for key in sorted(c.details)]
-    return lines
 
 
 def _fmt(v: object) -> str:

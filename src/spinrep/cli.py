@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .check import check, sections
+from .check import check
 from .decompose import PipelineError, construct_witness
 from .fields import ComplexField, Grid3, frozen, integrate
 from .generators import (
@@ -37,30 +37,26 @@ from .tolerances import ToleranceConfig
 from .witness import verify
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=64, metavar="N",
-                   help="nodes per axis (default 64)")
-    p.add_argument("--box", type=float, nargs=2, default=(-8.0, 8.0),
-                   metavar=("LO", "HI"), help="cubic box bounds (default -8 8)")
+# the generator parameters each family reads; a flag left unset takes the
+# generator's own default
+GENERATOR_FLAGS = ("width", "width_dn", "spin_fraction", "coupling", "phase_gradient")
+FAMILY_FLAGS = {
+    "gaussian": ("width",),
+    "rank1": ("width", "width_dn", "spin_fraction", "phase_gradient"),
+    "mixture": GENERATOR_FLAGS,
+}
+
+TOLERANCE_FLAGS = {
+    "--tol-neg": ("T", "absolute negativity tolerance (default 1e-10 x max rho)"),
+    "--tol-norm": ("T", "absolute normalization tolerance (default 1e-6 per electron)"),
+    "--floor": ("F", "absolute density floor for /rho integrands (default 1e-12 x max rho)"),
+}
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("gaussian", "rank1", "mixture"), default="gaussian")
-    p.add_argument("--n-electrons", type=int, required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--width-dn", type=float, default=None)
-    p.add_argument("--spin-fraction", type=float, default=0.5)
-    p.add_argument("--coupling", type=float, default=0.5)
-    p.add_argument("--phase-gradient", type=float, default=0.0)
-
-
-def _add_tol_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-norm", type=float, default=None, metavar="T",
-                   help="absolute normalization tolerance (default 1e-6 per electron)")
-    p.add_argument("--tol-neg", type=float, default=None, metavar="T",
-                   help="absolute negativity tolerance (default 1e-10 x max rho)")
-    p.add_argument("--floor", type=float, default=None, metavar="F",
-                   help="absolute density floor for /rho integrands (default 1e-12 x max rho)")
+def _add_tol_args(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        metavar, help_text = TOLERANCE_FLAGS[flag]
+        p.add_argument(flag, type=float, default=None, metavar=metavar, help=help_text)
 
 
 def _tolerances(args):
@@ -76,30 +72,24 @@ def _cubic_grid(args) -> Grid3:
     return Grid3((args.grid,) * 3, (lo, lo, lo, hi, hi, hi))
 
 
+def _require_family_flags(args) -> None:
+    for name in GENERATOR_FLAGS:
+        if getattr(args, name) is not None and name not in FAMILY_FLAGS[args.family]:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"--family {args.family} does not read {flag}")
+
+
 def _generate(args) -> SpinDensityField:
     grid = _cubic_grid(args)
+    kw = {name: getattr(args, name) for name in FAMILY_FLAGS[args.family]
+          if getattr(args, name) is not None}
     if args.family == "gaussian":
-        return gaussian_diagonal(grid, args.n_electrons, width=args.width)
+        return gaussian_diagonal(grid, args.n_electrons, **kw)
+    if "width" in kw:
+        kw["width_up"] = kw.pop("width")
     if args.family == "rank1":
-        psi_up, psi_dn = gaussian_spinor(
-            grid,
-            width_up=args.width,
-            width_dn=args.width_dn,
-            spin_fraction=args.spin_fraction,
-            phase_gradient=args.phase_gradient,
-        )
-        return rank1_from_orbital(psi_up, psi_dn, args.n_electrons)
-    if args.family == "mixture":
-        return full_rank_mixture(
-            grid,
-            args.n_electrons,
-            coupling=args.coupling,
-            width_up=args.width,
-            width_dn=args.width_dn,
-            spin_fraction=args.spin_fraction,
-            phase_gradient=args.phase_gradient,
-        )
-    raise GeneratorError(f"unknown family {args.family!r}")
+        return rank1_from_orbital(*gaussian_spinor(grid, **kw), args.n_electrons)
+    return full_rank_mixture(grid, args.n_electrons, **kw)
 
 
 def _emit(text: str, report_path: str | None) -> None:
@@ -119,7 +109,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     field = read_spdf(args.input)
-    report = check(field, _tolerances(args))
+    refined = read_spdf(args.refined) if args.refined else None
+    try:
+        report = check(field, _tolerances(args), refined=refined)
+    except ValueError as exc:
+        # the refined file is not this density on a finer grid
+        print(f"error: {args.refined}: {exc}", file=sys.stderr)
+        return 2
     _emit(report.to_text(), args.report)
     return 0 if report.passed else 1
 
@@ -161,7 +157,7 @@ def _cmd_eigs(args) -> int:
 
 def _cmd_construct(args) -> int:
     field = read_spdf(args.input)
-    witness = construct_witness(field, axis=args.axis, tol=_tolerances(args))
+    witness = construct_witness(field, _tolerances(args))
     write_witness(args.out, witness)
     weights = " ".join(f"{b.weight:.6g}" for b in witness.branches)
     print(f"wrote {args.out}: {len(witness.branches)} branches, weights [{weights}]")
@@ -176,23 +172,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_norms(args) -> int:
-    field = _generate(args)
-    refine = args.refine if args.refine else round(1.5 * args.grid)
-    if refine <= args.grid:
-        print(f"refined grid ({refine}) must exceed --grid ({args.grid})", file=sys.stderr)
-        return 2
-    fine_args = argparse.Namespace(**vars(args))
-    fine_args.grid = refine
-    refined = _generate(fine_args)
-    tol = _tolerances(args)
-    report = check(field, tol, refined=refined)
-    lines = [f"refinement study: {args.grid}^3 vs {refine}^3"]
-    lines += sections("condition", report.conditions[3:])
-    _emit("\n".join(lines) + "\n", args.report)
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinrep",
@@ -202,52 +181,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an analytic density file")
-    _add_family_args(p)
+    p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="gaussian")
+    p.add_argument("--n-electrons", type=int, required=True)
+    for name in GENERATOR_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--out", required=True)
-    _add_grid_args(p)
+    p.add_argument("--grid", type=int, default=64, metavar="N",
+                   help="nodes per axis (default 64)")
+    p.add_argument("--box", type=float, nargs=2, default=(-8.0, 8.0),
+                   metavar=("LO", "HI"), help="cubic box bounds (default -8 8)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="run the admissibility check on a density file")
     p.add_argument("input")
+    p.add_argument("--refined", default=None, metavar="FILE",
+                   help="the same density on a finer grid; conditions (d)-(g) then "
+                        "compare their norms across the two grids")
     p.add_argument("--report", default=None)
-    _add_tol_args(p)
+    _add_tol_args(p, *TOLERANCE_FLAGS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sqrt", help="pointwise matrix square root")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    _add_tol_args(p)
+    _add_tol_args(p, "--tol-neg")
     p.set_defaults(func=_cmd_sqrt)
 
     p = sub.add_parser("eigs", help="pointwise eigen densities")
     p.add_argument("input")
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    _add_tol_args(p)
+    _add_tol_args(p, "--tol-neg")
     p.set_defaults(func=_cmd_eigs)
 
     p = sub.add_parser("construct", help="build an explicit representing mixed state")
     p.add_argument("input")
     p.add_argument("--out", required=True, help="output witness directory")
-    p.add_argument("--axis", choices=("x", "y", "z", "auto"), default="auto")
-    _add_tol_args(p)
+    _add_tol_args(p, *TOLERANCE_FLAGS)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a witness against a density file")
     p.add_argument("witness", help="witness directory")
     p.add_argument("target", help="target density file")
     p.add_argument("--report", default=None)
-    _add_tol_args(p)
+    _add_tol_args(p, "--floor")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("norms", help="refinement study of the gradient norms")
-    _add_family_args(p)
-    p.add_argument("--refine", type=int, default=0, metavar="K",
-                   help="refined node count (default 1.5x --grid)")
-    p.add_argument("--report", default=None)
-    _add_grid_args(p)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_norms)
 
     return parser
 
@@ -257,8 +235,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # usage errors, found before any file is read or written
-        if hasattr(args, "box"):
+        if args.command == "gen":
             _cubic_grid(args)
+            _require_family_flags(args)
         _tolerances(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -193,12 +193,11 @@ def _drain(items: list) -> Iterator:
 
 def construct_witness(
     r: SpinDensityField,
-    axis="auto",
     tol: ToleranceConfig = DEFAULT,
 ) -> Witness:
     """Build an explicit mixed state (<= 4 Slater branches) representing R."""
     try:
-        return _construct(r, axis, tol)
+        return _construct(r, tol)
     except PipelineError as exc:
         # A caller that keeps the refusal keeps every frame its traceback (and
         # its cause's) passes through.  Clear the locals of the finished ones,
@@ -209,7 +208,7 @@ def construct_witness(
         raise
 
 
-def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
+def _construct(r: SpinDensityField, tol: ToleranceConfig) -> Witness:
     report = check(r, tol)
     if report.verdict != "pass":
         failed = [c.name for c in report.conditions if c.verdict != "pass"]
@@ -241,7 +240,7 @@ def _construct(r: SpinDensityField, axis, tol: ToleranceConfig) -> Witness:
             del sub
             try:
                 # refuses orbitals that miss orthonormality by more than GRAM_TOL
-                orbs = build_orbitals(build_field, axis, tol)
+                orbs = build_orbitals(build_field, tol=tol)
             except ValueError as exc:
                 raise PipelineError("orbitals", str(exc)) from exc
             del build_field

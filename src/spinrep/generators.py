@@ -1,9 +1,9 @@
 """Analytic density families used as fixtures and CLI inputs.
 
-All families are Gaussian-based so every norm the checker computes has a
-closed form to compare against.  Generators reject parameter choices that
-leave non-negligible mass outside the box, since the discrete operators
-silently assume decay at the boundary.
+All families are Gaussian-based, centred on the box, so every norm the
+checker computes has a closed form to compare against.  Generators reject
+parameter choices that leave non-negligible mass outside the box, since
+the discrete operators silently assume decay at the boundary.
 """
 
 from __future__ import annotations
@@ -27,15 +27,17 @@ def _center(grid: Grid3) -> tuple[float, float, float]:
     return tuple(0.5 * (grid.box[ax] + grid.box[3 + ax]) for ax in range(3))
 
 
-def _gaussian(grid: Grid3, width: float, center: tuple[float, float, float]) -> np.ndarray:
-    """Unit-mass gaussian (pi a^2)^{-3/2} exp(-|r-c|^2 / a^2)."""
+def _gaussian(grid: Grid3, width: float) -> np.ndarray:
+    """Unit-mass gaussian (pi a^2)^{-3/2} exp(-|r-c|^2 / a^2) about the box centre c."""
+    center = _center(grid)
     x, y, z = grid.meshgrid()
     r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
     return (math.pi * width * width) ** -1.5 * np.exp(-r2 / (width * width))
 
 
-def _outside_mass(grid: Grid3, width: float, center: tuple[float, float, float]) -> float:
+def _outside_mass(grid: Grid3, width: float) -> float:
     """Exact mass of the unit gaussian outside the box (product of erf factors)."""
+    center = _center(grid)
     inside = 1.0
     for ax in range(3):
         lo = (grid.box[ax] - center[ax]) / width
@@ -44,10 +46,10 @@ def _outside_mass(grid: Grid3, width: float, center: tuple[float, float, float])
     return 1.0 - inside
 
 
-def _require_contained(grid: Grid3, width: float, center, what: str) -> None:
+def _require_contained(grid: Grid3, width: float, what: str) -> None:
     if not (np.isfinite(width) and width > 0.0):
         raise GeneratorError(f"{what}: width must be positive, got {width}")
-    outside = _outside_mass(grid, width, center)
+    outside = _outside_mass(grid, width)
     if outside > BOUNDARY_MASS_TOL:
         raise GeneratorError(
             f"{what}: {outside:.3e} of the mass lies outside the box "
@@ -59,7 +61,6 @@ def gaussian_diagonal(
     grid: Grid3,
     n_electrons: int,
     width: float = 1.0,
-    center: tuple[float, float, float] | None = None,
 ) -> SpinDensityField:
     """Unpolarized gaussian: rho_up = rho_dn = (N/2) g_width, sigma = 0.
 
@@ -67,9 +68,8 @@ def gaussian_diagonal(
     integral |grad sqrt(rho_a)|^2 = (3/2) (N_a / width^2) per spin, so the
     total sqrt-density seminorm is 3 N / (2 width^2).
     """
-    c = _center(grid) if center is None else tuple(float(v) for v in center)
-    _require_contained(grid, width, c, "gaussian_diagonal")
-    half = 0.5 * n_electrons * _gaussian(grid, width, c)
+    _require_contained(grid, width, "gaussian_diagonal")
+    half = 0.5 * n_electrons * _gaussian(grid, width)
     return SpinDensityField(
         rho_up=ScalarField(grid, frozen(half)),
         rho_dn=ScalarField(grid, half),
@@ -84,8 +84,6 @@ def gaussian_spinor(
     width_dn: float | None = None,
     spin_fraction: float = 0.5,
     phase_gradient: float = 0.0,
-    center_up: tuple[float, float, float] | None = None,
-    center_dn: tuple[float, float, float] | None = None,
 ) -> tuple[ComplexField, ComplexField]:
     """Normalized spinor with gaussian components.
 
@@ -97,15 +95,13 @@ def gaussian_spinor(
         raise GeneratorError(f"spin_fraction must lie in [0, 1], got {spin_fraction}")
     if width_dn is None:
         width_dn = width_up
-    cu = _center(grid) if center_up is None else tuple(float(v) for v in center_up)
-    cd = _center(grid) if center_dn is None else tuple(float(v) for v in center_dn)
-    _require_contained(grid, width_up, cu, "gaussian_spinor (up)")
-    _require_contained(grid, width_dn, cd, "gaussian_spinor (dn)")
-    up = np.sqrt(spin_fraction * _gaussian(grid, width_up, cu)).astype(np.complex128)
+    _require_contained(grid, width_up, "gaussian_spinor (up)")
+    _require_contained(grid, width_dn, "gaussian_spinor (dn)")
+    up = np.sqrt(spin_fraction * _gaussian(grid, width_up)).astype(np.complex128)
     if phase_gradient != 0.0:
         x = grid.meshgrid()[0]
-        up = up * np.exp(1j * phase_gradient * (x - cu[0]))
-    dn = np.sqrt((1.0 - spin_fraction) * _gaussian(grid, width_dn, cd)).astype(np.complex128)
+        up = up * np.exp(1j * phase_gradient * (x - _center(grid)[0]))
+    dn = np.sqrt((1.0 - spin_fraction) * _gaussian(grid, width_dn)).astype(np.complex128)
     return ComplexField(grid, frozen(up)), ComplexField(grid, frozen(dn))
 
 
@@ -149,16 +145,14 @@ def full_rank_mixture(
     width_dn: float | None = None,
     spin_fraction: float = 0.5,
     phase_gradient: float = 0.0,
-    center_up: tuple[float, float, float] | None = None,
-    center_dn: tuple[float, float, float] | None = None,
 ) -> SpinDensityField:
     """Strictly mixed family: gaussian diagonal with partial coupling
 
         sigma = c exp(i theta(x)) sqrt(rho_up rho_dn),   |c| < 1,
 
     so det R = (1 - c^2) rho_up rho_dn > 0 wherever both densities are
-    positive.  theta = phase_gradient * (x - center).  coupling = 0 with
-    equal widths/centers reduces exactly to :func:`gaussian_diagonal`.
+    positive.  theta = phase_gradient * (x - box centre).  coupling = 0 with
+    equal widths reduces exactly to :func:`gaussian_diagonal`.
     """
     if not abs(coupling) < 1.0:
         raise GeneratorError(
@@ -168,19 +162,17 @@ def full_rank_mixture(
         raise GeneratorError(f"spin_fraction must lie in (0, 1), got {spin_fraction}")
     if width_dn is None:
         width_dn = width_up
-    cu = _center(grid) if center_up is None else tuple(float(v) for v in center_up)
-    cd = _center(grid) if center_dn is None else tuple(float(v) for v in center_dn)
-    _require_contained(grid, width_up, cu, "full_rank_mixture (up)")
-    _require_contained(grid, width_dn, cd, "full_rank_mixture (dn)")
-    up = spin_fraction * n_electrons * _gaussian(grid, width_up, cu)
-    dn = (1.0 - spin_fraction) * n_electrons * _gaussian(grid, width_dn, cd)
+    _require_contained(grid, width_up, "full_rank_mixture (up)")
+    _require_contained(grid, width_dn, "full_rank_mixture (dn)")
+    up = spin_fraction * n_electrons * _gaussian(grid, width_up)
+    dn = (1.0 - spin_fraction) * n_electrons * _gaussian(grid, width_dn)
     if coupling == 0.0:
         sigma = np.zeros(grid.dims, dtype=np.complex128)
     else:
         sigma = (coupling * np.sqrt(up * dn)).astype(np.complex128)
         if phase_gradient != 0.0:
             x = grid.meshgrid()[0]
-            sigma = sigma * np.exp(1j * phase_gradient * (x - 0.5 * (cu[0] + cd[0])))
+            sigma = sigma * np.exp(1j * phase_gradient * (x - _center(grid)[0]))
     return SpinDensityField(
         rho_up=ScalarField(grid, frozen(up)),
         rho_dn=ScalarField(grid, frozen(dn)),

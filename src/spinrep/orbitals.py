@@ -36,9 +36,6 @@ from .spin_density import SpinDensityField, det_field
 from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
                          PHASE_ROUGHNESS_REL, RATIO_REL, TINY, ToleranceConfig, sqrt_floor)
 
-AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
-
-
 class NullDeterminantError(ValueError):
     """det R is not numerically zero where the construction requires it."""
 
@@ -133,23 +130,6 @@ def _spectral_antiderivative(fp: np.ndarray, h: float) -> np.ndarray:
     return fp[0] * xi + 0.5 * slope * xi * xi + mean * xi + (osc - osc[0])
 
 
-def resolve_axis(axis, rho: ScalarField | None = None) -> int:
-    """Accept 0/1/2, 'x'/'y'/'z' or 'auto' (needs the density for the spread)."""
-    if isinstance(axis, str):
-        name = axis.lower()
-        if name == "auto":
-            if rho is None:
-                raise ValueError("axis='auto' requires a density")
-            return choose_phase_axis(rho)
-        if name in AXIS_NAMES:
-            return AXIS_NAMES[name]
-        raise ValueError(f"unknown axis {axis!r}")
-    ax = int(axis)
-    if ax not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-    return ax
-
-
 def choose_phase_axis(rho: ScalarField) -> int:
     """Axis along which the density marginal has the largest spread (std)."""
     spreads = []
@@ -180,11 +160,12 @@ def build_phase(
     ``PHASE_RENORM_FACTOR`` times the normalization tolerance means the
     input was not normalized to start with and is rejected.
     """
-    ax = resolve_axis(axis, rho)
-    marginal = np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0, None)
-    h = rho.grid.spacing[ax]
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    marginal = np.clip(_transverse_marginal(rho.grid, rho.values, axis), 0.0, None)
+    h = rho.grid.spacing[axis]
     # normalization is judged against the canonical (trapezoid) quadrature
-    trap_total = float(np.sum(rho.grid.axis_weights[ax] * marginal))
+    trap_total = float(np.sum(rho.grid.axis_weights[axis] * marginal))
     adjustment = n_electrons - trap_total
     if not abs(adjustment) <= PHASE_RENORM_FACTOR * tol.norm_tol(n_electrons):
         raise PhaseNormalizationError(
@@ -223,8 +204,8 @@ def build_phase(
     np.minimum(values, float(n_electrons), out=values)
     values[-1] = float(n_electrons)
     return PhaseFunction(
-        axis=ax,
-        nodes=rho.grid.axes[ax],
+        axis=axis,
+        nodes=rho.grid.axes[axis],
         marginal=marginal * scale,
         values=values,
         n_electrons=int(n_electrons),
@@ -419,7 +400,7 @@ def _phase_gram_deviation(
 
 def build_orbitals(
     r: SpinDensityField,
-    axis="auto",
+    axis: int | None = None,
     tol: ToleranceConfig = DEFAULT,
 ) -> OrbitalSet:
     """Construct the N phase-modulated orbitals reproducing a rank-1 R.
@@ -430,9 +411,10 @@ def build_orbitals(
     (a 1-D sum along the phase axis, exact for these orbitals), the
     absolute and relative reconstruction errors (from the base spinor, in
     which the phases cancel), the nodal-set fallback counts and the phase
-    renormalization adjustment.
+    renormalization adjustment.  ``axis`` (0-2) is the phase axis; None
+    takes :func:`choose_phase_axis`.
     """
-    ax = resolve_axis(axis, r.rho_total)
+    ax = choose_phase_axis(r.rho_total) if axis is None else axis
     n = r.n_electrons
     phi_up, sqrt_dn, stats = _base_spinor(r)
     phase = build_phase(r.rho_total, n, ax, tol)

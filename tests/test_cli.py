@@ -1,13 +1,16 @@
 """End-to-end command-line tests, run in process through ``cli.main``."""
 
+import argparse
 import os
+import shlex
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinrep as sr
-from spinrep.cli import main
+from spinrep.cli import build_parser, main
 
 from _helpers import cube, dipped, field_from_arrays, gaussian_values, mixture
 
@@ -185,33 +188,157 @@ def test_construct_tol_neg_admits_a_shallow_dip(tmp_path, capsys):
     assert len(sr.read_witness(tmp_path / "w1").branches) == 2
 
 
+TOLERANCES = ("--tol-neg", "--tol-norm", "--floor")
+# subcommand -> (arguments after the input file, the tolerance flags it reads)
+TOLERANCE_READERS = {
+    "check": ([], TOLERANCES),
+    "sqrt": ([], ("--tol-neg",)),
+    "eigs": ([], ("--tol-neg",)),
+    "construct": ([], TOLERANCES),
+    "verify": (["witness"], ("--floor",)),
+}
 BAD_ARGUMENTS = [
     ["gen", "--n-electrons", "2", "--grid", "3"],
     ["gen", "--n-electrons", "2", "--box", "8", "-8"],
     ["gen", "--n-electrons", "0"],
     *([command, *args, option, value]
-      for command, args in (("check", []), ("sqrt", []), ("eigs", []), ("construct", []),
-                            ("verify", ["witness"]), ("norms", ["--n-electrons", "2"]))
-      for option in ("--tol-neg", "--tol-norm", "--floor")
+      for command, (args, reads) in TOLERANCE_READERS.items()
+      for option in reads
       for value in ("0", "-1")),
+]
+# a tolerance flag the subcommand does not read is an unknown option, whatever its value
+UNREAD_TOLERANCES = [
+    [command, *args, option, value]
+    for command, (args, reads) in TOLERANCE_READERS.items()
+    for option in TOLERANCES if option not in reads
+    for value in ("0", "-1")
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS + UNREAD_TOLERANCES, ids=" ".join)
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     # exit 2 before the input is read or any output is written
     command, *rest = argv
     path = tmp_path / "field.spdf"
     inputs = []
-    if command not in ("gen", "norms"):
+    if command != "gen":
         sr.write_spdf(path, sr.gaussian_diagonal(cube(24), 2))
         inputs = [str(path)]
     outputs = ["--out", str(tmp_path / "out")] if command in ("gen", "sqrt", "construct") else []
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, *rest, *outputs])
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert ("unrecognized arguments" in err) == (argv in UNREAD_TOLERANCES)
     assert list(tmp_path.iterdir()) == ([path] if inputs else [])
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    action, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# tolerance flag -> (ToleranceConfig method that reads it, field it sets)
+TOLERANCE_METHODS = {"--tol-neg": ("neg_tol", "neg_abs"), "--tol-norm": ("norm_tol", "norm_abs"),
+                     "--floor": ("floor", "floor_abs")}
+ACCEPTED_TOLERANCES = [
+    (command, option)
+    for command, parser in _subparsers().items()
+    for action in parser._actions
+    for option in action.option_strings if option in TOLERANCE_METHODS
+]
+
+
+@pytest.mark.parametrize("command, option", ACCEPTED_TOLERANCES,
+                         ids=[" ".join(pair) for pair in ACCEPTED_TOLERANCES])
+def test_every_accepted_tolerance_is_read(tmp_path, monkeypatch, capsys, command, option):
+    method, field = TOLERANCE_METHODS[option]
+    read = []
+    original = getattr(sr.ToleranceConfig, method)
+
+    def spy(self, scale):
+        if getattr(self, field) is not None:
+            read.append(scale)
+        return original(self, scale)
+
+    monkeypatch.setattr(sr.ToleranceConfig, method, spy)
+    path = gen(tmp_path)
+    inputs = [str(path)]
+    if command == "verify":
+        # a one-orbital witness of the rank-1 density it was made from
+        grid = cube(24)
+        psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6)
+        sr.write_spdf(path, sr.rank1_from_orbital(psi_up, psi_dn, 1))
+        orbs = sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(sr.Spinor(psi_up, psi_dn),))
+        wdir = tmp_path / "witness"
+        sr.write_witness(wdir, sr.Witness(grid, 1, (sr.WitnessBranch(1.0, orbs),)))
+        inputs.insert(0, str(wdir))
+    outputs = ["--out", str(tmp_path / "out")] if command in ("sqrt", "construct") else []
+    main([command, *inputs, option, "1e-9", *outputs])
+    assert read, f"{command} accepts {option} but never reads it"
+
+
+def test_check_refined_compares_two_grids(tmp_path, capsys):
+    coarse, fine = tmp_path / "c.spdf", tmp_path / "f.spdf"
+    sr.write_spdf(coarse, sr.gaussian_diagonal(cube(32), 2))
+    sr.write_spdf(fine, sr.gaussian_diagonal(cube(48), 2))
+    report = tmp_path / "report.txt"
+    assert main(["check", str(coarse), "--refined", str(fine), "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert report.read_text() == out
+    assert "refined_value" in out and "change" in out
+
+
+def test_check_refined_must_refine_the_input(tmp_path, capsys):
+    coarse = tmp_path / "c.spdf"
+    sr.write_spdf(coarse, sr.gaussian_diagonal(cube(24), 2))
+    fine = {
+        "same box": sr.gaussian_diagonal(cube(32, 9.0), 2),
+        "same n_electrons": sr.gaussian_diagonal(cube(32), 3),
+        "strictly finer": sr.gaussian_diagonal(sr.Grid3((32, 24, 32), cube(24).box), 2),
+    }
+    for message, field in fine.items():
+        path = tmp_path / "f.spdf"
+        sr.write_spdf(path, field)
+        report = tmp_path / "report.txt"
+        assert main(["check", str(coarse), "--refined", str(path), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and str(path) in captured.err
+        assert captured.out == "" and not report.exists()
+
+
+# (family, gen flag) pairs whose flag the family's generator does not take
+UNREAD_GEN_FLAGS = [("gaussian", "--width-dn"), ("gaussian", "--spin-fraction"),
+                    ("gaussian", "--coupling"), ("gaussian", "--phase-gradient"),
+                    ("rank1", "--coupling")]
+
+
+@pytest.mark.parametrize("family, flag", UNREAD_GEN_FLAGS,
+                         ids=[" ".join(pair) for pair in UNREAD_GEN_FLAGS])
+def test_gen_rejects_a_flag_its_family_does_not_read(tmp_path, capsys, family, flag):
+    out = tmp_path / "field.spdf"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", family, "--n-electrons", "2", flag, "0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each ``spinrep`` line in the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("spinrep ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_missing_input_exit_2(tmp_path, capsys):
@@ -269,21 +396,6 @@ def test_gen_boundary_guard_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "wide.spdf")])
     assert code == 2
     assert "outside the box" in capsys.readouterr().err
-
-
-def test_norms_refinement_study(tmp_path, capsys):
-    code = main(["norms", "--n-electrons", "2", "--grid", "32", "--refine", "48"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "refinement study: 32^3 vs 48^3" in out
-    assert "sqrt_rho_h1" in out
-    assert "change" in out
-
-
-def test_norms_refine_must_exceed_grid(capsys):
-    code = main(["norms", "--n-electrons", "2", "--grid", "32", "--refine", "32"])
-    assert code == 2
-    assert "must exceed" in capsys.readouterr().err
 
 
 def test_version(capsys):

@@ -31,11 +31,6 @@ def test_gaussian_diagonal_rejects_tight_box():
         sr.gaussian_diagonal(cube(16, 3.0), 2, width=2.0)
 
 
-def test_gaussian_diagonal_rejects_offcenter_near_wall(grid32):
-    with pytest.raises(sr.GeneratorError):
-        sr.gaussian_diagonal(grid32, 2, width=1.0, center=(7.5, 0.0, 0.0))
-
-
 def test_gaussian_spinor_normalization(grid32):
     up, dn = sr.gaussian_spinor(grid32, width_up=1.5, spin_fraction=0.3)
     total = sr.integrate_values(grid32, np.abs(up.values) ** 2 + np.abs(dn.values) ** 2)

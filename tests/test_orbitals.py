@@ -60,13 +60,10 @@ def test_phase_rejects_empty_axis(grid32):
         sr.build_phase(sr.ScalarField(grid32, np.zeros(grid32.dims)), 1)
 
 
-def test_resolve_axis():
-    assert sr.resolve_axis(1) == 1
-    assert sr.resolve_axis("z") == 2
-    with pytest.raises(ValueError):
-        sr.resolve_axis("w")
-    with pytest.raises(ValueError):
-        sr.resolve_axis(3)
+def test_build_phase_rejects_an_axis_outside_0_to_2(diagonal32):
+    for axis in (3, -1, "z"):
+        with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
+            sr.build_phase(diagonal32.rho_total, 2, axis)
 
 
 def anisotropic_density(grid, widths):
@@ -191,7 +188,7 @@ def test_build_orbitals_single_electron():
 
 
 def test_build_orbitals_explicit_axis(pure48):
-    orbs = sr.build_orbitals(pure48, axis="y")
+    orbs = sr.build_orbitals(pure48, axis=1)
     assert orbs.axis == 1
     assert orbs.diagnostics["reconstruction_rel"] <= 1e-12
     assert orbs.diagnostics["gram_deviation"] <= 1e-6

@@ -2,10 +2,11 @@
 
 The files under ``tests/data/reports/`` hold the ``to_text()`` output of
 ``check`` (with and without a refined field) and ``verify``, and the
-``eigs`` and ``norms`` CLI reports, for gaussian, rank-1 and mixture fields
+``eigs`` CLI report, for gaussian, rank-1 and mixture fields
 at 32^3/48^3 plus inadmissible fields, and for mixture and rank-1 fields on
 the uneven 45x38x51 grid, whose rows the blocked passes of ``fields`` cut
-at no row boundary.  A change that moves any printed
+at no row boundary.  The refined ``check`` reports are also rendered
+through ``spinrep check C --refined F``.  A change that moves any printed
 digit fails here.  After a deliberate change of answers, regenerate them
 with
 
@@ -97,12 +98,7 @@ VERIFIES = {
 }
 EIGS = {"eigs_gaussian32": "gaussian32", "eigs_rank1_32": "rank1_32",
         "eigs_mixture48": "mixture48"}
-NORMS = {
-    "norms_gaussian32": ["--family", "gaussian", "--n-electrons", "2", "--grid", "32"],
-    "norms_mixture32": ["--family", "mixture", "--n-electrons", "2", "--grid", "32",
-                        "--width", "1.5", "--phase-gradient", "0.7", "--refine", "48"],
-}
-NAMES = (*CHECKS, *VERIFIES, *EIGS, *NORMS)
+NAMES = (*CHECKS, *VERIFIES, *EIGS)
 
 _cache: dict[str, sr.SpinDensityField] = {}
 
@@ -130,18 +126,28 @@ def render(name: str) -> str:
         source, target = VERIFIES[name]
         return sr.verify(sr.construct_witness(_field(source)), _field(target)).to_text()
     with tempfile.TemporaryDirectory() as workdir:
-        if name in EIGS:
-            spdf = os.path.join(workdir, "field.spdf")
-            sr.write_spdf(spdf, _field(EIGS[name]))
-            return _cli_report(["eigs", spdf], workdir)
-        return _cli_report(["norms", *NORMS[name]], workdir)
+        spdf = os.path.join(workdir, "field.spdf")
+        sr.write_spdf(spdf, _field(EIGS[name]))
+        return _cli_report(["eigs", spdf], workdir)
+
+
+def _stored(name: str) -> str:
+    with open(os.path.join(REPORT_DIR, f"{name}.txt"), encoding="ascii") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_report_matches_stored_copy(name):
-    with open(os.path.join(REPORT_DIR, f"{name}.txt"), encoding="ascii") as fh:
-        expected = fh.read()
-    assert render(name) == expected
+    assert render(name) == _stored(name)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, fine) in CHECKS.items() if fine])
+def test_refined_check_through_cli_matches_stored_copy(name, tmp_path):
+    paths = []
+    for field in CHECKS[name]:
+        paths.append(str(tmp_path / f"{field}.spdf"))
+        sr.write_spdf(paths[-1], _field(field))
+    assert _cli_report(["check", paths[0], "--refined", paths[1]], str(tmp_path)) == _stored(name)
 
 
 if __name__ == "__main__":
