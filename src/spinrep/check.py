@@ -353,6 +353,16 @@ def _psd_conditions(
     return nonneg, det_nonneg, dt
 
 
+def _require_refines(grid: Grid3, n: int, fine: Grid3, n_fine: int) -> None:
+    """Raise ValueError unless (fine, n_fine) can hold a refinement of a density on (grid, n)."""
+    if fine.box != grid.box:
+        raise ValueError("refined field must cover the same box")
+    if n_fine != n:
+        raise ValueError("refined field must have the same n_electrons")
+    if any(fine.dims[ax] <= grid.dims[ax] for ax in range(3)):
+        raise ValueError("refined field must be strictly finer on every axis")
+
+
 def check(
     r: SpinDensityField,
     tol: ToleranceConfig = DEFAULT,
@@ -366,12 +376,7 @@ def check(
     what actually distinguishes a finite seminorm from a divergent one.
     """
     if refined is not None:
-        if refined.grid.box != r.grid.box:
-            raise ValueError("refined field must cover the same box")
-        if refined.n_electrons != r.n_electrons:
-            raise ValueError("refined field must have the same n_electrons")
-        if any(refined.grid.dims[ax] <= r.grid.dims[ax] for ax in range(3)):
-            raise ValueError("refined field must be strictly finer on every axis")
+        _require_refines(r.grid, r.n_electrons, refined.grid, refined.n_electrons)
 
     # inf - inf and inf / inf in the passes give nan, which fails the condition it
     # reaches; numpy need not warn about it

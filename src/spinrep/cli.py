@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .check import check
+from .check import _require_refines, check
 from .decompose import PipelineError, construct_witness
 from .fields import ComplexField, Grid3, frozen, integrate
 from .generators import (
@@ -26,6 +26,7 @@ from .generators import (
 from .io import (
     SpdfFormatError,
     WitnessFormatError,
+    _spdf_header,
     read_spdf,
     read_witness,
     write_spdf,
@@ -72,7 +73,11 @@ def _cubic_grid(args) -> Grid3:
     return Grid3((args.grid,) * 3, (lo, lo, lo, hi, hi, hi))
 
 
-def _require_family_flags(args) -> None:
+def _require_gen_args(args) -> None:
+    """Raise ValueError on a grid Grid3 refuses, N below 1 or a flag the family does not read."""
+    _cubic_grid(args)
+    if args.n_electrons < 1:
+        raise ValueError(f"--n-electrons must be at least 1, got {args.n_electrons}")
     for name in GENERATOR_FLAGS:
         if getattr(args, name) is not None and name not in FAMILY_FLAGS[args.family]:
             flag = "--" + name.replace("_", "-")
@@ -108,14 +113,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.refined:
+        # the headers decide whether the refined file can be this density on a finer grid
+        with open(args.input, "rb") as coarse, open(args.refined, "rb") as fine:
+            headers = _spdf_header(coarse) + _spdf_header(fine)
+        try:
+            _require_refines(*headers)
+        except ValueError as exc:
+            print(f"error: {args.refined}: {exc}", file=sys.stderr)
+            return 2
     field = read_spdf(args.input)
     refined = read_spdf(args.refined) if args.refined else None
-    try:
-        report = check(field, _tolerances(args), refined=refined)
-    except ValueError as exc:
-        # the refined file is not this density on a finer grid
-        print(f"error: {args.refined}: {exc}", file=sys.stderr)
-        return 2
+    report = check(field, _tolerances(args), refined=refined)
     _emit(report.to_text(), args.report)
     return 0 if report.passed else 1
 
@@ -190,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes per axis (default 64)")
     p.add_argument("--box", type=float, nargs=2, default=(-8.0, 8.0),
                    metavar=("LO", "HI"), help="cubic box bounds (default -8 8)")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, parser=p)
 
     p = sub.add_parser("check", help="run the admissibility check on a density file")
     p.add_argument("input")
@@ -199,33 +208,33 @@ def build_parser() -> argparse.ArgumentParser:
                         "compare their norms across the two grids")
     p.add_argument("--report", default=None)
     _add_tol_args(p, *TOLERANCE_FLAGS)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     p = sub.add_parser("sqrt", help="pointwise matrix square root")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     _add_tol_args(p, "--tol-neg")
-    p.set_defaults(func=_cmd_sqrt)
+    p.set_defaults(func=_cmd_sqrt, parser=p)
 
     p = sub.add_parser("eigs", help="pointwise eigen densities")
     p.add_argument("input")
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     _add_tol_args(p, "--tol-neg")
-    p.set_defaults(func=_cmd_eigs)
+    p.set_defaults(func=_cmd_eigs, parser=p)
 
     p = sub.add_parser("construct", help="build an explicit representing mixed state")
     p.add_argument("input")
     p.add_argument("--out", required=True, help="output witness directory")
     _add_tol_args(p, *TOLERANCE_FLAGS)
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, parser=p)
 
     p = sub.add_parser("verify", help="verify a witness against a density file")
     p.add_argument("witness", help="witness directory")
     p.add_argument("target", help="target density file")
     p.add_argument("--report", default=None)
     _add_tol_args(p, "--floor")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     return parser
 
@@ -234,15 +243,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # usage errors, found before any file is read or written
+        # usage errors, found before any file is read or written, reported
+        # with the subcommand's usage line
         if args.command == "gen":
-            _cubic_grid(args)
-            _require_family_flags(args)
+            _require_gen_args(args)
         _tolerances(args)
     except ValueError as exc:
-        parser.error(str(exc))
-    if getattr(args, "n_electrons", 1) < 1:
-        parser.error(f"--n-electrons must be at least 1, got {args.n_electrons}")
+        args.parser.error(str(exc))
     try:
         return args.func(args)
     except (SpdfFormatError, WitnessFormatError, GeneratorError) as exc:

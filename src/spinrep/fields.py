@@ -22,7 +22,8 @@ again in a forked child.  Each worker owns its buffers and writes only the
 output of the blocks it takes, so no result depends on the scheduling.
 The witness path (``sqrt_field``, the splits of ``decompose``, the base
 spinor, orbitals, overlaps and density sums of ``orbitals`` and the
-density match of ``verify``) uses the same blocks and the same rules.
+density match of ``verify``) and the density generators use the same
+blocks and the same rules.
 
 The stencil kernel works in slabs of axis-0 rows.  For each slab,
 :func:`grad_magnitude_sq` writes the three axis derivatives one after the
@@ -171,7 +172,8 @@ class Grid3:
         return wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.meshgrid(*self.axes, indexing="ij")
+        """x, y, z node coordinates as read-only, grid-shaped broadcast views of the axes."""
+        return np.meshgrid(*self.axes, indexing="ij", copy=False)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

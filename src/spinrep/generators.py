@@ -4,6 +4,11 @@ All families are Gaussian-based, centred on the box, so every norm the
 checker computes has a closed form to compare against.  Generators reject
 parameter choices that leave non-negligible mass outside the box, since
 the discrete operators silently assume decay at the boundary.
+
+Each family is one blocked pass over axis-0 row slabs on the workers of
+``fields``, with |r-c|^2 and the x-only phase built from the 1-D axes.  The
+bits are those of the whole-array expressions it replaced, zero signs
+included, for any slab height and number of workers, and must stay so.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import math
 
 import numpy as np
 
-from .fields import ComplexField, Grid3, ScalarField, frozen, integrate_values
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _slab_rows,
+                     _weighted_sum, frozen)
 from .spin_density import SpinDensityField
 from .tolerances import NORM_REL
 
@@ -27,12 +33,39 @@ def _center(grid: Grid3) -> tuple[float, float, float]:
     return tuple(0.5 * (grid.box[ax] + grid.box[3 + ax]) for ax in range(3))
 
 
-def _gaussian(grid: Grid3, width: float) -> np.ndarray:
-    """Unit-mass gaussian (pi a^2)^{-3/2} exp(-|r-c|^2 / a^2) about the box centre c."""
-    center = _center(grid)
-    x, y, z = grid.meshgrid()
-    r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
-    return (math.pi * width * width) ** -1.5 * np.exp(-r2 / (width * width))
+def _gaussian(grid: Grid3, width: float, scale: float, lo: int, hi: int, out) -> np.ndarray:
+    """Rows lo:hi of scale (pi a^2)^{-3/2} exp(-|r-c|^2 / a^2), c the box centre, into out."""
+    x, y, z = (a - c for a, c in zip((grid.axes[0][lo:hi],) + grid.axes[1:], _center(grid)))
+    np.add((x ** 2)[:, None, None] + (y ** 2)[None, :, None], z ** 2, out=out)
+    np.negative(out, out=out)
+    out /= width * width
+    np.exp(out, out=out)
+    out *= (math.pi * width * width) ** -1.5
+    out *= scale
+    return out
+
+
+def _phase(grid: Grid3, alpha: float) -> np.ndarray | None:
+    """exp(i alpha (x - c_x)) on the x axis, shaped (nx, 1, 1); None for alpha = 0."""
+    if alpha == 0.0:
+        return None
+    return np.exp(1j * alpha * (grid.axes[0] - _center(grid)[0]))[:, None, None]
+
+
+def _rows(grid: Grid3, dtypes, step) -> list[np.ndarray]:
+    """New read-only grid arrays of ``dtypes``, filled slab by slab on the workers.
+
+    ``step(lo, hi, buf, *rows)`` writes rows lo:hi; ``buf`` is a worker's float64 slab.
+    """
+    arrays = [np.empty(grid.dims, dtype) for dtype in dtypes]
+
+    def work(slabs):
+        buf = np.empty((_slab_rows(arrays[0]),) + grid.dims[1:])
+        for lo, hi in slabs:
+            step(lo, hi, buf[:hi - lo], *(a[lo:hi] for a in arrays))
+
+    _over_slabs(arrays[0], work)
+    return [frozen(a) for a in arrays]
 
 
 def _outside_mass(grid: Grid3, width: float) -> float:
@@ -69,9 +102,10 @@ def gaussian_diagonal(
     total sqrt-density seminorm is 3 N / (2 width^2).
     """
     _require_contained(grid, width, "gaussian_diagonal")
-    half = 0.5 * n_electrons * _gaussian(grid, width)
+    half, = _rows(grid, (float,), lambda lo, hi, buf, out:
+                  _gaussian(grid, width, 0.5 * n_electrons, lo, hi, out))
     return SpinDensityField(
-        rho_up=ScalarField(grid, frozen(half)),
+        rho_up=ScalarField(grid, half),
         rho_dn=ScalarField(grid, half),
         sigma=ComplexField(grid, frozen(np.zeros(grid.dims, dtype=np.complex128))),
         n_electrons=n_electrons,
@@ -97,12 +131,16 @@ def gaussian_spinor(
         width_dn = width_up
     _require_contained(grid, width_up, "gaussian_spinor (up)")
     _require_contained(grid, width_dn, "gaussian_spinor (dn)")
-    up = np.sqrt(spin_fraction * _gaussian(grid, width_up)).astype(np.complex128)
-    if phase_gradient != 0.0:
-        x = grid.meshgrid()[0]
-        up = up * np.exp(1j * phase_gradient * (x - _center(grid)[0]))
-    dn = np.sqrt((1.0 - spin_fraction) * _gaussian(grid, width_dn)).astype(np.complex128)
-    return ComplexField(grid, frozen(up)), ComplexField(grid, frozen(dn))
+    phase = _phase(grid, phase_gradient)
+
+    def step(lo, hi, buf, up, dn):
+        up[...] = np.sqrt(_gaussian(grid, width_up, spin_fraction, lo, hi, buf), out=buf)
+        if phase is not None:
+            up *= phase[lo:hi]
+        dn[...] = np.sqrt(_gaussian(grid, width_dn, 1.0 - spin_fraction, lo, hi, buf), out=buf)
+
+    up, dn = _rows(grid, (complex, complex), step)
+    return ComplexField(grid, up), ComplexField(grid, dn)
 
 
 def rank1_from_orbital(
@@ -120,19 +158,37 @@ def rank1_from_orbital(
         raise ValueError("spinor components live on different grids")
     grid = psi_up.grid
     u, d = psi_up.values, psi_dn.values
-    up = u.real * u.real + u.imag * u.imag
-    dn = d.real * d.real + d.imag * d.imag
-    total = float(integrate_values(grid, up + dn))
+    up, dn = np.empty(grid.dims), np.empty(grid.dims)
+    uf, df, upf, dnf = (a.reshape(-1) for a in (u, d, up, dn))
+
+    def densities(lo, hi, buf):  # |psi_up|^2 and |psi_dn|^2, kept, and their sum
+        _abs2(uf[lo:hi], upf[lo:hi], buf)
+        _abs2(df[lo:hi], dnf[lo:hi], buf)
+        return np.add(upf[lo:hi], dnf[lo:hi], out=buf)
+
+    total = float(_weighted_sum(grid, np.float64, densities))
     if abs(total - 1.0) > NORM_REL:
         raise GeneratorError(
             f"spinor is not normalized: integral = {total!r} "
             f"(tolerance {NORM_REL:.3e})"
         )
     n = float(n_electrons)
+    # the multiply is fused, so the order shows: numpy reuses the temporary conj(d)
+    # of a whole-grid u * conj(d) from 256 KiB on, making it conj(d) * u
+    swap = grid.npoints * 16 >= 256 * 1024
+
+    def step(lo, hi, buf, sg):
+        up[lo:hi] *= n
+        dn[lo:hi] *= n
+        c = np.conj(d[lo:hi], out=sg)
+        np.multiply(*((c, u[lo:hi]) if swap else (u[lo:hi], c)), out=sg)
+        sg *= n
+
+    sigma, = _rows(grid, (complex,), step)
     return SpinDensityField(
-        rho_up=ScalarField(grid, frozen(n * up)),
-        rho_dn=ScalarField(grid, frozen(n * dn)),
-        sigma=ComplexField(grid, frozen(n * (u * np.conj(d)))),
+        rho_up=ScalarField(grid, frozen(up)),
+        rho_dn=ScalarField(grid, frozen(dn)),
+        sigma=ComplexField(grid, sigma),
         n_electrons=n_electrons,
     )
 
@@ -164,18 +220,21 @@ def full_rank_mixture(
         width_dn = width_up
     _require_contained(grid, width_up, "full_rank_mixture (up)")
     _require_contained(grid, width_dn, "full_rank_mixture (dn)")
-    up = spin_fraction * n_electrons * _gaussian(grid, width_up)
-    dn = (1.0 - spin_fraction) * n_electrons * _gaussian(grid, width_dn)
-    if coupling == 0.0:
-        sigma = np.zeros(grid.dims, dtype=np.complex128)
-    else:
-        sigma = (coupling * np.sqrt(up * dn)).astype(np.complex128)
-        if phase_gradient != 0.0:
-            x = grid.meshgrid()[0]
-            sigma = sigma * np.exp(1j * phase_gradient * (x - _center(grid)[0]))
+    phase = _phase(grid, phase_gradient if coupling else 0.0)
+
+    def step(lo, hi, buf, up, dn, sg):
+        _gaussian(grid, width_up, spin_fraction * n_electrons, lo, hi, up)
+        _gaussian(grid, width_dn, (1.0 - spin_fraction) * n_electrons, lo, hi, dn)
+        t = np.sqrt(np.multiply(up, dn, out=buf), out=buf)
+        # coupling 0 (or -0.0) makes sigma +0 exactly, whatever the phase
+        sg[...] = np.multiply(t, coupling, out=t) if coupling else 0.0
+        if phase is not None:
+            sg *= phase[lo:hi]
+
+    up, dn, sigma = _rows(grid, (float, float, complex), step)
     return SpinDensityField(
-        rho_up=ScalarField(grid, frozen(up)),
-        rho_dn=ScalarField(grid, frozen(dn)),
-        sigma=ComplexField(grid, frozen(sigma)),
+        rho_up=ScalarField(grid, up),
+        rho_dn=ScalarField(grid, dn),
+        sigma=ComplexField(grid, sigma),
         n_electrons=n_electrons,
     )

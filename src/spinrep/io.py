@@ -221,21 +221,27 @@ def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
         _write_blocks(fh, (field.rho_up.values, field.rho_dn.values, sigma.real, sigma.imag))
 
 
+def _spdf_header(fh: _io.BufferedIOBase) -> tuple[Grid3, int]:
+    """Grid and electron count of the SPDF header that ``fh`` starts with, read up to its data."""
+    lines = _header_lines(fh, 1, SpdfFormatError)
+    tok = lines[0].split()
+    if len(tok) != 2 or tok[0] != "spdf":
+        raise SpdfFormatError(f"line 1: not an spdf file (got {lines[0]!r})")
+    if tok[1] != "1":
+        raise UnsupportedVersionError(
+            f"line 1: unsupported spdf version {tok[1]!r} (this reader speaks version 1)"
+        )
+    body = _header_lines(fh, 4, SpdfFormatError)
+    grid = _parse_grid_box(body[:2], 2, SpdfFormatError)
+    n = _parse_electrons(body[2], 4, SpdfFormatError)
+    if body[3] != "data":
+        raise SpdfFormatError(f"line 5: expected 'data', got {body[3]!r}")
+    return grid, n
+
+
 def read_spdf(path: str | os.PathLike) -> SpinDensityField:
     with open(path, "rb") as fh:
-        lines = _header_lines(fh, 1, SpdfFormatError)
-        tok = lines[0].split()
-        if len(tok) != 2 or tok[0] != "spdf":
-            raise SpdfFormatError(f"line 1: not an spdf file (got {lines[0]!r})")
-        if tok[1] != "1":
-            raise UnsupportedVersionError(
-                f"line 1: unsupported spdf version {tok[1]!r} (this reader speaks version 1)"
-            )
-        body = _header_lines(fh, 4, SpdfFormatError)
-        grid = _parse_grid_box(body[:2], 2, SpdfFormatError)
-        n = _parse_electrons(body[2], 4, SpdfFormatError)
-        if body[3] != "data":
-            raise SpdfFormatError(f"line 5: expected 'data', got {body[3]!r}")
+        grid, n = _spdf_header(fh)
         expected = 4 * grid.npoints * 8
         up, dn, re, im = _read_blocks(fh, grid, lambda size: SpdfFormatError(
             f"payload holds {size} bytes, expected {expected} "

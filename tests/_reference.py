@@ -1,7 +1,8 @@
-"""Former whole-array bodies of the witness path, kept once as references.
+"""Former whole-array bodies of the witness path and the generators, kept once as references.
 
 The blocked and shared implementations in ``spinrep`` must reproduce these
-byte for byte (``test_shared_formulas.py``, ``test_witness_blocked.py``).
+byte for byte (``test_shared_formulas.py``, ``test_witness_blocked.py``,
+``test_generators_blocked.py``).
 Each body is the code it replaced and none calls the function it stands
 for, so a later change to that function is still compared with the old code.
 """
@@ -14,7 +15,7 @@ import spinrep as sr
 from spinrep import orbitals as orbitals_module
 from spinrep.decompose import cutoff
 from spinrep.fields import frozen
-from spinrep.tolerances import DEGENERATE_WEIGHT, RATIO_REL, sqrt_floor
+from spinrep.tolerances import DEGENERATE_WEIGHT, NORM_REL, RATIO_REL, sqrt_floor
 
 # -- overlaps -----------------------------------------------------------------
 
@@ -258,3 +259,82 @@ def build_fields(r):
             if sub is not None and outer * inner >= DEGENERATE_WEIGHT:
                 out.append(sr.spin_swap(sub) if needs_swap else sub)
     return out
+
+
+# -- generators ----------------------------------------------------------------
+
+
+def _ref_center(grid):
+    return tuple(0.5 * (grid.box[ax] + grid.box[3 + ax]) for ax in range(3))
+
+
+def _ref_meshgrid(grid):
+    """Three grid-sized coordinate copies, as ``Grid3.meshgrid`` once returned."""
+    return np.meshgrid(*grid.axes, indexing="ij")
+
+
+def ref_gaussian(grid, width):
+    center = _ref_center(grid)
+    x, y, z = _ref_meshgrid(grid)
+    r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
+    return (math.pi * width * width) ** -1.5 * np.exp(-r2 / (width * width))
+
+
+def ref_gaussian_diagonal(grid, n_electrons, width=1.0):
+    half = 0.5 * n_electrons * ref_gaussian(grid, width)
+    return sr.SpinDensityField(
+        rho_up=sr.ScalarField(grid, frozen(half)),
+        rho_dn=sr.ScalarField(grid, half),
+        sigma=sr.ComplexField(grid, frozen(np.zeros(grid.dims, dtype=np.complex128))),
+        n_electrons=n_electrons,
+    )
+
+
+def ref_gaussian_spinor(grid, width_up=1.0, width_dn=None, spin_fraction=0.5,
+                        phase_gradient=0.0):
+    if width_dn is None:
+        width_dn = width_up
+    up = np.sqrt(spin_fraction * ref_gaussian(grid, width_up)).astype(np.complex128)
+    if phase_gradient != 0.0:
+        x = _ref_meshgrid(grid)[0]
+        up = up * np.exp(1j * phase_gradient * (x - _ref_center(grid)[0]))
+    dn = np.sqrt((1.0 - spin_fraction) * ref_gaussian(grid, width_dn)).astype(np.complex128)
+    return sr.ComplexField(grid, frozen(up)), sr.ComplexField(grid, frozen(dn))
+
+
+def ref_rank1_from_orbital(psi_up, psi_dn, n_electrons):
+    grid = psi_up.grid
+    u, d = psi_up.values, psi_dn.values
+    up = u.real * u.real + u.imag * u.imag
+    dn = d.real * d.real + d.imag * d.imag
+    total = float(sr.integrate_values(grid, up + dn))
+    if abs(total - 1.0) > NORM_REL:
+        raise sr.GeneratorError(f"spinor is not normalized: integral = {total!r}")
+    n = float(n_electrons)
+    return sr.SpinDensityField(
+        rho_up=sr.ScalarField(grid, frozen(n * up)),
+        rho_dn=sr.ScalarField(grid, frozen(n * dn)),
+        sigma=sr.ComplexField(grid, frozen(n * (u * np.conj(d)))),
+        n_electrons=n_electrons,
+    )
+
+
+def ref_full_rank_mixture(grid, n_electrons, coupling=0.5, width_up=1.0, width_dn=None,
+                          spin_fraction=0.5, phase_gradient=0.0):
+    if width_dn is None:
+        width_dn = width_up
+    up = spin_fraction * n_electrons * ref_gaussian(grid, width_up)
+    dn = (1.0 - spin_fraction) * n_electrons * ref_gaussian(grid, width_dn)
+    if coupling == 0.0:
+        sigma = np.zeros(grid.dims, dtype=np.complex128)
+    else:
+        sigma = (coupling * np.sqrt(up * dn)).astype(np.complex128)
+        if phase_gradient != 0.0:
+            x = _ref_meshgrid(grid)[0]
+            sigma = sigma * np.exp(1j * phase_gradient * (x - _ref_center(grid)[0]))
+    return sr.SpinDensityField(
+        rho_up=sr.ScalarField(grid, frozen(up)),
+        rho_dn=sr.ScalarField(grid, frozen(dn)),
+        sigma=sr.ComplexField(grid, frozen(sigma)),
+        n_electrons=n_electrons,
+    )

@@ -4,6 +4,7 @@ import argparse
 import os
 import shlex
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,9 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert ("unrecognized arguments" in err) == (argv in UNREAD_TOLERANCES)
+    if argv not in UNREAD_TOLERANCES:
+        # found after parsing, and reported with the subcommand's usage line
+        assert err.startswith(f"usage: spinrep {command} ")
     assert list(tmp_path.iterdir()) == ([path] if inputs else [])
 
 
@@ -308,6 +312,22 @@ def test_check_refined_must_refine_the_input(tmp_path, capsys):
         assert captured.out == "" and not report.exists()
 
 
+def test_check_refined_on_another_box_reads_only_the_headers(tmp_path, capsys):
+    coarse, fine = tmp_path / "c.spdf", tmp_path / "f.spdf"
+    sr.write_spdf(coarse, sr.gaussian_diagonal(cube(64), 2))
+    sr.write_spdf(fine, sr.gaussian_diagonal(cube(96, 9.0), 2))
+    tracemalloc.start()
+    try:
+        code = main(["check", str(coarse), "--refined", str(fine)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1_000_000  # a 64^3 grid alone is 2 MB
+    assert capsys.readouterr().err == (
+        f"error: {fine}: refined field must cover the same box\n")
+
+
 # (family, gen flag) pairs whose flag the family's generator does not take
 UNREAD_GEN_FLAGS = [("gaussian", "--width-dn"), ("gaussian", "--spin-fraction"),
                     ("gaussian", "--coupling"), ("gaussian", "--phase-gradient"),
@@ -321,7 +341,8 @@ def test_gen_rejects_a_flag_its_family_does_not_read(tmp_path, capsys, family, f
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", family, "--n-electrons", "2", flag, "0.5", "--out", str(out)])
     assert exc.value.code == 2
-    assert f"does not read {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spinrep gen ") and f"does not read {flag}" in err
     assert not out.exists()
 
 
