@@ -433,9 +433,17 @@ def blockwise(n: int, step, scratch: int = 0) -> None:
     Each range holds at most about ``_SLAB_BYTES`` of float64 points, and
     ``bufs`` are ``scratch`` float64 buffers of that length owned by the
     worker.  For pointwise work that writes each range of its output once.
+
+    No range holds a single point unless a range can hold no more: numpy's
+    complex multiply takes an unfused loop on one element, which rounds
+    differently from the whole-array expression.  A last range of one point
+    takes one from the range before it instead.
     """
     size = max(1, _SLAB_BYTES // 8)
-    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    cuts = [*range(0, n, size), n]
+    if size > 1 and len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 1
+    blocks = list(zip(cuts[:-1], cuts[1:]))
 
     def work(claimed):
         bufs = [np.empty(size) for _ in range(scratch)]

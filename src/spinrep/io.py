@@ -13,18 +13,33 @@ values each — rho_up, rho_dn, Re sigma, Im sigma — flattened C-order with
 the z index fastest.  Values are written bit-exactly, so a read-back
 reproduces the field to the last ulp.
 
-A witness directory holds ``witness.txt``:
+A witness directory holds ``witness.txt``, format 2:
 
-    witness 1
+    witness 2
     grid <nx> <ny> <nz>
     box <x0> ... <z1>
     electrons <N>
     branches <B>
+    branch <weight> <swapped 0|1> family <file> <axis> <exchanged 0|1> <k_1> ... <k_N>
+    diagnostics <name> <value> ...
     branch <weight> <swapped 0|1> <file_1> ... <file_N>
 
-with one orbital file per electron and branch; each orbital file is four
-raw little-endian float64 blocks (Re up, Im up, Re dn, Im dn).  Weights are
-printed with 17 significant digits, which round-trips float64 exactly.
+with one ``branch`` line per branch, in order, each optionally followed by
+one ``diagnostics`` line.  A family branch stands for the N
+orbitals base * exp(2 i pi k f(x_axis)) / sqrt(N), one per k, that
+construct builds (:class:`spinrep.orbitals.OrbitalFamily`): its file holds
+the base as three grid-sized raw little-endian float64 blocks (Re phi_up,
+Im phi_up, sqrt(rho_dn)) followed by f at the axis nodes, and no orbital is
+written.  With ``exchanged`` 1 the orbitals' up and dn components trade
+places.  Any other branch names one file per orbital, each four grid-sized
+blocks (Re up, Im up, Re dn, Im dn); it serves orbitals given one by one,
+as hand-made witnesses and witnesses read from format 1 hold them.  The
+``diagnostics`` line holds name-value pairs of construct's diagnostics of
+that branch (:data:`spinrep.orbitals.DIAGNOSTICS`).  Numbers are printed
+with 17 significant digits, which round-trips float64 exactly.
+
+Format 1, which this module no longer writes, is format 2 with ``witness 1``
+on its first line, no family branches and no diagnostics.
 
 Every file is written to a temporary sibling and renamed over its target
 once complete, so a crash never leaves a half-written file under the
@@ -44,7 +59,7 @@ import stat
 import numpy as np
 
 from .fields import ComplexField, Grid3, ScalarField, frozen
-from .orbitals import OrbitalSet, Spinor
+from .orbitals import DIAGNOSTICS, OrbitalFamily, OrbitalSet, Spinor
 from .spin_density import SpinDensityField
 from .witness import Witness, WitnessBranch
 
@@ -114,7 +129,9 @@ def _parse_electrons(line: str, offset: int, err) -> int:
     return n
 
 
-_CHUNK = 1 << 20  # read size for pipes and other files without a known size
+# read size for pipes and other files without a known size, and the copy
+# buffer of a strided write
+_CHUNK = 1 << 20
 
 
 def _read_up_to(fh: _io.BufferedIOBase, n: int) -> bytes:
@@ -129,32 +146,38 @@ def _read_up_to(fh: _io.BufferedIOBase, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _read_blocks(fh: _io.BufferedIOBase, grid: Grid3, mismatch) -> list[np.ndarray]:
-    """The four float64 blocks of one grid that make up the rest of ``fh``.
+def _read_blocks(fh: _io.BufferedIOBase, counts, mismatch) -> list[np.ndarray]:
+    """The float64 blocks of ``counts`` values each that make up the rest of ``fh``.
 
-    Each block is a read-only array over its own bytes.  A regular file's
-    size is compared with the four blocks before anything is read.  Other
+    Each block is a flat read-only array over its own bytes.  A regular
+    file's size is compared with the blocks before anything is read.  Other
     files (pipes, FIFOs, ``/dev/stdin``) have no size to ask for: they are
     read block by block in bounded chunks, and any excess is counted to the
     end and dropped.  A size that does not match raises ``mismatch(size)``.
     """
-    nbytes = grid.npoints * _F8.itemsize
+    sizes = [count * _F8.itemsize for count in counts]
     st = os.fstat(fh.fileno())
     regular = stat.S_ISREG(st.st_mode)
-    if regular and st.st_size - fh.tell() != 4 * nbytes:
+    if regular and st.st_size - fh.tell() != sum(sizes):
         raise mismatch(st.st_size - fh.tell())
-    blocks = []
-    for k in range(4):
+    blocks, got = [], 0
+    for nbytes in sizes:
         raw = fh.read(nbytes) if regular else _read_up_to(fh, nbytes)
         if len(raw) != nbytes:
-            raise mismatch(k * nbytes + len(raw))
-        blocks.append(np.frombuffer(raw, dtype=_F8).reshape(grid.dims))
+            raise mismatch(got + len(raw))
+        got += nbytes
+        blocks.append(np.frombuffer(raw, dtype=_F8))
     extra = 0
     while chunk := fh.read(_CHUNK):
         extra += len(chunk)
     if extra:
-        raise mismatch(4 * nbytes + extra)
+        raise mismatch(got + extra)
     return blocks
+
+
+def _read_grids(fh: _io.BufferedIOBase, grid: Grid3, mismatch) -> list[np.ndarray]:
+    """The four grid-sized float64 blocks that make up the rest of ``fh``, shaped as the grid."""
+    return [b.reshape(grid.dims) for b in _read_blocks(fh, (grid.npoints,) * 4, mismatch)]
 
 
 @contextlib.contextmanager
@@ -195,8 +218,24 @@ def _replacing(path: str | os.PathLike):
 
 
 def _write_blocks(fh, blocks) -> None:
+    """Write each array of ``blocks`` as raw little-endian float64 values in C order.
+
+    A C-contiguous float64 array is written from its own memory.  Any other,
+    such as the real or imaginary plane of a complex array, is copied piece
+    by piece through one buffer of ``_CHUNK`` bytes, never as a whole.
+    """
+    buf = None
     for block in blocks:
-        fh.write(np.ascontiguousarray(block, dtype=_F8).data)
+        if block.dtype == _F8 and block.flags.c_contiguous:
+            fh.write(block.data)
+            continue
+        if buf is None:
+            buf = np.empty(_CHUNK // _F8.itemsize, _F8)
+        flat = block.reshape(-1)
+        for lo in range(0, flat.size, buf.size):
+            part = buf[:min(buf.size, flat.size - lo)]
+            np.copyto(part, flat[lo:lo + part.size])
+            fh.write(part.data)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -243,7 +282,7 @@ def read_spdf(path: str | os.PathLike) -> SpinDensityField:
     with open(path, "rb") as fh:
         grid, n = _spdf_header(fh)
         expected = 4 * grid.npoints * 8
-        up, dn, re, im = _read_blocks(fh, grid, lambda size: SpdfFormatError(
+        up, dn, re, im = _read_grids(fh, grid, lambda size: SpdfFormatError(
             f"payload holds {size} bytes, expected {expected} "
             f"(4 blocks of {grid.npoints} float64)"
         ))
@@ -261,34 +300,117 @@ MANIFEST = "witness.txt"
 
 
 def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
+    """Write ``witness`` to the directory ``dirpath`` in witness format 2."""
     os.makedirs(dirpath, exist_ok=True)
     # until the new manifest is in place the directory is no witness
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(dirpath, MANIFEST))
     grid = witness.grid
     lines = [
-        "witness 1",
+        "witness 2",
         f"grid {grid.dims[0]} {grid.dims[1]} {grid.dims[2]}",
         "box " + " ".join(f"{v:.17g}" for v in grid.box),
         f"electrons {witness.n_electrons}",
         f"branches {len(witness.branches)}",
     ]
     for bi, branch in enumerate(witness.branches):
-        names = []
-        for oi, orb in enumerate(branch.orbitals.orbitals):
-            name = f"branch{bi}_orb{oi + 1}.bin"
-            names.append(name)
-            u, d = orb.up.values, orb.dn.values
+        head = f"{branch.weight:.17g} {int(branch.swapped)}"
+        orbitals = branch.orbitals.orbitals
+        if isinstance(orbitals, OrbitalFamily):
+            name = f"branch{bi}_base.bin"
+            phi = orbitals.base_up.values
             with _replacing(os.path.join(dirpath, name)) as fh:
-                _write_blocks(fh, (u.real, u.imag, d.real, d.imag))
-        lines.append(
-            f"branch {branch.weight:.17g} {int(branch.swapped)} " + " ".join(names)
-        )
+                _write_blocks(fh, (phi.real, phi.imag, orbitals.base_dn.values, orbitals.phase))
+            lines.append(f"branch {head} family {name} {orbitals.axis} "
+                         f"{int(orbitals.exchanged)} " + " ".join(str(k) for k in orbitals.ks))
+        else:
+            names = []
+            for oi, orb in enumerate(orbitals):
+                name = f"branch{bi}_orb{oi + 1}.bin"
+                names.append(name)
+                u, d = orb.up.values, orb.dn.values
+                with _replacing(os.path.join(dirpath, name)) as fh:
+                    _write_blocks(fh, (u.real, u.imag, d.real, d.imag))
+            lines.append(f"branch {head} " + " ".join(names))
+        diagnostics = branch.orbitals.diagnostics
+        kept = [f"{k} {float(diagnostics[k]):.17g}" for k in DIAGNOSTICS if k in diagnostics]
+        if kept:
+            lines.append("diagnostics " + " ".join(kept))
     with _replacing(os.path.join(dirpath, MANIFEST)) as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _open_payload(dirpath, name: str, what: str):
+    try:
+        return open(os.path.join(dirpath, name), "rb")
+    except FileNotFoundError as exc:
+        raise WitnessFormatError(f"{what} file {name} is missing") from exc
+
+
+def _read_orbitals(dirpath, names: list[str], grid: Grid3) -> tuple[Spinor, ...]:
+    """The orbitals of a branch line that names one file each."""
+    per_orbital = 4 * grid.npoints * 8
+    orbitals = []
+    for name in names:
+        with _open_payload(dirpath, name, "orbital") as fh:
+            re_up, im_up, re_dn, im_dn = _read_grids(
+                fh, grid, lambda size: WitnessFormatError(
+                    f"orbital file {name} holds {size} bytes, expected {per_orbital}"
+                ),
+            )
+        orbitals.append(Spinor(
+            up=ComplexField(grid, _complex(re_up, im_up)),
+            dn=ComplexField(grid, _complex(re_dn, im_dn)),
+        ))
+    return tuple(orbitals)
+
+
+def _read_family(dirpath, tok: list[str], grid: Grid3, where: str) -> OrbitalFamily:
+    """The family of a branch line's tokens after ``family``: file, axis, flag, k-set."""
+    name, axis, exchanged, ks = tok[0], tok[1], tok[2], tok[3:]
+    if axis not in ("0", "1", "2"):
+        raise WitnessFormatError(f"{where}: axis must be 0, 1 or 2, got {axis!r}")
+    if exchanged not in ("0", "1"):
+        raise WitnessFormatError(f"{where}: exchanged flag must be 0 or 1, got {exchanged!r}")
+    try:
+        ks = tuple(int(k) for k in ks)
+    except ValueError as exc:
+        raise WitnessFormatError(f"{where}: the k-set must be integers, got {ks!r}") from exc
+    nodes = grid.dims[int(axis)]
+    expected = (3 * grid.npoints + nodes) * 8
+    with _open_payload(dirpath, name, "base") as fh:
+        re_up, im_up, sqrt_dn, f = _read_blocks(
+            fh, (grid.npoints,) * 3 + (nodes,), lambda size: WitnessFormatError(
+                f"base file {name} holds {size} bytes, expected {expected}"
+            ),
+        )
+    return OrbitalFamily(
+        base_up=ComplexField(grid, _complex(re_up.reshape(grid.dims), im_up.reshape(grid.dims))),
+        base_dn=ScalarField(grid, sqrt_dn.reshape(grid.dims)),
+        axis=int(axis),
+        phase=f,
+        ks=ks,
+        exchanged=exchanged == "1",
+    )
+
+
+def _read_diagnostics(tok: list[str], where: str) -> dict[str, float]:
+    """The name-value pairs of a ``diagnostics`` line's tokens after its first."""
+    if len(tok) % 2:
+        raise WitnessFormatError(f"{where}: diagnostics must be name-value pairs")
+    out = {}
+    for key, value in zip(tok[::2], tok[1::2]):
+        if key not in DIAGNOSTICS or key in out:
+            raise WitnessFormatError(f"{where}: unknown or repeated diagnostic {key!r}")
+        try:
+            out[key] = float(value)
+        except ValueError as exc:
+            raise WitnessFormatError(f"{where}: bad value {value!r} of {key}") from exc
+    return out
+
+
 def read_witness(dirpath: str | os.PathLike) -> Witness:
+    """The witness in the directory ``dirpath``, in witness format 1 or 2."""
     manifest = os.path.join(dirpath, MANIFEST)
     try:
         with open(manifest, "r", encoding="ascii") as fh:
@@ -302,10 +424,12 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
     tok = lines[0].split()
     if len(tok) != 2 or tok[0] != "witness":
         raise WitnessFormatError(f"line 1: not a witness manifest (got {lines[0]!r})")
-    if tok[1] != "1":
+    if tok[1] not in ("1", "2"):
         raise UnsupportedVersionError(
-            f"line 1: unsupported witness version {tok[1]!r} (this reader speaks version 1)"
+            f"line 1: unsupported witness version {tok[1]!r} "
+            "(this reader speaks versions 1 and 2)"
         )
+    version = int(tok[1])
     grid = _parse_grid_box(lines[1:3], 2, WitnessFormatError)
     n = _parse_electrons(lines[3], 4, WitnessFormatError)
     tok = lines[4].split()
@@ -317,52 +441,50 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
         raise WitnessFormatError("line 5: branch count must be an integer") from exc
     if nbranches < 1:
         raise WitnessFormatError(f"line 5: branch count must be positive, got {nbranches}")
-    branch_lines = [ln for ln in lines[5:] if ln.strip()]
-    if len(branch_lines) != nbranches:
+    # each branch line with the diagnostics line that follows it, if any
+    entries = []
+    for line in (ln for ln in lines[5:] if ln.strip()):
+        if version == 2 and line.split()[0] == "diagnostics" and entries and not entries[-1][1]:
+            entries[-1][1] = line
+        else:
+            entries.append([line, None])
+    if len(entries) != nbranches:
         raise WitnessFormatError(
-            f"manifest declares {nbranches} branches but lists {len(branch_lines)}"
+            f"manifest declares {nbranches} branches but lists {len(entries)}"
         )
-    per_orbital = 4 * grid.npoints * 8
     branches = []
-    for idx, line in enumerate(branch_lines):
+    for idx, (line, diag_line) in enumerate(entries):
+        where = f"branch line {idx + 1}"
         tok = line.split()
-        if len(tok) != 3 + n or tok[0] != "branch":
+        family = version == 2 and tok[0] == "branch" and len(tok) > 3 and tok[3] == "family"
+        if family and len(tok) != 7 + n:
             raise WitnessFormatError(
-                f"branch line {idx + 1}: expected 'branch weight swapped' "
+                f"{where}: expected 'branch weight swapped family file axis exchanged' "
+                f"plus {n} k values, got {line!r}"
+            )
+        if not family and (len(tok) != 3 + n or tok[0] != "branch"):
+            raise WitnessFormatError(
+                f"{where}: expected 'branch weight swapped' "
                 f"plus {n} file names, got {line!r}"
             )
         try:
             weight = float(tok[1])
         except ValueError as exc:
-            raise WitnessFormatError(f"branch line {idx + 1}: bad weight {tok[1]!r}") from exc
+            raise WitnessFormatError(f"{where}: bad weight {tok[1]!r}") from exc
         if tok[2] not in ("0", "1"):
             raise WitnessFormatError(
-                f"branch line {idx + 1}: swapped flag must be 0 or 1, got {tok[2]!r}"
+                f"{where}: swapped flag must be 0 or 1, got {tok[2]!r}"
             )
-        orbitals = []
-        for name in tok[3:]:
-            fpath = os.path.join(dirpath, name)
-            try:
-                fh = open(fpath, "rb")
-            except FileNotFoundError as exc:
-                raise WitnessFormatError(f"orbital file {name} is missing") from exc
-            with fh:
-                re_up, im_up, re_dn, im_dn = _read_blocks(
-                    fh, grid, lambda size: WitnessFormatError(
-                        f"orbital file {name} holds {size} bytes, expected {per_orbital}"
-                    ),
-                )
-            orbitals.append(Spinor(
-                up=ComplexField(grid, _complex(re_up, im_up)),
-                dn=ComplexField(grid, _complex(re_dn, im_dn)),
-            ))
+        diagnostics = _read_diagnostics(diag_line.split()[1:], where) if diag_line else {}
+        if family:
+            orbitals = _read_family(dirpath, tok[4:], grid, where)
+            axis = orbitals.axis
+        else:
+            orbitals, axis = _read_orbitals(dirpath, tok[3:], grid), None
         branches.append(WitnessBranch(
             weight=weight,
             orbitals=OrbitalSet(
-                grid=grid,
-                n_electrons=n,
-                orbitals=tuple(orbitals),
-                diagnostics={"source": "file"},
+                grid=grid, n_electrons=n, orbitals=orbitals, axis=axis, diagnostics=diagnostics,
             ),
             swapped=tok[2] == "1",
         ))

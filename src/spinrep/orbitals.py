@@ -18,19 +18,29 @@ ratio bound rho_up <= 2 rho_dn (otherwise the kinetic energy of the up
 component is not controlled).  On the nodal set of rho_dn the quotient is
 replaced by sqrt(rho_up) with phase 0 — sigma vanishes there by the
 determinant hypothesis, so reconstruction is unaffected.
+
+All N orbitals share the base spinor and f, so a built branch stores only
+those: an :class:`OrbitalFamily` holds the base (sigma / sqrt(rho_dn) and
+sqrt(rho_dn)), the phase axis, f at its nodes, the k-set and whether the
+up and dn components trade places.  It is the ``orbitals`` sequence of its
+:class:`OrbitalSet`, and item i is built when it is asked for, by one slab
+multiply (:func:`_orbital_values`), and is not kept.  The overlaps and
+density sums below take their orbitals one at a time in order, so that a
+caller need hold at most one branch's orbitals.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _weighted_sum,
-                     _worst, blockwise, blockwise_arrays, frozen)
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _is_frozen, _over_slabs,
+                     _weighted_sum, _worst, blockwise, blockwise_arrays, frozen)
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
@@ -88,11 +98,87 @@ class Spinor:
         return self.up.grid
 
 
+@dataclass(frozen=True, eq=False)
+class OrbitalFamily(Sequence):
+    """The orbitals (base_up, base_dn) exp(2 i pi k f(x_axis)) / sqrt(n), k in ``ks``.
+
+    ``phase`` holds f at the nodes of ``axis`` and n is ``len(ks)``.  Item i
+    is the orbital of ``ks[i]``, built on each access and not kept; with
+    ``exchanged`` its up and dn components trade places.
+    """
+
+    base_up: ComplexField
+    base_dn: ScalarField
+    axis: int
+    phase: np.ndarray = field(repr=False)
+    ks: tuple[int, ...]
+    exchanged: bool = False
+
+    def __post_init__(self) -> None:
+        grid = self.base_up.grid
+        if self.base_dn.grid != grid:
+            raise ValueError("the two base components live on different grids")
+        if self.axis not in (0, 1, 2):
+            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis!r}")
+        f = np.asarray(self.phase, dtype=np.float64)
+        if f.shape != (grid.dims[self.axis],):
+            raise ValueError(f"phase has shape {f.shape}, expected ({grid.dims[self.axis]},)")
+        if not (f.flags.c_contiguous and _is_frozen(f)):
+            f = frozen(f.copy())
+        object.__setattr__(self, "phase", f)
+        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        if not self.ks:
+            raise ValueError("a family needs at least one k")
+
+    @property
+    def grid(self) -> Grid3:
+        return self.base_up.grid
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        up, dn = _orbital_values(self.base_up.values, self.base_dn.values, self.axis,
+                                 self.phase, self.ks[i], 1.0 / math.sqrt(len(self.ks)))
+        up, dn = ComplexField(self.grid, frozen(up)), ComplexField(self.grid, frozen(dn))
+        return Spinor(up=dn, dn=up) if self.exchanged else Spinor(up=up, dn=dn)
+
+
+def _orbital_values(
+    phi_up: np.ndarray, sqrt_dn: np.ndarray, axis: int, f: np.ndarray, k: int, inv_sqrt_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_up, sqrt_dn) exp(2 i pi k f(x_axis)) inv_sqrt_n, as two new complex arrays.
+
+    The factor is formed on the axis nodes and broadcast over axis-0 row
+    blocks on the workers.
+    """
+    shape = [1, 1, 1]
+    shape[axis] = phi_up.shape[axis]
+    factor = np.exp(2j * np.pi * k * f.reshape(shape)) * inv_sqrt_n
+    up, dn = (np.empty(phi_up.shape, np.complex128) for _ in range(2))
+
+    def work(slabs):
+        for lo, hi in slabs:
+            fac = factor[lo:hi] if axis == 0 else factor
+            np.multiply(phi_up[lo:hi], fac, out=up[lo:hi])
+            np.multiply(sqrt_dn[lo:hi], fac, out=dn[lo:hi])
+
+    _over_slabs(phi_up, work)
+    return up, dn
+
+
+# construct's diagnostics of a built branch, in the order the witness manifest lists them
+DIAGNOSTICS = ("gram_deviation", "reconstruction_abs", "reconstruction_rel", "phase_adjustment",
+               "phase_dip", "null_det_violations", "nodal_points", "nodal_fallback_points")
+
+
 @dataclass(frozen=True)
 class OrbitalSet:
     grid: Grid3
     n_electrons: int
-    orbitals: tuple[Spinor, ...]
+    orbitals: Sequence[Spinor]
     axis: int | None = None
     phase: PhaseFunction | None = None
     diagnostics: Mapping[str, object] = field(default_factory=dict)
@@ -287,64 +373,101 @@ def _overlap(a: Spinor, b: Spinor):
     return _weighted_sum(a.grid, np.complex128, integrand)
 
 
-def _overlaps(orbitals: Sequence[Spinor]) -> np.ndarray:
+def _overlaps(orbitals: Sequence[Spinor], each=None) -> np.ndarray:
     """Matrix of <Phi_i | Phi_j> under the trapezoid inner product.
 
     Each pair is integrated once, for j >= i; the lower triangle, the
-    diagonal included, holds the conjugates.
+    diagonal included, holds the conjugates.  The orbitals are taken from
+    ``orbitals`` once each, in order, and kept until the last one has its
+    column, so a family builds each of its orbitals once.  ``each(orbital)``
+    is then called on every orbital after its column; on the last one, once
+    the others are let go.
     """
     n = len(orbitals)
     o = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            o[i, j] = _overlap(orbitals[i], orbitals[j])
+    held = []
+    for j, orb in enumerate(orbitals):
+        held.append(orb)
+        for i, a in enumerate(held):
+            o[i, j] = _overlap(a, orb)
             o[j, i] = np.conj(o[i, j])
+        if j == n - 1:
+            held.clear()
+        if each is not None:
+            each(orb)
     return o
+
+
+def _gram(overlaps: np.ndarray) -> np.ndarray:
+    """The Gram matrix of these overlaps (a new array).
+
+    Diagonal overlaps are real; their round-off imaginary part is dropped,
+    as -0.0, the sign :func:`gram_matrix` has always returned there.
+    """
+    g = overlaps.copy()
+    np.fill_diagonal(g.imag, -0.0)
+    return g
+
+
+def _deviation(g: np.ndarray) -> float:
+    """max |G - I| entrywise."""
+    return float(np.max(np.abs(g - np.eye(len(g)))))
 
 
 def gram_matrix(orbitals: Sequence[Spinor]) -> np.ndarray:
     """Overlap matrix G_kl = <Phi_k | Phi_l> under the trapezoid inner product."""
     if len(orbitals) == 0:
         raise ValueError("no orbitals")
-    g = _overlaps(orbitals)
-    # diagonal overlaps are real; drop the round-off imaginary part (as -0.0,
-    # the sign this function has always returned there)
-    np.fill_diagonal(g.imag, -0.0)
-    return g
+    return _gram(_overlaps(orbitals))
 
 
 def gram_deviation(orbitals: Sequence[Spinor]) -> float:
     """max |G - I| entrywise."""
-    g = gram_matrix(orbitals)
-    return float(np.max(np.abs(g - np.eye(len(orbitals)))))
+    return _deviation(gram_matrix(orbitals))
 
 
-def _sum_block(weighted, lo: int, hi: int, up, dn, sg) -> None:
-    """sum_k p_k Phi_k^a conj(Phi_k^b) on the flat points lo:hi, into up, dn and sg.
+def _add_density(sums: tuple[np.ndarray, ...], p: float, orb: Spinor) -> None:
+    """Add p Phi^a conj(Phi^b) of one orbital onto the up-up, dn-dn and up-dn ``sums``.
 
-    Each point adds the terms onto 0 in order.  numpy's complex multiply is
-    fused, so its bits depend on the operand order: conj(dn) * up is the
-    order of a whole-grid ``up * conj(dn)`` whose temporary numpy reuses
-    (it does from 256 KiB, i.e. 16384 points, on).
+    Pointwise, over the ranges of :func:`blockwise`.  numpy's complex
+    multiply is fused, so its bits depend on the operand order:
+    conj(dn) * up is the order of a whole-grid ``up * conj(dn)`` whose
+    temporary numpy reuses (it does from 256 KiB, i.e. 16384 points, on).
     """
-    for a in (up, dn, sg):
-        a.fill(0.0)
-    c = np.empty(hi - lo, np.complex128)
-    sq = c.view(np.float64).reshape(2, -1)  # two real rows, used before c is
-    for p, orb in weighted:
-        u, d = orb.up.values.reshape(-1)[lo:hi], orb.dn.values.reshape(-1)[lo:hi]
-        for acc, v in ((up, u), (dn, d)):
+    up, dn, sg = (a.reshape(-1) for a in sums)
+    uf, df = orb.up.values.reshape(-1), orb.dn.values.reshape(-1)
+
+    def step(lo, hi):
+        c = np.empty(hi - lo, np.complex128)
+        sq = c.view(np.float64).reshape(2, -1)  # two real rows, used before c is
+        u, d = uf[lo:hi], df[lo:hi]
+        for acc, v in ((up[lo:hi], u), (dn[lo:hi], d)):
             acc += np.multiply(p, _abs2(v, sq[0], sq[1]), out=sq[0])
         np.multiply(np.conj(d, out=c), u, out=c)
-        sg += np.multiply(p, c, out=c)
+        acc = sg[lo:hi]
+        acc += np.multiply(p, c, out=c)
+
+    blockwise(up.size, step)
 
 
 def _density_sums(
     grid: Grid3, weighted: Iterable[tuple[float, Spinor]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum_k p_k Phi_k^a conj(Phi_k^b) over (p_k, Phi_k) pairs, as up-up, dn-dn, up-dn."""
-    return tuple(blockwise_arrays(grid.dims, (float, float, complex),
-                                  functools.partial(_sum_block, list(weighted))))
+    """sum_k p_k Phi_k^a conj(Phi_k^b) over (p_k, Phi_k) pairs, as up-up, dn-dn, up-dn.
+
+    The sums start at 0 and take the pairs one at a time, so each point adds
+    its terms in the pairs' order and only the current orbital need be alive.
+    """
+    sums = (np.zeros(grid.dims), np.zeros(grid.dims), np.zeros(grid.dims, np.complex128))
+    for p, orb in weighted:
+        _add_density(sums, p, orb)
+    return sums
+
+
+def _each(orbitals: Sequence[Spinor], fn) -> None:
+    """Call ``fn(orbital)`` on each orbital in order, letting each go before the next is built."""
+    for i in range(len(orbitals)):
+        fn(orbitals[i])
 
 
 def _max_deviation(r: SpinDensityField, sums) -> float:
@@ -368,7 +491,15 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
     # on finite data a weight of 1.0 changes only the sign of a zero, which |sum - R|
     # does not see; 1.0 * complex(inf, y) is complex(inf, nan), so an inf entry gives NaN
-    return _max_deviation(r, functools.partial(_sum_block, [(1.0, orb) for orb in orbitals]))
+    sums = _density_sums(r.grid, ())
+    _each(orbitals, functools.partial(_add_density, sums, 1.0))
+    sums = [a.reshape(-1) for a in sums]
+
+    def copy(lo, hi, *parts):
+        for part, s in zip(parts, sums):
+            np.copyto(part, s[lo:hi])
+
+    return _max_deviation(r, copy)
 
 
 def _phase_gram_deviation(
@@ -405,7 +536,8 @@ def build_orbitals(
 ) -> OrbitalSet:
     """Construct the N phase-modulated orbitals reproducing a rank-1 R.
 
-    The orbitals are gated before any of them is allocated: when their Gram
+    They are returned as an :class:`OrbitalFamily`, which builds each
+    orbital when it is asked for; none is built here.  When their Gram
     deviation on the grid exceeds ``GRAM_TOL``, this raises
     :class:`OrthonormalityError`.  The diagnostics carry that Gram deviation
     (a 1-D sum along the phase axis, exact for these orbitals), the
@@ -435,24 +567,13 @@ def build_orbitals(
         np.multiply(p, s, out=sg)
 
     recon = _max_deviation(r, base_sums)
-    shape = [1, 1, 1]
-    shape[ax] = r.grid.dims[ax]
-    f = phase.values.reshape(shape)
-    inv_sqrt_n = 1.0 / math.sqrt(n)
-    factors = [np.exp(2j * np.pi * k * f) * inv_sqrt_n for k in range(1, n + 1)]
-    parts = [[np.empty(r.grid.dims, np.complex128) for _ in range(2)] for _ in factors]
-
-    def work(slabs):
-        # axis-0 row blocks, along which each factor broadcasts
-        for lo, hi in slabs:
-            for factor, (up, dn) in zip(factors, parts):
-                factor = factor[lo:hi] if ax == 0 else factor
-                np.multiply(phi_up[lo:hi], factor, out=up[lo:hi])
-                np.multiply(sqrt_dn[lo:hi], factor, out=dn[lo:hi])
-
-    _over_slabs(phi_up, work)
-    orbitals = [Spinor(up=ComplexField(r.grid, frozen(up)), dn=ComplexField(r.grid, frozen(dn)))
-                for up, dn in parts]
+    family = OrbitalFamily(
+        base_up=ComplexField(r.grid, frozen(phi_up)),
+        base_dn=ScalarField(r.grid, frozen(sqrt_dn)),
+        axis=ax,
+        phase=phase.values,
+        ks=tuple(range(1, n + 1)),
+    )
     scale = _worst((r.scale, TINY), largest=True)[0]
     diagnostics = {
         "gram_deviation": gram,
@@ -465,7 +586,7 @@ def build_orbitals(
     return OrbitalSet(
         grid=r.grid,
         n_electrons=n,
-        orbitals=tuple(orbitals),
+        orbitals=family,
         axis=ax,
         phase=phase,
         diagnostics=diagnostics,
@@ -476,17 +597,13 @@ def exchange_components(orbs: OrbitalSet) -> OrbitalSet:
     """Swap the up/dn components of every orbital (no conjugation).
 
     Orbitals built for the spin-swapped field turn into orbitals for the
-    original field under this exchange.
+    original field under this exchange.  A family only flips its flag.
     """
-    swapped = tuple(Spinor(up=o.dn, dn=o.up) for o in orbs.orbitals)
-    return OrbitalSet(
-        grid=orbs.grid,
-        n_electrons=orbs.n_electrons,
-        orbitals=swapped,
-        axis=orbs.axis,
-        phase=orbs.phase,
-        diagnostics=dict(orbs.diagnostics),
-    )
+    if isinstance(orbs.orbitals, OrbitalFamily):
+        swapped = replace(orbs.orbitals, exchanged=not orbs.orbitals.exchanged)
+    else:
+        swapped = tuple(Spinor(up=o.dn, dn=o.up) for o in orbs.orbitals)
+    return replace(orbs, orbitals=swapped, diagnostics=dict(orbs.diagnostics))
 
 
 # -- kinetic bound -------------------------------------------------------------

@@ -1,15 +1,22 @@
-"""Witness states (convex combinations of Slater branches) and their verification."""
+"""Witness states (convex combinations of Slater branches) and their verification.
+
+A branch's orbitals may be an :class:`spinrep.orbitals.OrbitalFamily`, which
+builds each orbital when it is asked for.  Everything here takes them one at
+a time, branch by branch, and holds at most one branch's orbitals at once.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminorm
 from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
-from .orbitals import OrbitalSet, _density_sums, _overlaps, gram_deviation
+from .orbitals import (OrbitalSet, Spinor, _add_density, _density_sums, _deviation, _each, _gram,
+                       _overlap, _overlaps)
 from .spin_density import SpinDensityField, trace_integral
 from .tolerances import (DEFAULT, GRAM_TOL, MISMATCH_TOL, SLACK, TINY, WEIGHT_SUM_TOL,
                          ToleranceConfig)
@@ -35,6 +42,9 @@ class Witness:
     grid: Grid3
     n_electrons: int
     branches: tuple[WitnessBranch, ...]
+    # branch index -> the read-only _overlaps matrix of its orbitals, filled by
+    # verify and occupation_spectrum so that each is integrated once
+    _overlap_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.branches) == 0:
@@ -52,12 +62,26 @@ class Witness:
     def weights(self) -> tuple[float, ...]:
         return tuple(b.weight for b in self.branches)
 
+    def _branch_overlaps(self, index: int, orbitals=None, each=None) -> np.ndarray:
+        """The overlap matrix of branch ``index``, integrated on the first call only.
 
-def density_of(w: Witness) -> SpinDensityField:
-    """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
-    up, dn, sg = _density_sums(
-        w.grid, ((b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals)
-    )
+        ``orbitals`` are that branch's orbitals when the caller holds them.
+        ``each(orbital)`` is called on every orbital of the branch in order,
+        as :func:`spinrep.orbitals._overlaps` calls it, whether the matrix
+        is integrated or not.
+        """
+        if orbitals is None:
+            orbitals = self.branches[index].orbitals.orbitals
+        o = self._overlap_cache.get(index)
+        if o is None:
+            o = self._overlap_cache[index] = frozen(_overlaps(orbitals, each))
+        elif each is not None:
+            _each(orbitals, each)
+        return o
+
+
+def _field(w: Witness, sums) -> SpinDensityField:
+    up, dn, sg = sums
     return SpinDensityField(
         rho_up=ScalarField(w.grid, frozen(up)),
         rho_dn=ScalarField(w.grid, frozen(dn)),
@@ -66,20 +90,30 @@ def density_of(w: Witness) -> SpinDensityField:
     )
 
 
+def density_of(w: Witness) -> SpinDensityField:
+    """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
+    sums = _density_sums(w.grid, ())
+    for branch in w.branches:
+        _each(branch.orbitals.orbitals, functools.partial(_add_density, sums, branch.weight))
+    return _field(w, sums)
+
+
 def kinetic_by_spin(w: Witness) -> tuple[float, float]:
     """(T_up, T_dn): weighted sums of integral |grad Phi^a|^2 per spin component.
 
     This is Tr(-Laplacian gamma^aa) for the one-body operator of the witness
     (no 1/2 factor).
     """
-    t_up = 0.0
-    t_dn = 0.0
+    t = [0.0, 0.0]
     for branch in w.branches:
-        p = branch.weight
-        for orb in branch.orbitals.orbitals:
-            t_up += p * h1_seminorm(w.grid, orb.up.values)
-            t_dn += p * h1_seminorm(w.grid, orb.dn.values)
-    return t_up, t_dn
+        _each(branch.orbitals.orbitals, functools.partial(_add_kinetic, t, branch.weight))
+    return t[0], t[1]
+
+
+def _add_kinetic(t: list[float], p: float, orb: Spinor) -> None:
+    """Add p times the H^1 seminorms of orb's up and dn components onto t[0] and t[1]."""
+    t[0] += p * h1_seminorm(orb.grid, orb.up.values)
+    t[1] += p * h1_seminorm(orb.grid, orb.dn.values)
 
 
 def kinetic_energy(w: Witness) -> float:
@@ -95,11 +129,32 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     (number of orbitals); its nonzero spectrum equals that of the small
     matrix K_ij = sqrt(p_i p_j) <Phi_i | Phi_j> over all branch orbitals.
     For an admissible mixed state every eigenvalue lies in [0, 1].
+
+    One branch's orbitals are held at a time; the orbitals of the later
+    branches are built one by one for the overlaps across branches.  The
+    overlaps within a branch are those :func:`verify` integrated, if it ran.
     """
-    orbs = [orb for b in w.branches for orb in b.orbitals.orbitals]
-    roots = np.sqrt([max(b.weight, 0.0) for b in w.branches for _ in b.orbitals.orbitals])
-    with np.errstate(invalid="ignore"):  # an infinite orbital entry gives nan, not a warning
-        k = np.outer(roots, roots) * _overlaps(orbs)
+    sizes = [len(b.orbitals.orbitals) for b in w.branches]
+    starts = np.cumsum([0] + sizes).tolist()
+    roots = np.sqrt([max(b.weight, 0.0) for b, m in zip(w.branches, sizes) for _ in range(m)])
+    o = np.empty((starts[-1], starts[-1]), dtype=np.complex128)
+    # an infinite orbital entry gives nan, not a warning
+    with np.errstate(invalid="ignore"):
+        for a, branch in enumerate(w.branches):
+            rows, later = slice(starts[a], starts[a + 1]), range(a + 1, len(w.branches))
+            # the last branch's orbitals serve only its own overlaps
+            held = tuple(branch.orbitals.orbitals) if later else None
+            o[rows, rows] = w._branch_overlaps(a, held)
+            for b in later:
+                orbs = w.branches[b].orbitals.orbitals
+                for q in range(len(orbs)):
+                    orb, j = orbs[q], starts[b] + q
+                    for i, mine in enumerate(held, start=starts[a]):
+                        o[i, j] = _overlap(mine, orb)
+                        o[j, i] = np.conj(o[i, j])
+                    del orb  # before the next orbital is built
+            del held  # before the next branch's orbitals are built
+        k = np.outer(roots, roots) * o
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
@@ -168,7 +223,20 @@ def verify(
     with np.errstate(invalid="ignore"):
         checks: list[ConditionResult] = []
 
-        rec = density_of(w)
+        # one pass over the orbitals, a branch at a time: each orbital is built
+        # once and feeds the density sums, its two H^1 terms and its Gram row
+        sums = _density_sums(w.grid, ())
+        t = [0.0, 0.0]
+        gram_devs = []
+        for index, branch in enumerate(w.branches):
+            def feed(orb, p=branch.weight):
+                _add_density(sums, p, orb)
+                _add_kinetic(t, p, orb)
+
+            gram_devs.append(_deviation(_gram(w._branch_overlaps(index, each=feed))))
+        gram_devs = tuple(gram_devs)
+        rec = _field(w, sums)
+        t_up, t_dn = t
 
         # (i) density match, relative L1
         denom = _worst((trace_integral(target), TINY), largest=True)[0]
@@ -186,7 +254,6 @@ def verify(
         ))
 
         # (ii) per-branch orthonormality
-        gram_devs = tuple(gram_deviation(b.orbitals.orbitals) for b in w.branches)
         worst_gram = _worst(gram_devs, largest=True)[0]
         checks.append(ConditionResult(
             "orbital_gram",
@@ -207,7 +274,6 @@ def verify(
         ))
 
         # (iv) finite kinetic energy
-        t_up, t_dn = kinetic_by_spin(w)
         total = t_up + t_dn
         checks.append(ConditionResult(
             "kinetic_finite",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spinrep as sr
+from spinrep import fields
 from spinrep.fields import boundary_max, weighted_gradient_l1
 
 from _helpers import cube, gaussian_values, kernel_derivatives
@@ -248,3 +249,19 @@ def test_boundary_max(grid32):
     assert 0.0 < b < 1e-25
     c = sr.ScalarField(grid32, np.full(grid32.dims, 0.7))
     assert boundary_max(c) == 0.7
+
+
+SIZE = fields._SLAB_BYTES // 8  # points in a full range of fields.blockwise
+
+
+@pytest.mark.parametrize("n", [1, 2, SIZE - 1, SIZE, SIZE + 1, SIZE + 2, 4 * SIZE + 1])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blockwise_ranges_cover_every_point_and_none_holds_one_alone(monkeypatch, n, workers):
+    monkeypatch.setattr(fields, "_cpus", lambda: workers)
+    ranges = []
+    fields.blockwise(n, lambda lo, hi, buf: ranges.append((lo, hi, buf.size)), scratch=1)
+    ranges.sort()
+    assert [lo for lo, _, _ in ranges] == [0] + [hi for _, hi, _ in ranges[:-1]]
+    assert ranges[-1][1] == n
+    assert all(0 < hi - lo <= size == SIZE for lo, hi, size in ranges)
+    assert all(hi - lo > 1 for lo, hi, _ in ranges) or n == 1

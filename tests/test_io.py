@@ -109,6 +109,27 @@ def test_witness_round_trip_keeps_special_complex_parts(tmp_path):
     assert_same_bytes(got.dn.values, orb.dn.values)
 
 
+def test_spdf_write_copies_each_plane_through_one_chunk(tmp_path):
+    # the bytes of whole-array contiguous copies, with a traced peak far below a grid
+    grid = cube(64)
+    rng = np.random.default_rng(14)
+    sig = with_special_parts(rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims))
+    field = field_from_arrays(grid, rng.random(grid.dims), rng.random(grid.dims), sig)
+    path = tmp_path / "f.spdf"
+    sr.write_spdf(path, field)
+    tracemalloc.start()
+    try:
+        sr.write_spdf(path, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    blocks = (field.rho_up.values, field.rho_dn.values, sig.real, sig.imag)
+    payload = b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blocks)
+    header = "spdf 1\ngrid 64 64 64\nbox -8 -8 -8 8 8 8\nelectrons 2\ndata\n"
+    assert path.read_bytes() == header.encode("ascii") + payload
+
+
 def test_spdf_round_trip_non_round_box(tmp_path):
     # 17 significant digits must reproduce awkward box bounds exactly
     grid = sr.Grid3((4, 5, 6), (-7.3, -1.0 / 3.0, -2.0, 7.3, 1.0 / 3.0, 2.0))
@@ -269,9 +290,13 @@ def witness_pair(mixture48, tmp_path_factory):
 
 def test_witness_files_on_disk(witness_pair):
     witness, d = witness_pair
-    assert (d / "witness.txt").is_file()
+    lines = (d / "witness.txt").read_text().splitlines()
+    assert lines[0] == "witness 2"
+    assert [ln.split()[0] for ln in lines[5:]] == ["branch", "diagnostics"] * len(witness.branches)
+    assert all(ln.split()[3] == "family" for ln in lines[5::2])
+    # one base file per branch, no orbital file
     n_files = sum(1 for p in d.iterdir() if p.suffix == ".bin")
-    assert n_files == len(witness.branches) * witness.n_electrons
+    assert n_files == len(witness.branches)
 
 
 def test_witness_round_trip(witness_pair):

@@ -42,9 +42,13 @@ FIELDS = {
 }
 
 
-def digest_lines(name: str) -> list[str]:
-    """One line per branch (weight, swap flag) and one per orbital (SHA-256)."""
-    w = sr.construct_witness(FIELDS[name]())
+def digest_lines(name: str, w=None) -> list[str]:
+    """One line per branch (weight, swap flag) and one per orbital (SHA-256).
+
+    Of the witness ``w`` of fixture ``name``; by default the one construct builds.
+    """
+    if w is None:
+        w = sr.construct_witness(FIELDS[name]())
     lines = []
     for bi, branch in enumerate(w.branches):
         lines.append(f"{name} branch {bi} weight {branch.weight!r} swapped {int(branch.swapped)}")
