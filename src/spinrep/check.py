@@ -185,10 +185,8 @@ def _norm_verdict(
 
 def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
     """sqrt(max(values, 0)), written block by block into one new array."""
-    v = values.reshape(-1)
-
     def step(lo, hi, out):
-        np.sqrt(np.clip(v[lo:hi], 0.0, None, out=out), out=out)
+        np.sqrt(np.clip(values[lo:hi], 0.0, None, out=out), out=out)
 
     return blockwise_arrays(values.shape, (float,), step)[0]
 

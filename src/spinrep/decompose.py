@@ -97,9 +97,8 @@ def _piece(
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b, written block by block into a new array."""
-    af, bf = a.reshape(-1), b.reshape(-1)
     return blockwise_arrays(a.shape, (np.result_type(a, b),),
-                            lambda lo, hi, out: np.multiply(af[lo:hi], bf[lo:hi], out=out))[0]
+                            lambda lo, hi, out: np.multiply(a[lo:hi], b[lo:hi], out=out))[0]
 
 
 def _weigh(
@@ -126,9 +125,8 @@ def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitRes
     sq = sqrt_field(r, tol)
     ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
     del sq
-    sf = s.reshape(-1)
     s2, = blockwise_arrays(s.shape, (float,),
-                           lambda lo, hi, out, buf: _abs2(sf[lo:hi], out, buf[:hi - lo]), scratch=1)
+                           lambda lo, hi, out, buf: _abs2(s[lo:hi], out, buf), scratch=1)
     uu = _product(ru, ru)
     t, weight, keep_one, keep_two = _weigh(uu, s2, r)
     one = two = None
@@ -149,12 +147,12 @@ def ratio_split(r: SpinDensityField) -> SplitResult:
     rho_up <= 2 rho_dn.  Points where both densities vanish get ratio 1.
     """
     require_null_determinant(r)
-    rho_up, rho_dn, sg = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
+    rho_up, rho_dn, sg = r.rho_up.values, r.rho_dn.values, r.sigma.values
     dims = r.grid.dims
 
     def clipped(lo, hi, bufs):
-        """max(rho_up, 0) and max(rho_dn, 0) on the flat points lo:hi, in ``bufs``."""
-        return [np.clip(x[lo:hi], 0.0, None, out=b[:hi - lo])
+        """max(rho_up, 0) and max(rho_dn, 0) on rows lo:hi, in ``bufs``."""
+        return [np.clip(x[lo:hi], 0.0, None, out=b)
                 for x, b in zip((rho_up, rho_dn), bufs)]
 
     def weigh_step(lo, hi, w, up_one, dn_one, *bufs):
@@ -173,10 +171,8 @@ def ratio_split(r: SpinDensityField) -> SplitResult:
         one = _piece((up_one, dn_one, _product(w, r.sigma.values)), t, r)
     del up_one, dn_one
     if keep_two:
-        wf = w.reshape(-1)
-
         def rest_step(lo, hi, up_two, dn_two, sg_two, *bufs):
-            wc = np.subtract(1.0, wf[lo:hi], out=wf[lo:hi])
+            wc = np.subtract(1.0, w[lo:hi], out=w[lo:hi])
             for x, out in zip((*clipped(lo, hi, bufs), sg[lo:hi]), (up_two, dn_two, sg_two)):
                 np.multiply(wc, x, out=out)
 

@@ -12,18 +12,27 @@ Conventions used throughout the package:
   central one node from the edge and one-sided second-order on the
   boundary planes.
 
-Blocked passes.  The gradient kernel, the integrals and the pointwise
-passes of ``check`` run block by block, each block about ``_SLAB_BYTES``
-(512 KiB) of float64 data so that its buffers stay in L2.  The blocks are
-spread over ``min(cpus, blocks)`` workers, where ``cpus`` is the size of
-the process's CPU affinity mask (``os.cpu_count()`` where there is none):
-the calling thread and the threads of one pool, created on first use and
-again in a forked child.  Each worker owns its buffers and writes only the
-output of the blocks it takes, so no result depends on the scheduling.
-The witness path (``sqrt_field``, the splits of ``decompose``, the base
-spinor, orbitals, overlaps and density sums of ``orbitals`` and the
-density match of ``verify``) and the density generators use the same
-blocks and the same rules.
+Blocked passes.  Grid-sized work runs block by block, each block about
+``_SLAB_BYTES`` (512 KiB) of float64 data so that its buffers stay in L2.
+The blocks are spread over ``min(cpus, blocks)`` workers, where ``cpus`` is
+the size of the process's CPU affinity mask (``os.cpu_count()`` where there
+is none): the calling thread and the threads of one pool, created on first
+use and again in a forked child.  Each worker owns its buffers and writes
+only the output of the blocks it takes, so no result depends on the
+scheduling.
+
+Every pointwise pass has one block shape, a slab of whole axis-0 rows: the
+gradient kernel, the pointwise passes of ``check`` and ``spin_density``,
+``sqrt_field``, the splits of ``decompose``, the base spinor, orbitals and
+density sums of ``orbitals`` and the density generators.  Each indexes its
+3-D arrays as ``a[lo:hi]`` (:func:`blockwise`, :func:`blockwise_arrays`).
+Only the integrals (the overlaps and density match of the witness path
+among them) cut other blocks, the leaves of numpy's pairwise tree below,
+because those leaves set the bits of a sum.  A slab holds at least one row
+and a row at least 16 points, so no pointwise block holds a single point,
+where numpy's complex multiply takes an unfused loop that rounds
+differently from the whole-array expression; flat ranges needed a rule
+against that case, and slabs need none.
 
 The stencil kernel works in slabs of axis-0 rows.  For each slab,
 :func:`grad_magnitude_sq` writes the three axis derivatives one after the
@@ -75,9 +84,8 @@ import numpy as np
 
 from .tolerances import SIG_REL, TINY
 
-# float64 bytes in one block of a blocked pass (a slab of the gradient
-# kernel, a leaf of an integral), so that a block's buffers stay in a
-# core's L2 cache
+# float64 bytes in one block of a blocked pass (a slab of a pointwise pass,
+# a leaf of an integral), so that a block's buffers stay in a core's L2 cache
 _SLAB_BYTES = 512 * 1024
 
 
@@ -427,41 +435,32 @@ def _over_blocks(blocks, work) -> None:
                 f.result()
 
 
-def blockwise(n: int, step, scratch: int = 0) -> None:
-    """Call ``step(lo, hi, *bufs)`` on the workers for flat ranges lo:hi that cover 0:n.
+def blockwise(shape, step, scratch: int = 0) -> None:
+    """Call ``step(lo, hi, *bufs)`` on the workers for the axis-0 row slabs lo:hi of ``shape``.
 
-    Each range holds at most about ``_SLAB_BYTES`` of float64 points, and
-    ``bufs`` are ``scratch`` float64 buffers of that length owned by the
-    worker.  For pointwise work that writes each range of its output once.
-
-    No range holds a single point unless a range can hold no more: numpy's
-    complex multiply takes an unfused loop on one element, which rounds
-    differently from the whole-array expression.  A last range of one point
-    takes one from the range before it instead.
+    The slabs are those of :func:`_over_slabs` for float64 data of
+    ``shape``, and ``bufs`` are ``scratch`` float64 buffers of the slab's
+    shape owned by the worker.  For pointwise work that writes each slab of
+    its output once.
     """
-    size = max(1, _SLAB_BYTES // 8)
-    cuts = [*range(0, n, size), n]
-    if size > 1 and len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        cuts[-2] -= 1
-    blocks = list(zip(cuts[:-1], cuts[1:]))
+    rows = _slab_rows(shape)
 
-    def work(claimed):
-        bufs = [np.empty(size) for _ in range(scratch)]
-        for lo, hi in claimed:
-            step(lo, hi, *bufs)
+    def work(slabs):
+        bufs = [np.empty((rows, *shape[1:])) for _ in range(scratch)]
+        for lo, hi in slabs:
+            step(lo, hi, *(b[:hi - lo] for b in bufs))
 
-    _over_blocks(blocks, work)
+    _over_slabs(shape, work)
 
 
 def blockwise_arrays(shape, dtypes, step, scratch: int = 0) -> list[np.ndarray]:
     """New arrays of ``shape``, one per dtype, filled by ``step(lo, hi, *outs, *bufs)``.
 
-    ``outs`` are the arrays' flat views of the points lo:hi; the ranges and
-    buffers are those of :func:`blockwise`.
+    ``outs`` are rows lo:hi of the arrays; the slabs and buffers are those
+    of :func:`blockwise`.
     """
     arrays = [np.empty(shape, dtype) for dtype in dtypes]
-    flat = [a.reshape(-1) for a in arrays]
-    blockwise(flat[0].size, lambda lo, hi, *bufs: step(lo, hi, *(f[lo:hi] for f in flat), *bufs),
+    blockwise(shape, lambda lo, hi, *bufs: step(lo, hi, *(a[lo:hi] for a in arrays), *bufs),
               scratch)
     return arrays
 
@@ -473,14 +472,14 @@ def _abs2(z: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slab_rows(v: np.ndarray) -> int:
-    """Rows of axis 0 in one slab: about ``_SLAB_BYTES`` of data, at least one row."""
-    return min(v.shape[0], max(1, _SLAB_BYTES // max(1, v[0].nbytes)))
+def _slab_rows(shape) -> int:
+    """Axis-0 rows in one slab of float64 data of ``shape``: about ``_SLAB_BYTES``, at least one."""
+    return min(shape[0], max(1, _SLAB_BYTES // (8 * math.prod(shape[1:]))))
 
 
-def _over_slabs(v: np.ndarray, work) -> None:
+def _over_slabs(shape, work) -> None:
     """Call ``work(slabs)`` in each worker; slabs are (lo, hi) row ranges of axis 0."""
-    n0, rows = v.shape[0], _slab_rows(v)
+    n0, rows = shape[0], _slab_rows(shape)
     _over_blocks([(lo, min(lo + rows, n0)) for lo in range(0, n0, rows)], work)
 
 
@@ -497,7 +496,7 @@ def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 4) -> np.nda
     out = np.empty(grid.dims)
 
     def work(slabs):
-        rows = _slab_rows(v)
+        rows = _slab_rows(v.shape)
         deriv, v8 = np.empty((rows,) + v.shape[1:]), np.empty((rows + 2) * v[0].size)
         for lo, hi in slabs:
             d, o = deriv[:hi - lo], out[lo:hi]
@@ -512,7 +511,7 @@ def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 4) -> np.nda
                 if ax > 0:
                     o += sq
 
-    _over_slabs(v, work)
+    _over_slabs(v.shape, work)
     return out
 
 

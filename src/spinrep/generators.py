@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .fields import (ComplexField, Grid3, ScalarField, _abs2, _over_slabs, _slab_rows,
-                     _weighted_sum, frozen)
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _weighted_sum, blockwise_arrays,
+                     frozen)
 from .spin_density import SpinDensityField
 from .tolerances import NORM_REL
 
@@ -50,22 +50,6 @@ def _phase(grid: Grid3, alpha: float) -> np.ndarray | None:
     if alpha == 0.0:
         return None
     return np.exp(1j * alpha * (grid.axes[0] - _center(grid)[0]))[:, None, None]
-
-
-def _rows(grid: Grid3, dtypes, step) -> list[np.ndarray]:
-    """New read-only grid arrays of ``dtypes``, filled slab by slab on the workers.
-
-    ``step(lo, hi, buf, *rows)`` writes rows lo:hi; ``buf`` is a worker's float64 slab.
-    """
-    arrays = [np.empty(grid.dims, dtype) for dtype in dtypes]
-
-    def work(slabs):
-        buf = np.empty((_slab_rows(arrays[0]),) + grid.dims[1:])
-        for lo, hi in slabs:
-            step(lo, hi, buf[:hi - lo], *(a[lo:hi] for a in arrays))
-
-    _over_slabs(arrays[0], work)
-    return [frozen(a) for a in arrays]
 
 
 def _outside_mass(grid: Grid3, width: float) -> float:
@@ -102,8 +86,8 @@ def gaussian_diagonal(
     total sqrt-density seminorm is 3 N / (2 width^2).
     """
     _require_contained(grid, width, "gaussian_diagonal")
-    half, = _rows(grid, (float,), lambda lo, hi, buf, out:
-                  _gaussian(grid, width, 0.5 * n_electrons, lo, hi, out))
+    half = frozen(blockwise_arrays(grid.dims, (float,), lambda lo, hi, out:
+                                   _gaussian(grid, width, 0.5 * n_electrons, lo, hi, out))[0])
     return SpinDensityField(
         rho_up=ScalarField(grid, half),
         rho_dn=ScalarField(grid, half),
@@ -133,14 +117,14 @@ def gaussian_spinor(
     _require_contained(grid, width_dn, "gaussian_spinor (dn)")
     phase = _phase(grid, phase_gradient)
 
-    def step(lo, hi, buf, up, dn):
+    def step(lo, hi, up, dn, buf):
         up[...] = np.sqrt(_gaussian(grid, width_up, spin_fraction, lo, hi, buf), out=buf)
         if phase is not None:
             up *= phase[lo:hi]
         dn[...] = np.sqrt(_gaussian(grid, width_dn, 1.0 - spin_fraction, lo, hi, buf), out=buf)
 
-    up, dn = _rows(grid, (complex, complex), step)
-    return ComplexField(grid, up), ComplexField(grid, dn)
+    up, dn = blockwise_arrays(grid.dims, (complex, complex), step, scratch=1)
+    return ComplexField(grid, frozen(up)), ComplexField(grid, frozen(dn))
 
 
 def rank1_from_orbital(
@@ -177,18 +161,18 @@ def rank1_from_orbital(
     # of a whole-grid u * conj(d) from 256 KiB on, making it conj(d) * u
     swap = grid.npoints * 16 >= 256 * 1024
 
-    def step(lo, hi, buf, sg):
+    def step(lo, hi, sg):
         up[lo:hi] *= n
         dn[lo:hi] *= n
         c = np.conj(d[lo:hi], out=sg)
         np.multiply(*((c, u[lo:hi]) if swap else (u[lo:hi], c)), out=sg)
         sg *= n
 
-    sigma, = _rows(grid, (complex,), step)
+    sigma, = blockwise_arrays(grid.dims, (complex,), step)
     return SpinDensityField(
         rho_up=ScalarField(grid, frozen(up)),
         rho_dn=ScalarField(grid, frozen(dn)),
-        sigma=ComplexField(grid, sigma),
+        sigma=ComplexField(grid, frozen(sigma)),
         n_electrons=n_electrons,
     )
 
@@ -222,7 +206,7 @@ def full_rank_mixture(
     _require_contained(grid, width_dn, "full_rank_mixture (dn)")
     phase = _phase(grid, phase_gradient if coupling else 0.0)
 
-    def step(lo, hi, buf, up, dn, sg):
+    def step(lo, hi, up, dn, sg, buf):
         _gaussian(grid, width_up, spin_fraction * n_electrons, lo, hi, up)
         _gaussian(grid, width_dn, (1.0 - spin_fraction) * n_electrons, lo, hi, dn)
         t = np.sqrt(np.multiply(up, dn, out=buf), out=buf)
@@ -231,10 +215,10 @@ def full_rank_mixture(
         if phase is not None:
             sg *= phase[lo:hi]
 
-    up, dn, sigma = _rows(grid, (float, float, complex), step)
+    up, dn, sigma = blockwise_arrays(grid.dims, (float, float, complex), step, scratch=1)
     return SpinDensityField(
-        rho_up=ScalarField(grid, up),
-        rho_dn=ScalarField(grid, dn),
-        sigma=ComplexField(grid, sigma),
+        rho_up=ScalarField(grid, frozen(up)),
+        rho_dn=ScalarField(grid, frozen(dn)),
+        sigma=ComplexField(grid, frozen(sigma)),
         n_electrons=n_electrons,
     )

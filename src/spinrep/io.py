@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import io as _io
+import math
 import os
 import secrets
 import stat
@@ -94,39 +95,59 @@ def _header_lines(handle: _io.BufferedIOBase, count: int, err) -> list[str]:
     return lines
 
 
-def _parse_grid_box(lines: list[str], offset: int, err) -> Grid3:
-    """Parse consecutive 'grid ...' and 'box ...' lines; offset = line number of 'grid'."""
+def _parse_version(line: str, kind: str, what: str, versions: tuple[str, ...], err) -> int:
+    """The version of a first line ``<kind> <version>``; ``what`` names the file in errors."""
+    tok = line.split()
+    if len(tok) != 2 or tok[0] != kind:
+        raise err(f"line 1: not {what} (got {line!r})")
+    if tok[1] not in versions:
+        speaks = " and ".join(versions)
+        raise UnsupportedVersionError(
+            f"line 1: unsupported {kind} version {tok[1]!r} "
+            f"(this reader speaks version{'s' if len(versions) > 1 else ''} {speaks})"
+        )
+    return int(tok[1])
+
+
+def _grid_lines(grid: Grid3, n_electrons: int) -> list[str]:
+    """The 'grid', 'box' and 'electrons' lines of a header, lines 2-4 of both formats."""
+    return [
+        f"grid {grid.dims[0]} {grid.dims[1]} {grid.dims[2]}",
+        "box " + " ".join(f"{v:.17g}" for v in grid.box),
+        f"electrons {n_electrons}",
+    ]
+
+
+def _parse_grid_lines(lines: list[str], err) -> tuple[Grid3, int]:
+    """Grid and electron count of the lines :func:`_grid_lines` writes, lines 2-4 of a file."""
     tok = lines[0].split()
     if len(tok) != 4 or tok[0] != "grid":
-        raise err(f"line {offset}: expected 'grid nx ny nz', got {lines[0]!r}")
+        raise err(f"line 2: expected 'grid nx ny nz', got {lines[0]!r}")
     try:
         dims = tuple(int(t) for t in tok[1:])
     except ValueError as exc:
-        raise err(f"line {offset}: grid dimensions must be integers") from exc
+        raise err("line 2: grid dimensions must be integers") from exc
     tok = lines[1].split()
     if len(tok) != 7 or tok[0] != "box":
-        raise err(f"line {offset + 1}: expected 'box x0 y0 z0 x1 y1 z1', got {lines[1]!r}")
+        raise err(f"line 3: expected 'box x0 y0 z0 x1 y1 z1', got {lines[1]!r}")
     try:
         box = tuple(float(t) for t in tok[1:])
     except ValueError as exc:
-        raise err(f"line {offset + 1}: box bounds must be numbers") from exc
+        raise err("line 3: box bounds must be numbers") from exc
     try:
-        return Grid3(dims, box)
+        grid = Grid3(dims, box)
     except ValueError as exc:
-        raise err(f"line {offset}-{offset + 1}: {exc}") from exc
-
-
-def _parse_electrons(line: str, offset: int, err) -> int:
-    tok = line.split()
+        raise err(f"line 2-3: {exc}") from exc
+    tok = lines[2].split()
     if len(tok) != 2 or tok[0] != "electrons":
-        raise err(f"line {offset}: expected 'electrons N', got {line!r}")
+        raise err(f"line 4: expected 'electrons N', got {lines[2]!r}")
     try:
         n = int(tok[1])
     except ValueError as exc:
-        raise err(f"line {offset}: electron count must be an integer") from exc
+        raise err("line 4: electron count must be an integer") from exc
     if n < 1:
-        raise err(f"line {offset}: electron count must be positive, got {n}")
-    return n
+        raise err(f"line 4: electron count must be positive, got {n}")
+    return grid, n
 
 
 # read size for pipes and other files without a known size, and the copy
@@ -134,8 +155,8 @@ def _parse_electrons(line: str, offset: int, err) -> int:
 _CHUNK = 1 << 20
 
 
-def _read_up_to(fh: _io.BufferedIOBase, n: int) -> bytes:
-    """The next ``n`` bytes of ``fh``, fewer only at its end, read in bounded chunks."""
+def _read_up_to(fh: _io.BufferedIOBase, n: int) -> list[bytes]:
+    """The next ``n`` bytes of ``fh``, fewer only at its end, as the bounded chunks read."""
     chunks, got = [], 0
     while got < n:
         chunk = fh.read(min(_CHUNK, n - got))
@@ -143,41 +164,60 @@ def _read_up_to(fh: _io.BufferedIOBase, n: int) -> bytes:
             break
         chunks.append(chunk)
         got += len(chunk)
-    return b"".join(chunks)
+    return chunks
 
 
-def _read_blocks(fh: _io.BufferedIOBase, counts, mismatch) -> list[np.ndarray]:
-    """The float64 blocks of ``counts`` values each that make up the rest of ``fh``.
+def _nbytes(layout) -> int:
+    """Bytes on disk of the arrays of ``layout``, (shape, dtype) pairs."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout)
 
-    Each block is a flat read-only array over its own bytes.  A regular
-    file's size is compared with the blocks before anything is read.  Other
-    files (pipes, FIFOs, ``/dev/stdin``) have no size to ask for: they are
-    read block by block in bounded chunks, and any excess is counted to the
-    end and dropped.  A size that does not match raises ``mismatch(size)``.
+
+def _read_arrays(fh: _io.BufferedIOBase, layout, mismatch) -> list[np.ndarray]:
+    """The read-only arrays of ``layout``, (shape, dtype) pairs, that make up the rest of ``fh``.
+
+    Each array is stored as :func:`_write_blocks` writes it.  A float64
+    array is an array over its own bytes.  A complex array is allocated once
+    its real plane has arrived, so a short pipe is refused before anything
+    grid-sized is allocated, and each plane is dropped once it is copied in.
+    A regular file's size is compared with the layout before anything is
+    read.  Other files (pipes, FIFOs, ``/dev/stdin``) have no size to ask
+    for: they are read block by block in bounded chunks, and any excess is
+    counted to the end and dropped.  A size that does not match raises
+    ``mismatch(size)``.
     """
-    sizes = [count * _F8.itemsize for count in counts]
     st = os.fstat(fh.fileno())
     regular = stat.S_ISREG(st.st_mode)
-    if regular and st.st_size - fh.tell() != sum(sizes):
+    if regular and st.st_size - fh.tell() != _nbytes(layout):
         raise mismatch(st.st_size - fh.tell())
-    blocks, got = [], 0
-    for nbytes in sizes:
-        raw = fh.read(nbytes) if regular else _read_up_to(fh, nbytes)
-        if len(raw) != nbytes:
-            raise mismatch(got + len(raw))
+    got = 0
+
+    def block(shape) -> np.ndarray:
+        nonlocal got
+        nbytes = math.prod(shape) * _F8.itemsize
+        parts = [fh.read(nbytes)] if regular else _read_up_to(fh, nbytes)
+        size = sum(map(len, parts))
+        if size != nbytes:  # refused before a short read is joined
+            raise mismatch(got + size)
         got += nbytes
-        blocks.append(np.frombuffer(raw, dtype=_F8))
+        return np.frombuffer(b"".join(parts), dtype=_F8).reshape(shape)
+
+    arrays = []
+    for shape, dtype in layout:
+        if np.dtype(dtype).kind != "c":
+            arrays.append(block(shape))
+            continue
+        re = block(shape)
+        out = np.empty(shape, np.complex128)
+        out.real = re
+        del re
+        out.imag = block(shape)
+        arrays.append(frozen(out))
     extra = 0
     while chunk := fh.read(_CHUNK):
         extra += len(chunk)
     if extra:
         raise mismatch(got + extra)
-    return blocks
-
-
-def _read_grids(fh: _io.BufferedIOBase, grid: Grid3, mismatch) -> list[np.ndarray]:
-    """The four grid-sized float64 blocks that make up the rest of ``fh``, shaped as the grid."""
-    return [b.reshape(grid.dims) for b in _read_blocks(fh, (grid.npoints,) * 4, mismatch)]
+    return arrays
 
 
 @contextlib.contextmanager
@@ -217,62 +257,42 @@ def _replacing(path: str | os.PathLike):
         raise
 
 
-def _write_blocks(fh, blocks) -> None:
-    """Write each array of ``blocks`` as raw little-endian float64 values in C order.
+def _write_blocks(fh, arrays) -> None:
+    """Write each array of ``arrays`` as raw little-endian float64 values in C order.
 
-    A C-contiguous float64 array is written from its own memory.  Any other,
-    such as the real or imaginary plane of a complex array, is copied piece
-    by piece through one buffer of ``_CHUNK`` bytes, never as a whole.
+    A complex array is written as its real plane, then its imaginary plane.
+    A C-contiguous float64 array is written from its own memory.  Any other
+    block, such as a plane of a complex array, is copied piece by piece
+    through one buffer of ``_CHUNK`` bytes, never as a whole.
     """
     buf = None
-    for block in blocks:
-        if block.dtype == _F8 and block.flags.c_contiguous:
-            fh.write(block.data)
-            continue
-        if buf is None:
-            buf = np.empty(_CHUNK // _F8.itemsize, _F8)
-        flat = block.reshape(-1)
-        for lo in range(0, flat.size, buf.size):
-            part = buf[:min(buf.size, flat.size - lo)]
-            np.copyto(part, flat[lo:lo + part.size])
-            fh.write(part.data)
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array with exactly these real and imaginary parts, read-only."""
-    out = np.empty(re.shape, np.complex128)
-    out.real, out.imag = re, im
-    return frozen(out)
+    for arr in arrays:
+        for block in (arr.real, arr.imag) if arr.dtype.kind == "c" else (arr,):
+            if block.dtype == _F8 and block.flags.c_contiguous:
+                fh.write(block.data)
+                continue
+            if buf is None:
+                buf = np.empty(_CHUNK // _F8.itemsize, _F8)
+            flat = block.reshape(-1)
+            for lo in range(0, flat.size, buf.size):
+                part = buf[:min(buf.size, flat.size - lo)]
+                np.copyto(part, flat[lo:lo + part.size])
+                fh.write(part.data)
 
 
 def write_spdf(path: str | os.PathLike, field: SpinDensityField) -> None:
-    grid = field.grid
-    header = (
-        "spdf 1\n"
-        f"grid {grid.dims[0]} {grid.dims[1]} {grid.dims[2]}\n"
-        "box " + " ".join(f"{v:.17g}" for v in grid.box) + "\n"
-        f"electrons {field.n_electrons}\n"
-        "data\n"
-    )
-    sigma = field.sigma.values
+    header = "\n".join(["spdf 1", *_grid_lines(field.grid, field.n_electrons), "data"]) + "\n"
     with _replacing(path) as fh:
         fh.write(header.encode("ascii"))
-        _write_blocks(fh, (field.rho_up.values, field.rho_dn.values, sigma.real, sigma.imag))
+        _write_blocks(fh, (field.rho_up.values, field.rho_dn.values, field.sigma.values))
 
 
 def _spdf_header(fh: _io.BufferedIOBase) -> tuple[Grid3, int]:
     """Grid and electron count of the SPDF header that ``fh`` starts with, read up to its data."""
-    lines = _header_lines(fh, 1, SpdfFormatError)
-    tok = lines[0].split()
-    if len(tok) != 2 or tok[0] != "spdf":
-        raise SpdfFormatError(f"line 1: not an spdf file (got {lines[0]!r})")
-    if tok[1] != "1":
-        raise UnsupportedVersionError(
-            f"line 1: unsupported spdf version {tok[1]!r} (this reader speaks version 1)"
-        )
+    first, = _header_lines(fh, 1, SpdfFormatError)
+    _parse_version(first, "spdf", "an spdf file", ("1",), SpdfFormatError)
     body = _header_lines(fh, 4, SpdfFormatError)
-    grid = _parse_grid_box(body[:2], 2, SpdfFormatError)
-    n = _parse_electrons(body[2], 4, SpdfFormatError)
+    grid, n = _parse_grid_lines(body[:3], SpdfFormatError)
     if body[3] != "data":
         raise SpdfFormatError(f"line 5: expected 'data', got {body[3]!r}")
     return grid, n
@@ -281,15 +301,15 @@ def _spdf_header(fh: _io.BufferedIOBase) -> tuple[Grid3, int]:
 def read_spdf(path: str | os.PathLike) -> SpinDensityField:
     with open(path, "rb") as fh:
         grid, n = _spdf_header(fh)
-        expected = 4 * grid.npoints * 8
-        up, dn, re, im = _read_grids(fh, grid, lambda size: SpdfFormatError(
-            f"payload holds {size} bytes, expected {expected} "
+        layout = [(grid.dims, float)] * 2 + [(grid.dims, complex)]
+        up, dn, sigma = _read_arrays(fh, layout, lambda size: SpdfFormatError(
+            f"payload holds {size} bytes, expected {_nbytes(layout)} "
             f"(4 blocks of {grid.npoints} float64)"
         ))
     return SpinDensityField(
         rho_up=ScalarField(grid, up),
         rho_dn=ScalarField(grid, dn),
-        sigma=ComplexField(grid, _complex(re, im)),
+        sigma=ComplexField(grid, sigma),
         n_electrons=n,
     )
 
@@ -305,22 +325,16 @@ def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
     # until the new manifest is in place the directory is no witness
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(dirpath, MANIFEST))
-    grid = witness.grid
-    lines = [
-        "witness 2",
-        f"grid {grid.dims[0]} {grid.dims[1]} {grid.dims[2]}",
-        "box " + " ".join(f"{v:.17g}" for v in grid.box),
-        f"electrons {witness.n_electrons}",
-        f"branches {len(witness.branches)}",
-    ]
+    lines = ["witness 2", *_grid_lines(witness.grid, witness.n_electrons),
+             f"branches {len(witness.branches)}"]
     for bi, branch in enumerate(witness.branches):
         head = f"{branch.weight:.17g} {int(branch.swapped)}"
         orbitals = branch.orbitals.orbitals
         if isinstance(orbitals, OrbitalFamily):
             name = f"branch{bi}_base.bin"
-            phi = orbitals.base_up.values
             with _replacing(os.path.join(dirpath, name)) as fh:
-                _write_blocks(fh, (phi.real, phi.imag, orbitals.base_dn.values, orbitals.phase))
+                _write_blocks(fh, (orbitals.base_up.values, orbitals.base_dn.values,
+                                   orbitals.phase))
             lines.append(f"branch {head} family {name} {orbitals.axis} "
                          f"{int(orbitals.exchanged)} " + " ".join(str(k) for k in orbitals.ks))
         else:
@@ -328,9 +342,8 @@ def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
             for oi, orb in enumerate(orbitals):
                 name = f"branch{bi}_orb{oi + 1}.bin"
                 names.append(name)
-                u, d = orb.up.values, orb.dn.values
                 with _replacing(os.path.join(dirpath, name)) as fh:
-                    _write_blocks(fh, (u.real, u.imag, d.real, d.imag))
+                    _write_blocks(fh, (orb.up.values, orb.dn.values))
             lines.append(f"branch {head} " + " ".join(names))
         diagnostics = branch.orbitals.diagnostics
         kept = [f"{k} {float(diagnostics[k]):.17g}" for k in DIAGNOSTICS if k in diagnostics]
@@ -340,29 +353,16 @@ def write_witness(dirpath: str | os.PathLike, witness: Witness) -> None:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _open_payload(dirpath, name: str, what: str):
+def _read_payload(dirpath, name: str, what: str, layout) -> list[np.ndarray]:
+    """The arrays of ``layout`` in the witness file ``name``, a ``what`` file in errors."""
     try:
-        return open(os.path.join(dirpath, name), "rb")
+        fh = open(os.path.join(dirpath, name), "rb")
     except FileNotFoundError as exc:
         raise WitnessFormatError(f"{what} file {name} is missing") from exc
-
-
-def _read_orbitals(dirpath, names: list[str], grid: Grid3) -> tuple[Spinor, ...]:
-    """The orbitals of a branch line that names one file each."""
-    per_orbital = 4 * grid.npoints * 8
-    orbitals = []
-    for name in names:
-        with _open_payload(dirpath, name, "orbital") as fh:
-            re_up, im_up, re_dn, im_dn = _read_grids(
-                fh, grid, lambda size: WitnessFormatError(
-                    f"orbital file {name} holds {size} bytes, expected {per_orbital}"
-                ),
-            )
-        orbitals.append(Spinor(
-            up=ComplexField(grid, _complex(re_up, im_up)),
-            dn=ComplexField(grid, _complex(re_dn, im_dn)),
+    with fh:
+        return _read_arrays(fh, layout, lambda size: WitnessFormatError(
+            f"{what} file {name} holds {size} bytes, expected {_nbytes(layout)}"
         ))
-    return tuple(orbitals)
 
 
 def _read_family(dirpath, tok: list[str], grid: Grid3, where: str) -> OrbitalFamily:
@@ -376,17 +376,11 @@ def _read_family(dirpath, tok: list[str], grid: Grid3, where: str) -> OrbitalFam
         ks = tuple(int(k) for k in ks)
     except ValueError as exc:
         raise WitnessFormatError(f"{where}: the k-set must be integers, got {ks!r}") from exc
-    nodes = grid.dims[int(axis)]
-    expected = (3 * grid.npoints + nodes) * 8
-    with _open_payload(dirpath, name, "base") as fh:
-        re_up, im_up, sqrt_dn, f = _read_blocks(
-            fh, (grid.npoints,) * 3 + (nodes,), lambda size: WitnessFormatError(
-                f"base file {name} holds {size} bytes, expected {expected}"
-            ),
-        )
+    phi_up, sqrt_dn, f = _read_payload(dirpath, name, "base", [
+        (grid.dims, complex), (grid.dims, float), ((grid.dims[int(axis)],), float)])
     return OrbitalFamily(
-        base_up=ComplexField(grid, _complex(re_up.reshape(grid.dims), im_up.reshape(grid.dims))),
-        base_dn=ScalarField(grid, sqrt_dn.reshape(grid.dims)),
+        base_up=ComplexField(grid, phi_up),
+        base_dn=ScalarField(grid, sqrt_dn),
         axis=int(axis),
         phase=f,
         ks=ks,
@@ -421,17 +415,9 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
         raise WitnessFormatError(f"{MANIFEST} is not ascii") from exc
     if len(lines) < 5:
         raise WitnessFormatError("manifest too short")
-    tok = lines[0].split()
-    if len(tok) != 2 or tok[0] != "witness":
-        raise WitnessFormatError(f"line 1: not a witness manifest (got {lines[0]!r})")
-    if tok[1] not in ("1", "2"):
-        raise UnsupportedVersionError(
-            f"line 1: unsupported witness version {tok[1]!r} "
-            "(this reader speaks versions 1 and 2)"
-        )
-    version = int(tok[1])
-    grid = _parse_grid_box(lines[1:3], 2, WitnessFormatError)
-    n = _parse_electrons(lines[3], 4, WitnessFormatError)
+    version = _parse_version(lines[0], "witness", "a witness manifest", ("1", "2"),
+                             WitnessFormatError)
+    grid, n = _parse_grid_lines(lines[1:4], WitnessFormatError)
     tok = lines[4].split()
     if len(tok) != 2 or tok[0] != "branches":
         raise WitnessFormatError(f"line 5: expected 'branches B', got {lines[4]!r}")
@@ -480,7 +466,11 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
             orbitals = _read_family(dirpath, tok[4:], grid, where)
             axis = orbitals.axis
         else:
-            orbitals, axis = _read_orbitals(dirpath, tok[3:], grid), None
+            orbitals = tuple(
+                Spinor(*(ComplexField(grid, a) for a in _read_payload(
+                    dirpath, name, "orbital", [(grid.dims, complex)] * 2)))
+                for name in tok[3:])
+            axis = None
         branches.append(WitnessBranch(
             weight=weight,
             orbitals=OrbitalSet(

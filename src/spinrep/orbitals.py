@@ -35,12 +35,12 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .fields import (ComplexField, Grid3, ScalarField, _abs2, _is_frozen, _over_slabs,
-                     _weighted_sum, _worst, blockwise, blockwise_arrays, frozen)
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _is_frozen, _weighted_sum, _worst,
+                     blockwise, blockwise_arrays, frozen)
 from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
@@ -151,22 +151,19 @@ def _orbital_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi_up, sqrt_dn) exp(2 i pi k f(x_axis)) inv_sqrt_n, as two new complex arrays.
 
-    The factor is formed on the axis nodes and broadcast over axis-0 row
-    blocks on the workers.
+    The factor is formed on the axis nodes and broadcast over the row slabs
+    of :func:`blockwise_arrays`.
     """
     shape = [1, 1, 1]
     shape[axis] = phi_up.shape[axis]
     factor = np.exp(2j * np.pi * k * f.reshape(shape)) * inv_sqrt_n
-    up, dn = (np.empty(phi_up.shape, np.complex128) for _ in range(2))
 
-    def work(slabs):
-        for lo, hi in slabs:
-            fac = factor[lo:hi] if axis == 0 else factor
-            np.multiply(phi_up[lo:hi], fac, out=up[lo:hi])
-            np.multiply(sqrt_dn[lo:hi], fac, out=dn[lo:hi])
+    def step(lo, hi, up, dn):
+        fac = factor[lo:hi] if axis == 0 else factor
+        np.multiply(phi_up[lo:hi], fac, out=up)
+        np.multiply(sqrt_dn[lo:hi], fac, out=dn)
 
-    _over_slabs(phi_up, work)
-    return up, dn
+    return blockwise_arrays(phi_up.shape, (complex, complex), step)
 
 
 # construct's diagnostics of a built branch, in the order the witness manifest lists them
@@ -340,11 +337,11 @@ def _base_spinor(r: SpinDensityField) -> tuple[np.ndarray, np.ndarray, dict[str,
             f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {RATIO_REL * r.scale:.3e})"
         )
     floor = sqrt_floor(r.scale)
-    rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
+    rho_up, rho_dn, sigma = r.rho_up.values, r.rho_dn.values, r.sigma.values
     counts = []
 
     def step(lo, hi, phi, sqrt_dn, up):
-        up = np.clip(rho_up[lo:hi], 0.0, None, out=up[:hi - lo])
+        up = np.clip(rho_up[lo:hi], 0.0, None, out=up)
         dn = np.clip(rho_dn[lo:hi], 0.0, None, out=sqrt_dn)
         live = dn >= floor
         np.divide(sigma[lo:hi], np.sqrt(dn, out=dn), out=phi, where=live)
@@ -429,39 +426,35 @@ def gram_deviation(orbitals: Sequence[Spinor]) -> float:
 def _add_density(sums: tuple[np.ndarray, ...], p: float, orb: Spinor) -> None:
     """Add p Phi^a conj(Phi^b) of one orbital onto the up-up, dn-dn and up-dn ``sums``.
 
-    Pointwise, over the ranges of :func:`blockwise`.  numpy's complex
+    Pointwise, over the row slabs of :func:`blockwise`.  numpy's complex
     multiply is fused, so its bits depend on the operand order:
     conj(dn) * up is the order of a whole-grid ``up * conj(dn)`` whose
     temporary numpy reuses (it does from 256 KiB, i.e. 16384 points, on).
     """
-    up, dn, sg = (a.reshape(-1) for a in sums)
-    uf, df = orb.up.values.reshape(-1), orb.dn.values.reshape(-1)
+    up, dn, sg = sums
+    uv, dv = orb.up.values, orb.dn.values
 
     def step(lo, hi):
-        c = np.empty(hi - lo, np.complex128)
-        sq = c.view(np.float64).reshape(2, -1)  # two real rows, used before c is
-        u, d = uf[lo:hi], df[lo:hi]
+        u, d = uv[lo:hi], dv[lo:hi]
+        c = np.empty(u.shape, np.complex128)
+        # two real slabs, used before c is
+        sq = c.view(np.float64).reshape((2,) + u.shape)
         for acc, v in ((up[lo:hi], u), (dn[lo:hi], d)):
             acc += np.multiply(p, _abs2(v, sq[0], sq[1]), out=sq[0])
         np.multiply(np.conj(d, out=c), u, out=c)
         acc = sg[lo:hi]
         acc += np.multiply(p, c, out=c)
 
-    blockwise(up.size, step)
+    blockwise(up.shape, step)
 
 
-def _density_sums(
-    grid: Grid3, weighted: Iterable[tuple[float, Spinor]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum_k p_k Phi_k^a conj(Phi_k^b) over (p_k, Phi_k) pairs, as up-up, dn-dn, up-dn.
+def _density_sums(grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero up-up, dn-dn and up-dn sums, for :func:`_add_density` to add orbitals onto.
 
-    The sums start at 0 and take the pairs one at a time, so each point adds
-    its terms in the pairs' order and only the current orbital need be alive.
+    Adding the orbitals one at a time makes each point add its terms in the
+    orbitals' order, and only the current orbital need be alive.
     """
-    sums = (np.zeros(grid.dims), np.zeros(grid.dims), np.zeros(grid.dims, np.complex128))
-    for p, orb in weighted:
-        _add_density(sums, p, orb)
-    return sums
+    return np.zeros(grid.dims), np.zeros(grid.dims), np.zeros(grid.dims, np.complex128)
 
 
 def _each(orbitals: Sequence[Spinor], fn) -> None:
@@ -473,17 +466,17 @@ def _each(orbitals: Sequence[Spinor], fn) -> None:
 def _max_deviation(r: SpinDensityField, sums) -> float:
     """Largest pointwise |sum - R| of the up-up, dn-dn and up-dn sums; NaN if any is NaN.
 
-    ``sums(lo, hi, up, dn, sg)`` writes the sums on the flat points lo:hi.
+    ``sums(lo, hi, up, dn, sg)`` writes the sums on rows lo:hi.
     """
-    targets = [f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma)]
+    targets = [f.values for f in (r.rho_up, r.rho_dn, r.sigma)]
     maxima = []
 
     def step(lo, hi, up, dn):
-        parts = (up[:hi - lo], dn[:hi - lo], np.empty(hi - lo, np.complex128))
+        parts = (up, dn, np.empty(up.shape, np.complex128))
         sums(lo, hi, *parts)
         maxima.extend([np.max(np.abs(a - t[lo:hi])) for a, t in zip(parts, targets)])
 
-    blockwise(r.grid.npoints, step, scratch=2)
+    blockwise(r.grid.dims, step, scratch=2)
     return float(np.max(maxima))
 
 
@@ -491,9 +484,8 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
     # on finite data a weight of 1.0 changes only the sign of a zero, which |sum - R|
     # does not see; 1.0 * complex(inf, y) is complex(inf, nan), so an inf entry gives NaN
-    sums = _density_sums(r.grid, ())
+    sums = _density_sums(r.grid)
     _each(orbitals, functools.partial(_add_density, sums, 1.0))
-    sums = [a.reshape(-1) for a in sums]
 
     def copy(lo, hi, *parts):
         for part, s in zip(parts, sums):
@@ -513,12 +505,10 @@ def _phase_gram_deviation(
     equals :func:`gram_deviation` of the built orbitals up to round-off,
     without building them.
     """
-    pu, sd = phi_up.reshape(-1), sqrt_dn.reshape(-1)
-
     def step(lo, hi, out, buf):
-        s, t = sd[lo:hi], buf[:hi - lo]
-        _abs2(pu[lo:hi], out, t)
-        out += np.multiply(s, s, out=t)
+        s = sqrt_dn[lo:hi]
+        _abs2(phi_up[lo:hi], out, buf)
+        out += np.multiply(s, s, out=buf)
 
     base_sq, = blockwise_arrays(grid.dims, (float,), step, scratch=1)
     ax = phase.axis
@@ -557,11 +547,9 @@ def build_orbitals(
             f"{gram:.3e} > {GRAM_TOL:.3e}"
         )
 
-    pu, sd = phi_up.reshape(-1), sqrt_dn.reshape(-1)
-
     def base_sums(lo, hi, up, dn, sg):
         # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
-        p, s = pu[lo:hi], sd[lo:hi]
+        p, s = phi_up[lo:hi], sqrt_dn[lo:hi]
         _abs2(p, up, dn)
         np.multiply(s, s, out=dn)
         np.multiply(p, s, out=sg)

@@ -40,7 +40,7 @@ class SpinDensityField:
 
     @cached_property
     def rho_total(self) -> ScalarField:
-        up, dn = self.rho_up.values.reshape(-1), self.rho_dn.values.reshape(-1)
+        up, dn = self.rho_up.values, self.rho_dn.values
         total, = blockwise_arrays(self.grid.dims, (float,),
                                   lambda lo, hi, out: np.add(up[lo:hi], dn[lo:hi], out=out))
         return ScalarField(self.grid, frozen(total))
@@ -59,15 +59,14 @@ def det_field(r: SpinDensityField) -> ScalarField:
     square roots stay real; larger negatives are genuine PSD violations and
     are preserved for the checker to flag.
     """
-    up, dn = r.rho_up.values.reshape(-1), r.rho_dn.values.reshape(-1)
-    s = r.sigma.values.reshape(-1)
+    up, dn, s = r.rho_up.values, r.rho_dn.values, r.sigma.values
     clamp = DET_CLAMP_REL * r.scale * r.scale
 
     def step(lo, hi, d, re2, im2):
         # up * dn - (re^2 + im^2), written block by block into d
-        sg, n = s[lo:hi], hi - lo
-        mod2 = np.multiply(sg.real, sg.real, out=re2[:n])
-        mod2 += np.multiply(sg.imag, sg.imag, out=im2[:n])
+        sg = s[lo:hi]
+        mod2 = np.multiply(sg.real, sg.real, out=re2)
+        mod2 += np.multiply(sg.imag, sg.imag, out=im2)
         np.multiply(up[lo:hi], dn[lo:hi], out=d)
         d -= mod2
         d[(d < 0.0) & (d >= -clamp)] = 0.0

@@ -74,12 +74,10 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
                 f"{c.name}: {c.value:.3e} at {c.details['worst_location']} "
                 f"(threshold {c.details['threshold']:.3e})"
             )
-    det = det.reshape(-1)
-    rho_up, rho_dn, sigma = (f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma))
+    rho_up, rho_dn, sigma = r.rho_up.values, r.rho_dn.values, r.sigma.values
     floor = sqrt_floor(r.scale)
 
     def step(lo, hi, u, d, s, sq_det, denom, inv):
-        sq_det, denom, inv = sq_det[:hi - lo], denom[:hi - lo], inv[:hi - lo]
         np.sqrt(np.clip(det[lo:hi], 0.0, None, out=sq_det), out=sq_det)
         np.clip(rho_up[lo:hi], 0.0, None, out=u)
         np.clip(rho_dn[lo:hi], 0.0, None, out=d)

@@ -92,7 +92,7 @@ def _field(w: Witness, sums) -> SpinDensityField:
 
 def density_of(w: Witness) -> SpinDensityField:
     """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
-    sums = _density_sums(w.grid, ())
+    sums = _density_sums(w.grid)
     for branch in w.branches:
         _each(branch.orbitals.orbitals, functools.partial(_add_density, sums, branch.weight))
     return _field(w, sums)
@@ -225,7 +225,7 @@ def verify(
 
         # one pass over the orbitals, a branch at a time: each orbital is built
         # once and feeds the density sums, its two H^1 terms and its Gram row
-        sums = _density_sums(w.grid, ())
+        sums = _density_sums(w.grid)
         t = [0.0, 0.0]
         gram_devs = []
         for index, branch in enumerate(w.branches):

@@ -95,15 +95,23 @@ def kernel_derivatives(grid: sr.Grid3, values) -> tuple[np.ndarray, np.ndarray, 
     out = [np.empty(grid.dims, dtype=dtype) for _ in range(3)]
 
     def work(slabs):
-        rows = fields._slab_rows(v)
+        rows = fields._slab_rows(v.shape)
         deriv, v8 = np.empty((rows,) + v.shape[1:]), np.empty((rows + 2) * v[0].size)
         for lo, hi in slabs:
             for ax, g in enumerate(fields._slab_derivatives(
                     v, grid.spacing, lo, hi, deriv[:hi - lo], v8, complex_data)):
                 out[ax][lo:hi] = g.view(np.complex128)[..., 0] if complex_data else g
 
-    fields._over_slabs(v, work)
+    fields._over_slabs(v.shape, work)
     return tuple(out)
+
+
+def density_sums(grid: sr.Grid3, weighted):
+    """The up-up, dn-dn and up-dn sums of ``orbitals._add_density`` over (p, orbital) pairs."""
+    sums = orbitals._density_sums(grid)
+    for p, orb in weighted:
+        orbitals._add_density(sums, p, orb)
+    return sums
 
 
 def single_orbital_witness(grid, up, dn):

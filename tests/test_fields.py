@@ -251,17 +251,28 @@ def test_boundary_max(grid32):
     assert boundary_max(c) == 0.7
 
 
-SIZE = fields._SLAB_BYTES // 8  # points in a full range of fields.blockwise
-
-
-@pytest.mark.parametrize("n", [1, 2, SIZE - 1, SIZE, SIZE + 1, SIZE + 2, 4 * SIZE + 1])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_blockwise_ranges_cover_every_point_and_none_holds_one_alone(monkeypatch, n, workers):
+@pytest.mark.parametrize("shape", [(4, 4, 4), (45, 38, 51), (96, 96, 96)])
+# None: the default slab size; 64 bytes hold less than one row of any grid
+@pytest.mark.parametrize("slab_bytes", [None, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blockwise_slabs_cover_every_row_once(monkeypatch, shape, slab_bytes, workers):
+    if slab_bytes is not None:
+        monkeypatch.setattr(fields, "_SLAB_BYTES", slab_bytes)
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
-    ranges = []
-    fields.blockwise(n, lambda lo, hi, buf: ranges.append((lo, hi, buf.size)), scratch=1)
-    ranges.sort()
-    assert [lo for lo, _, _ in ranges] == [0] + [hi for _, hi, _ in ranges[:-1]]
-    assert ranges[-1][1] == n
-    assert all(0 < hi - lo <= size == SIZE for lo, hi, size in ranges)
-    assert all(hi - lo > 1 for lo, hi, _ in ranges) or n == 1
+    covered = np.zeros(shape[0], dtype=int)
+    slabs = []
+
+    def step(lo, hi, *bufs):
+        covered[lo:hi] += 1
+        slabs.append((hi - lo, [(b.shape, b.dtype) for b in bufs]))
+
+    fields.blockwise(shape, step, scratch=2)
+    assert np.all(covered == 1)
+    heights = sorted(n for n, _ in slabs)
+    rows, row_bytes = heights[-1], 8 * shape[1] * shape[2]
+    if slab_bytes is None:  # as many whole rows as _SLAB_BYTES holds
+        assert rows * row_bytes <= fields._SLAB_BYTES < (rows + 1) * row_bytes or rows == shape[0]
+    else:
+        assert rows == 1
+    assert heights[1:] == [rows] * (len(heights) - 1)  # only one slab may be shorter
+    assert all(bufs == [((n,) + shape[1:], np.float64)] * 2 for n, bufs in slabs)

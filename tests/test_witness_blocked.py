@@ -1,14 +1,14 @@
 """The blocked passes of the witness path against the whole-array bodies they replaced.
 
 The references in ``_reference.py`` are the former bodies: the overlap
-loop (``orbitals._overlaps``), the density sums (``orbitals._density_sums``),
+loop (``orbitals._overlaps``), the density sums (``orbitals._add_density``),
 the density match of ``verify``, the base spinor (``orbitals._base_spinor``),
 ``|base|^2`` of the Gram gate, the orbital materialisation of
 ``build_orbitals``, and ``rank1_split``, ``ratio_split`` and ``sqrt_field``.
 The blocked code must reproduce them byte for byte, the sign of every zero
 included, on 48^3 and on the uneven 45x38x51 grid, for the default block
-size and for 1000-byte blocks that cut rows, on 1, 2 and 3 workers, and on
-inputs with NaN and -0.0 entries.  The stages whose hypotheses a NaN breaks
+size and for 1000-byte blocks (one-row slabs, integral leaves that cut
+rows), on 1, 2 and 3 workers, and on inputs with NaN and -0.0 entries.  The stages whose hypotheses a NaN breaks
 (``sqrt_field``, both splits and the base spinor) must refuse a NaN input.
 
 Both grids have more than 16384 points.  There numpy reuses the grid-sized
@@ -27,7 +27,7 @@ import spinrep as sr
 from spinrep import fields, orbitals
 from spinrep.witness import _l1_distance
 
-from _helpers import cube, gram_gate
+from _helpers import cube, density_sums, gram_gate
 from _reference import (
     build_fields,
     ref_base_reconstruction_error,
@@ -46,8 +46,8 @@ GRIDS = {
     "48^3": cube(48),
     "45x38x51": sr.Grid3((45, 38, 51), (-8.0, -8.0, -8.0, 8.0, 8.0, 8.0)),
 }
-# None: the default block size; 1000 bytes makes blocks of 125 floats (and
-# integral leaves of at most 128), which cut the rows of both grids
+# None: the default block size; 1000 bytes makes pointwise slabs of one row and
+# integral leaves of at most 128 floats, which cut the rows of both grids
 LEAF_BYTES = [None, 1000]
 WORKERS = [1, 2, 3]
 # -0.0 among the smallest entries (the data is otherwise unchanged), or NaN
@@ -165,7 +165,7 @@ def test_overlaps(case, blocks, special):
 def test_density_sums(case, blocks, special):
     w = spoiled_witness(case[1], special)
     weighted = [(b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals]
-    for got, ref in zip(orbitals._density_sums(w.grid, iter(weighted)),
+    for got, ref in zip(density_sums(w.grid, weighted),
                         ref_density_sums(w.grid, weighted)):
         assert_same(got, ref)
 
@@ -253,21 +253,21 @@ def test_ratio_split(case, blocks, special):
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["up-up", "dn-dn", "up-dn"])
 def test_max_deviation_keeps_a_nan_in_any_sum(case, which):
     r = case[3][0]
-    targets = [f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma)]
-    bad = r.grid.npoints // 3
+    targets = [f.values for f in (r.rho_up, r.rho_dn, r.sigma)]
+    bad = (r.grid.dims[0] // 3, 5, 7)
 
     def sums(lo, hi, *parts):
         for k, (part, t) in enumerate(zip(parts, targets)):
             part[:] = t[lo:hi]
-            if k == which and lo <= bad < hi:
-                part[bad - lo] = np.nan
+            if k == which and lo <= bad[0] < hi:
+                part[bad[0] - lo, bad[1], bad[2]] = np.nan
 
     assert math.isnan(orbitals._max_deviation(r, sums))
 
 
 def test_max_deviation_is_the_largest_of_the_three(case):
     r = case[3][0]
-    targets = [f.values.reshape(-1) for f in (r.rho_up, r.rho_dn, r.sigma)]
+    targets = [f.values for f in (r.rho_up, r.rho_dn, r.sigma)]
     shifts = (1e-9, 3e-9, 2e-9)
 
     def sums(lo, hi, *parts):

@@ -12,6 +12,7 @@ traced allocation.
 """
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,9 @@ from spinrep import fields, orbitals
 from spinrep.cli import main
 from spinrep.orbitals import OrbitalFamily
 
-from _helpers import mixture
+from _helpers import density_sums, mixture
 from _reference import ref_density_sums
+from test_io import fifo_with
 from test_witness_blocked import random_orbitals, traced_peak
 from test_witness_golden import FIELDS, _stored, digest_lines
 
@@ -234,6 +236,23 @@ def test_missing_base_file_is_refused(family_dir):
         sr.read_witness(family_dir)
 
 
+def test_fifo_base_file_under_a_huge_grid_is_refused_with_little_memory(family_dir):
+    # the manifest implies 2000^3 grids, 64 GB a plane; the FIFO holds a 48^3 base
+    f = family_dir / "branch0_base.bin"
+    data = f.read_bytes()
+    f.unlink()
+    fifo_with(f, data)
+    edit_line(family_dir, 1, lambda _: "grid 2000 2000 2000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(sr.WitnessFormatError, match=f"holds {len(data)} bytes"):
+            sr.read_witness(family_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_format_2_directory_is_at_most_0_4_of_format_1(tmp_path, mixture48):
     w = sr.construct_witness(mixture48)
     assert w.n_electrons == 2 and len(w.branches) == 2
@@ -266,15 +285,23 @@ def test_cli_verify_peak_is_at_most_25_grids(mixture64, tmp_path, capsys):
     assert peak <= 25 * grid
 
 
+def test_read_witness_peak_is_below_7_grids(mixture64, tmp_path):
+    # it keeps 6: two bases of a complex and a real grid
+    grid = 8 * mixture64.grid.npoints
+    sr.write_witness(tmp_path / "w", sr.construct_witness(mixture64))
+    assert traced_peak(lambda: sr.read_witness(tmp_path / "w")) < 7 * grid
+
+
 # -- blocks -------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_density_sums_on_a_grid_whose_last_block_would_hold_one_point(seed):
-    # 262145 points: four blocks of 65536 and one point left over
+    # 262145 points: flat blocks of 65536 would leave one point over; the row slabs
+    # of 7085 points leave none
     grid = sr.Grid3((37, 65, 109), (-8.0, -8.0, -8.0, 8.0, 8.0, 8.0))
     assert grid.npoints % (fields._SLAB_BYTES // 8) == 1
     weighted = list(zip((0.25, 0.75), random_orbitals(grid, 2, seed)))
-    for got, ref in zip(orbitals._density_sums(grid, iter(weighted)),
+    for got, ref in zip(density_sums(grid, weighted),
                         ref_density_sums(grid, weighted)):
         assert got.tobytes() == ref.tobytes()
