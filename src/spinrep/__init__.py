@@ -17,7 +17,6 @@ from .fields import (
 )
 from .spin_density import (
     SpinDensityField,
-    convex_combine,
     det_field,
     spin_swap,
     trace_integral,
@@ -35,7 +34,6 @@ from .sqrtm import (
     NotPositiveSemidefiniteError,
     SqrtField,
     eigen_densities,
-    reconstruct,
     sqrt_field,
 )
 from .orbitals import (
@@ -50,9 +48,7 @@ from .orbitals import (
     build_phase,
     choose_phase_axis,
     exchange_components,
-    gram_deviation,
     gram_matrix,
-    kinetic_bound_rhs,
     reconstruction_error,
 )
 from .decompose import (
@@ -93,18 +89,16 @@ __all__ = [
     "ComplexField", "Grid3", "ScalarField", "WeightedGradientL1",
     "boundary_max", "grad_magnitude_sq", "integrate",
     "integrate_values", "lp_norm", "weighted_gradient_l1",
-    "SpinDensityField", "convex_combine", "det_field", "spin_swap",
-    "trace_integral",
+    "SpinDensityField", "det_field", "spin_swap", "trace_integral",
     "DEFAULT", "ToleranceConfig",
     "CheckReport", "ConditionResult", "check",
     "h1_seminorm", "w32_norms",
     "EigenDensities", "NotPositiveSemidefiniteError", "SqrtField",
-    "eigen_densities", "reconstruct", "sqrt_field",
+    "eigen_densities", "sqrt_field",
     "NullDeterminantError", "OrbitalSet", "OrthonormalityError", "PhaseFunction",
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
     "build_orbitals", "build_phase", "choose_phase_axis",
-    "exchange_components", "gram_deviation", "gram_matrix",
-    "kinetic_bound_rhs", "reconstruction_error",
+    "exchange_components", "gram_matrix", "reconstruction_error",
     "PipelineError", "SplitResult", "construct_witness",
     "rank1_split", "ratio_split",
     "VerifyReport", "Witness", "WitnessBranch", "density_of",

@@ -181,8 +181,9 @@ def _read_arrays(fh: _io.BufferedIOBase, layout, mismatch) -> list[np.ndarray]:
     grid-sized is allocated, and each plane is dropped once it is copied in.
     A regular file's size is compared with the layout before anything is
     read.  Other files (pipes, FIFOs, ``/dev/stdin``) have no size to ask
-    for: they are read block by block in bounded chunks, and any excess is
-    counted to the end and dropped.  A size that does not match raises
+    for: they are read block by block in bounded chunks, a complex array's
+    imaginary plane chunk by chunk straight into the array, and any excess
+    is counted to the end and dropped.  A size that does not match raises
     ``mismatch(size)``.
     """
     st = os.fstat(fh.fileno())
@@ -210,7 +211,12 @@ def _read_arrays(fh: _io.BufferedIOBase, layout, mismatch) -> list[np.ndarray]:
         out = np.empty(shape, np.complex128)
         out.real = re
         del re
-        out.imag = block(shape)
+        if regular:
+            out.imag = block(shape)
+        else:  # in bounded pieces, so that the plane is never held whole
+            plane, step = out.reshape(-1).imag, _CHUNK // _F8.itemsize
+            for lo in range(0, plane.size, step):
+                plane[lo:lo + step] = block((min(step, plane.size - lo),))
         arrays.append(frozen(out))
     extra = 0
     while chunk := fh.read(_CHUNK):
@@ -464,18 +470,14 @@ def read_witness(dirpath: str | os.PathLike) -> Witness:
         diagnostics = _read_diagnostics(diag_line.split()[1:], where) if diag_line else {}
         if family:
             orbitals = _read_family(dirpath, tok[4:], grid, where)
-            axis = orbitals.axis
         else:
             orbitals = tuple(
                 Spinor(*(ComplexField(grid, a) for a in _read_payload(
                     dirpath, name, "orbital", [(grid.dims, complex)] * 2)))
                 for name in tok[3:])
-            axis = None
         branches.append(WitnessBranch(
             weight=weight,
-            orbitals=OrbitalSet(
-                grid=grid, n_electrons=n, orbitals=orbitals, axis=axis, diagnostics=diagnostics,
-            ),
+            orbitals=OrbitalSet(grid=grid, orbitals=orbitals, diagnostics=diagnostics),
             swapped=tok[2] == "1",
         ))
     return Witness(grid=grid, n_electrons=n, branches=tuple(branches))

@@ -41,7 +41,6 @@ import numpy as np
 
 from .fields import (ComplexField, Grid3, ScalarField, _abs2, _is_frozen, _weighted_sum, _worst,
                      blockwise, blockwise_arrays, frozen)
-from .check import DensityNorms
 from .spin_density import SpinDensityField, det_field
 from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
                          PHASE_ROUGHNESS_REL, RATIO_REL, TINY, ToleranceConfig, sqrt_floor)
@@ -73,7 +72,6 @@ class PhaseFunction:
     """
 
     axis: int
-    nodes: np.ndarray = field(repr=False)
     marginal: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     n_electrons: int
@@ -82,7 +80,7 @@ class PhaseFunction:
     quadrature_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "marginal", "values"):
+        for name in ("marginal", "values"):
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -92,6 +90,10 @@ class PhaseFunction:
 class Spinor:
     up: ComplexField
     dn: ComplexField
+
+    def __post_init__(self) -> None:
+        if self.up.grid != self.dn.grid:
+            raise ValueError("the up and dn components live on different grids")
 
     @property
     def grid(self) -> Grid3:
@@ -174,11 +176,14 @@ DIAGNOSTICS = ("gram_deviation", "reconstruction_abs", "reconstruction_rel", "ph
 @dataclass(frozen=True)
 class OrbitalSet:
     grid: Grid3
-    n_electrons: int
     orbitals: Sequence[Spinor]
-    axis: int | None = None
-    phase: PhaseFunction | None = None
     diagnostics: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # a family is checked through its base, explicit orbitals one by one
+        held = (self.orbitals,) if isinstance(self.orbitals, OrbitalFamily) else self.orbitals
+        if any(o.grid != self.grid for o in held):
+            raise ValueError("orbitals live on a different grid than their set")
 
 
 # -- phase ------------------------------------------------------------------
@@ -288,7 +293,6 @@ def build_phase(
     values[-1] = float(n_electrons)
     return PhaseFunction(
         axis=axis,
-        nodes=rho.grid.axes[axis],
         marginal=marginal * scale,
         values=values,
         n_electrons=int(n_electrons),
@@ -418,11 +422,6 @@ def gram_matrix(orbitals: Sequence[Spinor]) -> np.ndarray:
     return _gram(_overlaps(orbitals))
 
 
-def gram_deviation(orbitals: Sequence[Spinor]) -> float:
-    """max |G - I| entrywise."""
-    return _deviation(gram_matrix(orbitals))
-
-
 def _add_density(sums: tuple[np.ndarray, ...], p: float, orb: Spinor) -> None:
     """Add p Phi^a conj(Phi^b) of one orbital onto the up-up, dn-dn and up-dn ``sums``.
 
@@ -502,7 +501,7 @@ def _phase_gram_deviation(
     The phase depends on the axis coordinate only, so under the trapezoid
     rule G_kl = sum_j mu_j exp(2 i pi (l - k) f_j), where mu_j is the
     trapezoid-weighted transverse marginal of |base|^2 divided by N.  This
-    equals :func:`gram_deviation` of the built orbitals up to round-off,
+    equals max |G - I| of :func:`gram_matrix` of the built orbitals up to round-off,
     without building them.
     """
     def step(lo, hi, out, buf):
@@ -571,14 +570,7 @@ def build_orbitals(
         "phase_dip": phase.max_dip,
         **stats,
     }
-    return OrbitalSet(
-        grid=r.grid,
-        n_electrons=n,
-        orbitals=family,
-        axis=ax,
-        phase=phase,
-        diagnostics=diagnostics,
-    )
+    return OrbitalSet(grid=r.grid, orbitals=family, diagnostics=diagnostics)
 
 
 def exchange_components(orbs: OrbitalSet) -> OrbitalSet:
@@ -592,28 +584,3 @@ def exchange_components(orbs: OrbitalSet) -> OrbitalSet:
     else:
         swapped = tuple(Spinor(up=o.dn, dn=o.up) for o in orbs.orbitals)
     return replace(orbs, orbitals=swapped, diagnostics=dict(orbs.diagnostics))
-
-
-# -- kinetic bound -------------------------------------------------------------
-
-
-def kinetic_bound_rhs(
-    r: SpinDensityField,
-    phase: PhaseFunction,
-    k: int,
-    tol: ToleranceConfig = DEFAULT,
-) -> float:
-    """Integrated upper bound on N |grad Phi_k_up|^2 for the k-th orbital:
-
-        integral( 6 |grad sigma|^2 / rho + 4 |grad sqrt(rho_dn)|^2 )
-        + 4 pi^2 k^2 integral( f'^3 ) dx_axis,
-
-    the last term being integral(rho f'^2) after the transverse integration.
-    """
-    norms = DensityNorms(r, tol.floor(r.scale))
-    sig_term = norms.sigma_ratio.value
-    dn_term = norms.h1_dn
-    wax = r.grid.axis_weights[phase.axis]
-    moment = float(np.sum(wax * phase.marginal ** 3))
-    return 6.0 * sig_term + 4.0 * dn_term + 4.0 * np.pi ** 2 * k * k * moment
-

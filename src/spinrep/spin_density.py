@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen, integrate
-from .tolerances import DET_CLAMP_REL, WEIGHT_SUM_TOL
+from .tolerances import DET_CLAMP_REL
 
 
 @dataclass(frozen=True)
@@ -97,36 +96,3 @@ def spin_swap(r: SpinDensityField) -> SpinDensityField:
         if name in r.__dict__:
             swapped.__dict__[name] = r.__dict__[name]
     return swapped
-
-
-def convex_combine(pairs: Sequence[tuple[float, SpinDensityField]]) -> SpinDensityField:
-    """Weighted sum sum_i w_i R_i with convex weights.
-
-    Weights must be nonnegative and sum to 1 within ``WEIGHT_SUM_TOL``; all
-    fields must share one grid and one electron count (a convex mixture of
-    states with different particle numbers is not a state of either).
-    """
-    if len(pairs) == 0:
-        raise ValueError("convex_combine needs at least one (weight, field) pair")
-    weights = np.array([w for w, _ in pairs], dtype=np.float64)
-    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-        raise ValueError(f"weights must be finite and nonnegative, got {weights}")
-    if abs(float(np.sum(weights)) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.sum(weights)}")
-    first = pairs[0][1]
-    for _, r in pairs[1:]:
-        if r.grid != first.grid:
-            raise ValueError("all fields in a convex combination must share one grid")
-        if r.n_electrons != first.n_electrons:
-            raise ValueError("all fields in a convex combination must share n_electrons")
-    up = sum(w * r.rho_up.values for w, r in pairs)
-    dn = sum(w * r.rho_dn.values for w, r in pairs)
-    sg = sum(w * r.sigma.values for w, r in pairs)
-    return SpinDensityField(
-        rho_up=ScalarField(first.grid, frozen(up)),
-        rho_dn=ScalarField(first.grid, frozen(dn)),
-        sigma=ComplexField(first.grid, frozen(sg)),
-        n_electrons=first.n_electrons,
-    )
-
-

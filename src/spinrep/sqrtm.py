@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .check import _psd_conditions
-from .fields import ComplexField, Grid3, ScalarField, blockwise_arrays, frozen
+from .fields import ComplexField, ScalarField, blockwise_arrays, frozen
 from .spin_density import SpinDensityField
 from .tolerances import DEFAULT, ToleranceConfig, sqrt_floor
 
@@ -42,11 +42,6 @@ class SqrtField:
     r_up: ScalarField
     r_dn: ScalarField
     s: ComplexField
-    n_electrons: int
-
-    @property
-    def grid(self) -> Grid3:
-        return self.r_up.grid
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,6 @@ class EigenDensities:
 
     rho_plus: ScalarField
     rho_minus: ScalarField
-
-    @property
-    def grid(self) -> Grid3:
-        return self.rho_plus.grid
 
 
 def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField:
@@ -97,19 +88,6 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
         r_up=ScalarField(r.grid, frozen(up)),
         r_dn=ScalarField(r.grid, frozen(dn)),
         s=ComplexField(r.grid, frozen(s)),
-        n_electrons=r.n_electrons,
-    )
-
-
-def reconstruct(sq: SqrtField) -> SpinDensityField:
-    """Square the sqrt field back into a spin density: sqrt(R) @ sqrt(R)."""
-    ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
-    s2 = s.real * s.real + s.imag * s.imag
-    return SpinDensityField(
-        rho_up=ScalarField(sq.grid, frozen(ru * ru + s2)),
-        rho_dn=ScalarField(sq.grid, frozen(rd * rd + s2)),
-        sigma=ComplexField(sq.grid, frozen(s * (ru + rd))),
-        n_electrons=sq.n_electrons,
     )
 
 

@@ -56,6 +56,21 @@ def field_from_arrays(grid: sr.Grid3, up, dn, sigma, n_electrons: int = 2) -> sr
     )
 
 
+def squared(sq) -> sr.SpinDensityField:
+    """sqrt(R) @ sqrt(R) from the entries of a square-root field, with a placeholder N."""
+    ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
+    s2 = s.real * s.real + s.imag * s.imag
+    return field_from_arrays(sq.r_up.grid, ru * ru + s2, rd * rd + s2, s * (ru + rd))
+
+
+def recombined(pairs) -> sr.SpinDensityField:
+    """sum_i w_i R_i over (weight, field) pairs."""
+    pairs = list(pairs)
+    up, dn, sg = (sum(w * getattr(r, name).values for w, r in pairs)
+                  for name in ("rho_up", "rho_dn", "sigma"))
+    return field_from_arrays(pairs[0][1].grid, up, dn, sg, pairs[0][1].n_electrons)
+
+
 def dipped(r: sr.SpinDensityField, depth: float) -> sr.SpinDensityField:
     """``r`` with rho_up[0, 0, 0] set to -depth * max(rho), which leaves max(rho) as it is."""
     up = r.rho_up.values.copy()
@@ -117,8 +132,7 @@ def density_sums(grid: sr.Grid3, weighted):
 def single_orbital_witness(grid, up, dn):
     orb = sr.Spinor(up=sr.ComplexField(grid, up), dn=sr.ComplexField(grid, dn))
     return sr.Witness(grid=grid, n_electrons=1, branches=(
-        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1,
-                                            orbitals=(orb,))),))
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, orbitals=(orb,))),))
 
 
 def nan_witness(value=np.nan):

@@ -160,7 +160,7 @@ def test_verify_reports_a_nan_orbital(tmp_path, capsys):
     orb = sr.Spinor(up=psi_up, dn=sr.ComplexField(grid, dn))
     wdir = tmp_path / "witness"
     sr.write_witness(wdir, sr.Witness(grid=grid, n_electrons=1, branches=(
-        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(orb,))),)))
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, orbitals=(orb,))),)))
 
     assert main(["verify", str(wdir), str(path)]) == 1
     captured = capsys.readouterr()
@@ -274,7 +274,7 @@ def test_every_accepted_tolerance_is_read(tmp_path, monkeypatch, capsys, command
         grid = cube(24)
         psi_up, psi_dn = sr.gaussian_spinor(grid, width_up=1.5, spin_fraction=0.6)
         sr.write_spdf(path, sr.rank1_from_orbital(psi_up, psi_dn, 1))
-        orbs = sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(sr.Spinor(psi_up, psi_dn),))
+        orbs = sr.OrbitalSet(grid=grid, orbitals=(sr.Spinor(psi_up, psi_dn),))
         wdir = tmp_path / "witness"
         sr.write_witness(wdir, sr.Witness(grid, 1, (sr.WitnessBranch(1.0, orbs),)))
         inputs.insert(0, str(wdir))

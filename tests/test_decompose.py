@@ -16,6 +16,7 @@ from _helpers import (
     gram_gate,
     max_abs_diff,
     mixture,
+    recombined,
     symmetric_rank1,
 )
 
@@ -56,7 +57,7 @@ def test_rank1_split_recombines(mixture32):
     split = sr.rank1_split(mixture32)
     pairs = list(split.pairs())
     assert len(pairs) == 2
-    back = sr.convex_combine(pairs)
+    back = recombined(pairs)
     assert max_abs_diff(back, mixture32) <= 1e-12 * mixture32.scale
 
 
@@ -112,7 +113,7 @@ def test_ratio_split_uniform_ratio_weight(rank1_32):
 
 def test_ratio_split_recombines(rank1_32):
     split = sr.ratio_split(rank1_32)
-    back = sr.convex_combine(list(split.pairs()))
+    back = recombined(split.pairs())
     assert max_abs_diff(back, rank1_32) <= 1e-12 * rank1_32.scale
 
 

@@ -99,7 +99,7 @@ def test_witness_round_trip_keeps_special_complex_parts(tmp_path):
         dn=sr.ComplexField(grid, with_special_parts(rng.standard_normal(grid.dims))[::-1]),
     )
     witness = sr.Witness(grid=grid, n_electrons=1, branches=(
-        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(orb,))),))
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, orbitals=(orb,))),))
     sr.write_witness(tmp_path / "w", witness)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -264,6 +264,26 @@ def test_spdf_reads_through_a_fifo(tmp_path):
     assert back.sigma.values.tobytes() == field.sigma.values.tobytes()
 
 
+def test_spdf_fifo_read_peaks_like_a_regular_file(tmp_path):
+    # rho_up, rho_dn and sigma's two planes, plus one plane in flight: five grids
+    grid = cube(64)
+    rng = np.random.default_rng(15)
+    sig = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+    field = field_from_arrays(grid, rng.random(grid.dims), rng.random(grid.dims), sig)
+    path = tmp_path / "f.spdf"
+    sr.write_spdf(path, field)
+    pipe = fifo_with(tmp_path / "pipe", path.read_bytes())
+    tracemalloc.start()
+    try:
+        back = sr.read_spdf(pipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.05 * 8 * grid.npoints
+    for name in ("rho_up", "rho_dn", "sigma"):
+        assert getattr(back, name).values.tobytes() == getattr(field, name).values.tobytes()
+
+
 def test_spdf_fifo_with_extra_payload_is_refused(tmp_path):
     data = spdf_file(tmp_path, HEADER).read_bytes() + bytes(100)
     with pytest.raises(sr.SpdfFormatError, match="payload holds 2148 bytes, expected 2048"):
@@ -330,7 +350,7 @@ def tiny_witness(weights):
         )
         branches.append(sr.WitnessBranch(
             weight=w,
-            orbitals=sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(orb,)),
+            orbitals=sr.OrbitalSet(grid=grid, orbitals=(orb,)),
             swapped=False,
         ))
     return sr.Witness(grid=grid, n_electrons=1, branches=tuple(branches))

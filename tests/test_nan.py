@@ -122,7 +122,7 @@ def test_verify_orbital_gram_fails_a_nan_in_any_branch():
         spinors = [sr.Spinor(up=psi_up, dn=psi_dn)] * 2
         spinors[branch] = sr.Spinor(up=psi_up, dn=sr.ComplexField(grid, dn))
         w = sr.Witness(grid=grid, n_electrons=1, branches=tuple(
-            sr.WitnessBranch(0.5, sr.OrbitalSet(grid=grid, n_electrons=1, orbitals=(s,)))
+            sr.WitnessBranch(0.5, sr.OrbitalSet(grid=grid, orbitals=(s,)))
             for s in spinors))
         gram = sr.verify(w, target)["orbital_gram"]
         assert math.isnan(gram.details["per_branch"][branch])

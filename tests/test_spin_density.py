@@ -80,53 +80,6 @@ def test_spin_swap_preserves_det(mixture32):
     np.testing.assert_allclose(d2, d1, rtol=0, atol=1e-15 * mixture32.scale**2)
 
 
-def test_convex_combine_identity(mixture32):
-    out = sr.convex_combine([(1.0, mixture32)])
-    assert max_abs_diff(out, mixture32) == 0.0
-
-
-def test_convex_combine_two_halves(mixture32):
-    out = sr.convex_combine([(0.5, mixture32), (0.5, mixture32)])
-    assert max_abs_diff(out, mixture32) == 0.0
-
-
-def test_convex_combine_trace_affinity(mixture32, diagonal32):
-    out = sr.convex_combine([(0.3, mixture32), (0.7, diagonal32)])
-    t = sr.trace_integral(out)
-    expect = 0.3 * sr.trace_integral(mixture32) + 0.7 * sr.trace_integral(diagonal32)
-    np.testing.assert_allclose(t, expect, rtol=1e-12)
-
-
-def test_convex_combine_preserves_psd(mixture32, diagonal32):
-    out = sr.convex_combine([(0.4, mixture32), (0.6, diagonal32)])
-    assert sr.det_field(out).values.min() >= -1e-15 * out.scale**2
-    assert out.rho_up.values.min() >= 0.0
-
-
-@pytest.mark.parametrize("weights", [(0.6, 0.5), (-0.1, 1.1), (0.5, 0.5 + 1e-6)])
-def test_convex_combine_rejects_bad_weights(mixture32, diagonal32, weights):
-    with pytest.raises(ValueError):
-        sr.convex_combine([(weights[0], mixture32), (weights[1], diagonal32)])
-
-
-def test_convex_combine_rejects_grid_mismatch(mixture32):
-    other = sr.gaussian_diagonal(cube(16), 2)
-    with pytest.raises(ValueError):
-        sr.convex_combine([(0.5, mixture32), (0.5, other)])
-
-
-def test_convex_combine_rejects_electron_mismatch(grid32):
-    a = sr.gaussian_diagonal(grid32, 2)
-    b = sr.gaussian_diagonal(grid32, 3)
-    with pytest.raises(ValueError):
-        sr.convex_combine([(0.5, a), (0.5, b)])
-
-
-def test_convex_combine_rejects_empty():
-    with pytest.raises(ValueError):
-        sr.convex_combine([])
-
-
 def test_field_rejects_grid_mismatch(grid32):
     g = gaussian_values(grid32)
     other = cube(16)

@@ -12,6 +12,7 @@ from _helpers import (
     gaussian_values,
     max_abs_diff,
     random_psd_arrays,
+    squared,
 )
 
 
@@ -73,12 +74,12 @@ def test_reconstruct_random_psd():
     grid = cube(8, 1.0)
     up, dn, sigma = random_psd_arrays(grid.dims, rng)
     r = field_from_arrays(grid, up, dn, sigma)
-    back = sr.reconstruct(sr.sqrt_field(r))
+    back = squared(sr.sqrt_field(r))
     assert max_abs_diff(back, r) <= 1e-12 * r.scale
 
 
 def test_reconstruct_mixture(mixture32):
-    back = sr.reconstruct(sr.sqrt_field(mixture32))
+    back = squared(sr.sqrt_field(mixture32))
     assert max_abs_diff(back, mixture32) <= 1e-12 * mixture32.scale
 
 
@@ -196,6 +197,6 @@ def test_eigen_regularity_check_passes(mixture32, mixture48):
 def test_sqrt_squares_back_pointwise(up, dn, t, phase):
     sigma = t * np.sqrt(up * dn) * np.exp(1j * phase)
     r = constant_field(up, dn, sigma)
-    back = sr.reconstruct(sr.sqrt_field(r))
+    back = squared(sr.sqrt_field(r))
     scale = max(r.scale, 1.0)
     assert max_abs_diff(back, r) <= 1e-13 * scale

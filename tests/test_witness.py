@@ -80,7 +80,8 @@ def test_kinetic_quadratic_in_phase_winding():
     t0 = sr.kinetic_energy(single_orbital_witness(grid, flat, flat))
     t1 = sr.kinetic_energy(sr.Witness(grid=grid, n_electrons=1, branches=(
         sr.WitnessBranch(1.0, orbs),)))
-    ph2 = np.exp(4j * np.pi * orbs.phase.values).reshape(-1, 1, 1)
+    phase = sr.build_phase(r.rho_total, r.n_electrons, orbs.orbitals.axis)
+    ph2 = np.exp(4j * np.pi * phase.values).reshape(-1, 1, 1)
     t2 = sr.kinetic_energy(single_orbital_witness(grid, amp * ph2, amp * ph2))
     ratio = (t2 - t0) / (t1 - t0)
     assert 3.0 < ratio < 4.05
@@ -168,7 +169,7 @@ def test_verify_flags_corrupted_orbital(mixture48, witness48):
     tampered = sr.Spinor(
         up=sr.ComplexField(witness48.grid, 1.001 * orb0.up.values),
         dn=orb0.dn)
-    orbs = sr.OrbitalSet(grid=witness48.grid, n_electrons=2,
+    orbs = sr.OrbitalSet(grid=witness48.grid,
                          orbitals=(tampered,) + b0.orbitals.orbitals[1:])
     bad = sr.Witness(
         grid=witness48.grid, n_electrons=2,
@@ -210,6 +211,24 @@ def test_verify_rejects_electron_mismatch(witness48, mixture48):
         sigma=mixture48.sigma, n_electrons=3)
     with pytest.raises(ValueError):
         sr.verify(witness48, other)
+
+
+def test_orbitals_on_another_grid_are_refused():
+    # a one-orbital witness on a box of +-6 under a set, and a target, of +-8
+    r = symmetric_rank1(32, half=6.0, n_electrons=1, width=1.0, phase_gradient=0.0)
+    family = sr.build_orbitals(r).orbitals
+    with pytest.raises(ValueError, match="different grid"):
+        sr.OrbitalSet(grid=cube(32), orbitals=family)
+    with pytest.raises(ValueError, match="different grid"):
+        sr.OrbitalSet(grid=cube(32), orbitals=(family[0],))
+    sr.OrbitalSet(grid=r.grid, orbitals=(family[0],))  # its own grid is accepted
+
+
+def test_spinor_components_share_one_grid():
+    up = sr.ComplexField(cube(8, 6.0), np.zeros((8, 8, 8), complex))
+    dn = sr.ComplexField(cube(8), np.zeros((8, 8, 8), complex))
+    with pytest.raises(ValueError, match="different grids"):
+        sr.Spinor(up=up, dn=dn)
 
 
 def test_witness_validates_branch_shapes(witness1, pure1):

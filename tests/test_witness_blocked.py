@@ -205,8 +205,9 @@ def test_orbitals_materialised(case, blocks, axis):
     with gram_gate(1.0):
         orbs = sr.build_orbitals(f, axis)
     phi_up, sqrt_dn, _ = ref_base_spinor(f)
-    refs = ref_orbital_values(phi_up, sqrt_dn, orbs.phase, f.grid)
-    assert orbs.axis == axis and len(refs) == len(orbs.orbitals)
+    phase = sr.build_phase(f.rho_total, f.n_electrons, orbs.orbitals.axis)
+    refs = ref_orbital_values(phi_up, sqrt_dn, phase, f.grid)
+    assert orbs.orbitals.axis == axis and len(refs) == len(orbs.orbitals)
     for orb, (up, dn) in zip(orbs.orbitals, refs):
         assert_same(orb.up.values, up)
         assert_same(orb.dn.values, dn)
@@ -313,7 +314,7 @@ def test_gram_matrix_allocates_less_than_a_grid(monkeypatch, workers):
 def test_density_of_allocates_its_outputs_and_blocks(monkeypatch, workers):
     grid = cube(64)
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
-    branches = tuple(sr.WitnessBranch(p, sr.OrbitalSet(grid, 2, random_orbitals(grid, 2, k)))
+    branches = tuple(sr.WitnessBranch(p, sr.OrbitalSet(grid, random_orbitals(grid, 2, k)))
                      for k, p in enumerate((0.25, 0.75)))
     w = sr.Witness(grid=grid, n_electrons=2, branches=branches)
     outputs = (8 + 8 + 16) * grid.npoints
