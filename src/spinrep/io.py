@@ -178,12 +178,12 @@ def _read_arrays(fh: _io.BufferedIOBase, layout, mismatch) -> list[np.ndarray]:
     Each array is stored as :func:`_write_blocks` writes it.  A float64
     array is an array over its own bytes.  A complex array is allocated once
     its real plane has arrived, so a short pipe is refused before anything
-    grid-sized is allocated, and each plane is dropped once it is copied in.
-    A regular file's size is compared with the layout before anything is
+    grid-sized is allocated; its imaginary plane is then read chunk by
+    chunk straight into the array, so that plane is never held whole.  A
+    regular file's size is compared with the layout before anything is
     read.  Other files (pipes, FIFOs, ``/dev/stdin``) have no size to ask
-    for: they are read block by block in bounded chunks, a complex array's
-    imaginary plane chunk by chunk straight into the array, and any excess
-    is counted to the end and dropped.  A size that does not match raises
+    for: they are read block by block in bounded chunks, and any excess is
+    counted to the end and dropped.  A size that does not match raises
     ``mismatch(size)``.
     """
     st = os.fstat(fh.fileno())
@@ -211,12 +211,9 @@ def _read_arrays(fh: _io.BufferedIOBase, layout, mismatch) -> list[np.ndarray]:
         out = np.empty(shape, np.complex128)
         out.real = re
         del re
-        if regular:
-            out.imag = block(shape)
-        else:  # in bounded pieces, so that the plane is never held whole
-            plane, step = out.reshape(-1).imag, _CHUNK // _F8.itemsize
-            for lo in range(0, plane.size, step):
-                plane[lo:lo + step] = block((min(step, plane.size - lo),))
+        plane, step = out.reshape(-1).imag, _CHUNK // _F8.itemsize
+        for lo in range(0, plane.size, step):
+            plane[lo:lo + step] = block((min(step, plane.size - lo),))
         arrays.append(frozen(out))
     extra = 0
     while chunk := fh.read(_CHUNK):

@@ -7,6 +7,8 @@ import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
+from spinrep.check import DensityNorms
+from spinrep.tolerances import DEFAULT
 
 
 def cube(n: int, half: float = 8.0) -> sr.Grid3:
@@ -69,6 +71,19 @@ def recombined(pairs) -> sr.SpinDensityField:
     up, dn, sg = (sum(w * getattr(r, name).values for w, r in pairs)
                   for name in ("rho_up", "rho_dn", "sigma"))
     return field_from_arrays(pairs[0][1].grid, up, dn, sg, pairs[0][1].n_electrons)
+
+
+def kinetic_bound(r: sr.SpinDensityField, phase, k: int) -> float:
+    """Upper bound on N integral |grad Phi_k_up|^2 for the k-th orbital of ``build_orbitals``:
+
+        integral( 6 |grad sigma|^2 / rho + 4 |grad sqrt(rho_dn)|^2 )
+        + 4 pi^2 k^2 integral( f'^3 ) dx_axis,
+
+    the last term being integral(rho f'^2) after the transverse integration.
+    """
+    norms = DensityNorms(r, DEFAULT.floor(r.scale))
+    moment = float(np.sum(r.grid.axis_weights[phase.axis] * phase.marginal ** 3))
+    return 6.0 * norms.sigma_ratio.value + 4.0 * norms.h1_dn + 4.0 * np.pi ** 2 * k * k * moment
 
 
 def dipped(r: sr.SpinDensityField, depth: float) -> sr.SpinDensityField:

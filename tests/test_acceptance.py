@@ -18,6 +18,7 @@ from _helpers import (
     cube,
     field_from_arrays,
     gaussian_values,
+    kinetic_bound,
     max_abs_diff,
     mixture,
     random_psd_arrays,
@@ -113,6 +114,10 @@ def test_criterion_4_equidensity_reconstruction(capsys):
             assert sr.reconstruction_error(orbs.orbitals, r) <= 1e-12 * r.scale
             gram = sr.gram_matrix(orbs.orbitals)
             assert np.max(np.abs(gram - np.eye(n_elec))) <= 1e-6
+            phase = sr.build_phase(r.rho_total, n_elec, orbs.orbitals.axis)
+            for k in range(1, n_elec + 1):
+                lhs = n_elec * sr.h1_seminorm(grid, orbs.orbitals[k - 1].up.values)
+                assert lhs <= kinetic_bound(r, phase, k)
 
 
 def test_criterion_5_end_to_end_round_trip(capsys, mix64, witness64):

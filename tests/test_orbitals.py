@@ -13,6 +13,7 @@ from _helpers import (
     field_from_arrays,
     gaussian_values,
     gram_gate,
+    kinetic_bound,
     max_abs_diff,
     mixture,
     symmetric_rank1,
@@ -163,6 +164,15 @@ def test_phase_cubed_moment_identity(pure48, orbs48):
     wax = pure48.grid.axis_weights[phase.axis]
     rhs = np.sum(wax * phase.marginal**3)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
+
+
+def test_kinetic_bound_per_orbital(pure48, orbs48):
+    phase = sr.build_phase(pure48.rho_total, pure48.n_electrons, orbs48.orbitals.axis)
+    for k in (1, 2):
+        lhs = pure48.n_electrons * sr.h1_seminorm(pure48.grid, orbs48.orbitals[k - 1].up.values)
+        assert lhs <= kinetic_bound(pure48, phase, k)
+    # the k^2 phase term must make the bound grow
+    assert kinetic_bound(pure48, phase, 2) > kinetic_bound(pure48, phase, 1)
 
 
 def test_build_orbitals_single_electron():
