@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -191,96 +190,46 @@ def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
     return blockwise_arrays(values.shape, (float,), step)[0]
 
 
-class DensityNorms:
-    """The gradient norms of conditions (d)-(g) on one density R.
+def _gradient_norms(
+    r: SpinDensityField,
+    tol: ToleranceConfig,
+    det: np.ndarray | None = None,
+    w32: bool = True,
+) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
+    """The parts of conditions (d)-(g) by condition name, and their /rho integrals.
 
     Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
-    taken at most once, when a norm first needs it, so a caller pays only for
-    the norms it reads.  ``floor`` is the division floor of the /rho
-    integrals; ``det`` passes the values of ``det_field(r)`` when the
-    caller already has them.
+    taken once and dropped before the next one is taken.  ``det`` passes the
+    values of ``det_field(r)`` when the caller already has them; without
+    ``w32`` the W^{1,3/2} parts of (e) stay empty.  The second dict holds
+    the masked-point counts of the /rho conditions.
     """
-
-    def __init__(
-        self,
-        r: SpinDensityField,
-        floor: float,
-        det: np.ndarray | None = None,
-    ) -> None:
-        self.r = r
-        self.floor = floor
-        self._det = det
-
-    def _h1_sqrt(self, values: np.ndarray) -> float:
-        return h1_seminorm(self.r.grid, _sqrt_clipped(values))
-
-    @cached_property
-    def h1_up(self) -> float:
-        return self._h1_sqrt(self.r.rho_up.values)
-
-    @cached_property
-    def h1_dn(self) -> float:
-        return self._h1_sqrt(self.r.rho_dn.values)
-
-    @cached_property
-    def _sqrt_det(self) -> ScalarField:
-        det = self._det if self._det is not None else det_field(self.r).values
-        return ScalarField(self.r.grid, frozen(_sqrt_clipped(det)))
-
-    @cached_property
-    def _sigma_grad_sq(self) -> np.ndarray:
-        return grad_magnitude_sq(self.r.grid, self.r.sigma.values)
-
-    @cached_property
-    def _sqrtdet_grad_sq(self) -> np.ndarray:
-        return grad_magnitude_sq(self.r.grid, self._sqrt_det.values)
-
-    @cached_property
-    def sigma_w32(self) -> tuple[float, float]:
-        return w32_norms(self.r.grid, self.r.sigma.values, grad_sq=self._sigma_grad_sq)
-
-    @cached_property
-    def sqrtdet_w32(self) -> tuple[float, float]:
-        return w32_norms(self.r.grid, self._sqrt_det.values, grad_sq=self._sqrtdet_grad_sq)
-
-    def _over_rho(self, f, grad_sq: np.ndarray) -> WeightedGradientL1:
-        return weighted_gradient_l1(f, self.r.rho_total, self.floor, grad_sq=grad_sq)
-
-    @cached_property
-    def sigma_ratio(self) -> WeightedGradientL1:
-        return self._over_rho(self.r.sigma, self._sigma_grad_sq)
-
-    @cached_property
-    def det_ratio(self) -> WeightedGradientL1:
-        return self._over_rho(self._sqrt_det, self._sqrtdet_grad_sq)
-
-
-def _eq_norms(
-    r: SpinDensityField, tol: ToleranceConfig, det: np.ndarray | None = None
-) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
-    """The parts of conditions (d)-(g) by condition name, each gradient taken once.
-
-    The second dict holds the masked-point counts of the /rho conditions.
-    """
+    grid, rho = r.grid, r.rho_total
     # non-finite data must surface as failing norms, not as a floor error
-    scale = r.scale if math.isfinite(r.scale) else 0.0
-    norms = DensityNorms(r, tol.floor(scale), det)
-    h1 = {"h1_up": norms.h1_up, "h1_dn": norms.h1_dn}
-    sig_f, sig_g = norms.sigma_w32
-    det_f, det_g = norms.sqrtdet_w32
-    ratios = {"sigma_grad_over_rho": norms.sigma_ratio, "sqrtdet_grad_over_rho": norms.det_ratio}
+    floor = tol.floor(r.scale if math.isfinite(r.scale) else 0.0)
+    h1 = {"h1_up": h1_seminorm(grid, _sqrt_clipped(r.rho_up.values)),
+          "h1_dn": h1_seminorm(grid, _sqrt_clipped(r.rho_dn.values))}
+    l32: dict[str, float] = {}
+    grad_sq = grad_magnitude_sq(grid, r.sigma.values)
+    if w32:
+        l32["sigma_l32"], l32["sigma_grad_l32"] = w32_norms(grid, r.sigma.values, grad_sq)
+    sigma_ratio = weighted_gradient_l1(r.sigma, rho, floor, grad_sq=grad_sq)
+    del grad_sq
+    if det is None:
+        det = det_field(r).values
+    sqrt_det = ScalarField(grid, frozen(_sqrt_clipped(det)))
+    del det  # freed here unless the caller holds it
+    grad_sq = grad_magnitude_sq(grid, sqrt_det.values)
+    if w32:
+        l32["sqrtdet_l32"], l32["sqrtdet_grad_l32"] = w32_norms(grid, sqrt_det.values, grad_sq)
+    det_ratio = weighted_gradient_l1(sqrt_det, rho, floor, grad_sq=grad_sq)
     parts = {
         "sqrt_rho_h1": h1,
-        "sigma_sqrtdet_w32": {
-            "sigma_l32": sig_f,
-            "sigma_grad_l32": sig_g,
-            "sqrtdet_l32": det_f,
-            "sqrtdet_grad_l32": det_g,
-        },
-        "sigma_grad_over_rho": {"sigma_ratio": norms.sigma_ratio.value},
-        "sqrtdet_grad_over_rho": {"det_ratio": norms.det_ratio.value},
+        "sigma_sqrtdet_w32": l32,
+        "sigma_grad_over_rho": {"sigma_ratio": sigma_ratio.value},
+        "sqrtdet_grad_over_rho": {"det_ratio": det_ratio.value},
     }
-    return parts, ratios
+    return parts, {"sigma_grad_over_rho": sigma_ratio, "sqrtdet_grad_over_rho": det_ratio}
 
 
 def _finiteness(
@@ -393,8 +342,8 @@ def check(
         ))
 
         # (d)-(g) finiteness of the gradient norms
-        parts, ratios = _eq_norms(r, tol, dt)
-        fine = _eq_norms(refined, tol)[0] if refined is not None else None
+        parts, ratios = _gradient_norms(r, tol, dt)
+        fine = _gradient_norms(refined, tol)[0] if refined is not None else None
         for name, part in parts.items():
             fine_part = None if fine is None else fine[name]
             conditions.append(_finiteness(name, part, fine_part, ratios.get(name)))

@@ -27,6 +27,7 @@ from .io import (
     SpdfFormatError,
     WitnessFormatError,
     _spdf_header,
+    _spdf_payload,
     read_spdf,
     read_witness,
     write_spdf,
@@ -113,17 +114,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.refined:
-        # the headers decide whether the refined file can be this density on a finer grid
+    if not args.refined:
+        field, refined = read_spdf(args.input), None
+    else:
+        # each file is opened once, so either may be a pipe; the headers decide
+        # whether the refined file can be this density on a finer grid
         with open(args.input, "rb") as coarse, open(args.refined, "rb") as fine:
-            headers = _spdf_header(coarse) + _spdf_header(fine)
-        try:
-            _require_refines(*headers)
-        except ValueError as exc:
-            print(f"error: {args.refined}: {exc}", file=sys.stderr)
-            return 2
-    field = read_spdf(args.input)
-    refined = read_spdf(args.refined) if args.refined else None
+            head, fine_head = _spdf_header(coarse), _spdf_header(fine)
+            try:
+                _require_refines(*head, *fine_head)
+            except ValueError as exc:
+                print(f"error: {args.refined}: {exc}", file=sys.stderr)
+                return 2
+            field, refined = _spdf_payload(coarse, *head), _spdf_payload(fine, *fine_head)
     report = check(field, _tolerances(args), refined=refined)
     _emit(report.to_text(), args.report)
     return 0 if report.passed else 1

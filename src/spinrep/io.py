@@ -301,20 +301,24 @@ def _spdf_header(fh: _io.BufferedIOBase) -> tuple[Grid3, int]:
     return grid, n
 
 
-def read_spdf(path: str | os.PathLike) -> SpinDensityField:
-    with open(path, "rb") as fh:
-        grid, n = _spdf_header(fh)
-        layout = [(grid.dims, float)] * 2 + [(grid.dims, complex)]
-        up, dn, sigma = _read_arrays(fh, layout, lambda size: SpdfFormatError(
-            f"payload holds {size} bytes, expected {_nbytes(layout)} "
-            f"(4 blocks of {grid.npoints} float64)"
-        ))
+def _spdf_payload(fh: _io.BufferedIOBase, grid: Grid3, n: int) -> SpinDensityField:
+    """The density whose SPDF payload ``fh`` holds after its header ``(grid, n)``."""
+    layout = [(grid.dims, float)] * 2 + [(grid.dims, complex)]
+    up, dn, sigma = _read_arrays(fh, layout, lambda size: SpdfFormatError(
+        f"payload holds {size} bytes, expected {_nbytes(layout)} "
+        f"(4 blocks of {grid.npoints} float64)"
+    ))
     return SpinDensityField(
         rho_up=ScalarField(grid, up),
         rho_dn=ScalarField(grid, dn),
         sigma=ComplexField(grid, sigma),
         n_electrons=n,
     )
+
+
+def read_spdf(path: str | os.PathLike) -> SpinDensityField:
+    with open(path, "rb") as fh:
+        return _spdf_payload(fh, *_spdf_header(fh))
 
 
 # -- witness directory ---------------------------------------------------------

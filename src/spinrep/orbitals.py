@@ -77,7 +77,6 @@ class PhaseFunction:
     n_electrons: int
     adjustment: float
     max_dip: float = 0.0
-    quadrature_gap: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("marginal", "values"):
@@ -298,7 +297,6 @@ def build_phase(
         n_electrons=int(n_electrons),
         adjustment=adjustment,
         max_dip=max_dip,
-        quadrature_gap=quadrature_gap,
     )
 
 

@@ -8,12 +8,11 @@ a time, branch by branch, and holds at most one branch's orbitals at once.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .check import FAIL, PASS, ConditionResult, DensityNorms, Report, h1_seminorm
+from .check import FAIL, PASS, ConditionResult, Report, _gradient_norms, h1_seminorm
 from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
 from .orbitals import (OrbitalSet, Spinor, _add_density, _density_sums, _deviation, _each, _gram,
                        _overlap, _overlaps)
@@ -283,13 +282,12 @@ def verify(
         ))
 
         # (v) integrated regularity bounds on the reconstructed density
-        # a non-finite witness density must surface as failing bounds, not as a floor error
-        norms = DensityNorms(rec, tol.floor(rec.scale if math.isfinite(rec.scale) else 0.0))
+        parts, ratios = _gradient_norms(rec, tol, w32=False)
         bounds = (
-            ("sqrt_rho_up_h1", norms.h1_up, t_up),
-            ("sqrt_rho_dn_h1", norms.h1_dn, t_dn),
-            ("sigma_grad_over_rho", norms.sigma_ratio.value, total),
-            ("sqrtdet_grad_over_rho", norms.det_ratio.value, 4.0 * total),
+            ("sqrt_rho_up_h1", parts["sqrt_rho_h1"]["h1_up"], t_up),
+            ("sqrt_rho_dn_h1", parts["sqrt_rho_h1"]["h1_dn"], t_dn),
+            ("sigma_grad_over_rho", ratios["sigma_grad_over_rho"].value, total),
+            ("sqrtdet_grad_over_rho", ratios["sqrtdet_grad_over_rho"].value, 4.0 * total),
         )
         details: dict[str, object] = {"slack": SLACK}
         margins = [0.0]

@@ -7,7 +7,7 @@ import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
-from spinrep.check import DensityNorms
+from spinrep.check import _gradient_norms
 from spinrep.tolerances import DEFAULT
 
 
@@ -81,9 +81,10 @@ def kinetic_bound(r: sr.SpinDensityField, phase, k: int) -> float:
 
     the last term being integral(rho f'^2) after the transverse integration.
     """
-    norms = DensityNorms(r, DEFAULT.floor(r.scale))
+    parts, ratios = _gradient_norms(r, DEFAULT, w32=False)
     moment = float(np.sum(r.grid.axis_weights[phase.axis] * phase.marginal ** 3))
-    return 6.0 * norms.sigma_ratio.value + 4.0 * norms.h1_dn + 4.0 * np.pi ** 2 * k * k * moment
+    return (6.0 * ratios["sigma_grad_over_rho"].value + 4.0 * parts["sqrt_rho_h1"]["h1_dn"]
+            + 4.0 * np.pi ** 2 * k * k * moment)
 
 
 def dipped(r: sr.SpinDensityField, depth: float) -> sr.SpinDensityField:

@@ -1,11 +1,14 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spinrep as sr
+from spinrep import fields
 from spinrep.check import FAIL, INDETERMINATE, PASS
 
-from _helpers import cube, field_from_arrays, gaussian_values
+from _helpers import cube, field_from_arrays, gaussian_values, mixture
 
 CONDITION_NAMES = [
     "rho_nonneg",
@@ -85,6 +88,23 @@ def test_mixture_passes_with_refinement(mixture32, mixture48):
     assert report.passed
     for c in report.conditions[3:]:
         assert "change" in c.details
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_check_drops_each_gradient_once_used(monkeypatch, workers):
+    # on a fresh field (rho_total not yet cached) check holds rho_total and
+    # det R, then at most a function and its |grad|^2, plus each worker's slab
+    # scratch, so the worker count is pinned
+    monkeypatch.setattr(fields, "_cpus", lambda: workers)
+    r = mixture(96)
+    tracemalloc.start()
+    try:
+        report = sr.check(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 4.5 * 8 * r.grid.npoints
 
 
 def test_negative_lobe_fails_only_positivity():

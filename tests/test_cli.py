@@ -51,6 +51,30 @@ def test_check_reads_a_fifo(tmp_path, capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("piped", [0, 1], ids=["coarse", "refined"])
+def test_check_refined_reads_a_fifo(tmp_path, capsys, piped):
+    # either file of `check --refined` may be a pipe, whose header can be read only once
+    paths = [tmp_path / "c.spdf", tmp_path / "f.spdf"]
+    sr.write_spdf(paths[0], mixture(16))
+    sr.write_spdf(paths[1], mixture(24))
+    code = main(["check", str(paths[0]), "--refined", str(paths[1])])
+    expected = capsys.readouterr()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    data = paths[piped].read_bytes()
+    threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True).start()
+    paths[piped] = fifo
+    # a second open of the pipe would wait for a writer forever, so the run gets a deadline
+    codes = []
+    run = threading.Thread(target=lambda: codes.append(
+        main(["check", str(paths[0]), "--refined", str(paths[1])])), daemon=True)
+    run.start()
+    run.join(60)
+    assert not run.is_alive(), "check still waits on the pipe"
+    assert codes == [code]
+    assert capsys.readouterr() == expected
+
+
 def test_check_flags_violation(tmp_path, capsys):
     grid = cube(24)
     g = gaussian_values(grid, width=1.5)

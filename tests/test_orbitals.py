@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spinrep as sr
-from spinrep.orbitals import _base_spinor
+from spinrep.orbitals import _base_spinor, _spectral_antiderivative, _transverse_marginal
 from spinrep.tolerances import GRAM_TOL
 
 from _helpers import (
@@ -42,12 +42,15 @@ def test_phase_endpoints_and_monotonicity(diagonal32):
 
 
 def test_phase_marginal_is_renormalized(diagonal32):
-    # at 32 nodes the spectral cumulative carries ~1e-6 truncation, recorded
-    # in quadrature_gap; the rescaled marginal mass shares that budget
-    phase = sr.build_phase(diagonal32.rho_total, 2)
-    wax = diagonal32.grid.axis_weights[phase.axis]
+    # at 32 nodes the spectral cumulative carries ~1e-6 truncation against the
+    # trapezoid sum; the rescaled marginal mass shares that budget
+    grid, rho = diagonal32.grid, diagonal32.rho_total
+    phase = sr.build_phase(rho, 2)
+    wax = grid.axis_weights[phase.axis]
     np.testing.assert_allclose(np.sum(wax * phase.marginal), 2.0, rtol=1e-5)
-    assert abs(phase.quadrature_gap) < 1e-5
+    marginal = np.clip(_transverse_marginal(grid, rho.values, phase.axis), 0.0, None)
+    spectral = _spectral_antiderivative(marginal, grid.spacing[phase.axis])[-1]
+    assert abs(spectral - np.sum(wax * marginal)) < 1e-5
 
 
 def test_phase_rejects_unnormalized(diagonal32):
