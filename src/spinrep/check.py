@@ -193,16 +193,17 @@ def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
 def _gradient_norms(
     r: SpinDensityField,
     tol: ToleranceConfig,
-    det: np.ndarray | None = None,
+    psd: list[ConditionResult] | None = None,
     w32: bool = True,
 ) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
     """The parts of conditions (d)-(g) by condition name, and their /rho integrals.
 
     Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
-    taken once and dropped before the next one is taken.  ``det`` passes the
-    values of ``det_field(r)`` when the caller already has them; without
-    ``w32`` the W^{1,3/2} parts of (e) stay empty.  The second dict holds
-    the masked-point counts of the /rho conditions.
+    taken once and dropped before the next one is taken, and det R is held
+    only until sqrt det R is formed.  With ``psd``, conditions (a) and (b)
+    are appended to it, from the same det R; without ``w32`` the W^{1,3/2}
+    parts of (e) stay empty.  The second dict holds the masked-point counts
+    of the /rho conditions.
     """
     grid, rho = r.grid, r.rho_total
     # non-finite data must surface as failing norms, not as a floor error
@@ -215,10 +216,13 @@ def _gradient_norms(
         l32["sigma_l32"], l32["sigma_grad_l32"] = w32_norms(grid, r.sigma.values, grad_sq)
     sigma_ratio = weighted_gradient_l1(r.sigma, rho, floor, grad_sq=grad_sq)
     del grad_sq
-    if det is None:
+    if psd is None:
         det = det_field(r).values
+    else:
+        *conditions, det = _psd_conditions(r, tol)
+        psd += conditions
     sqrt_det = ScalarField(grid, frozen(_sqrt_clipped(det)))
-    del det  # freed here unless the caller holds it
+    del det
     grad_sq = grad_magnitude_sq(grid, sqrt_det.values)
     if w32:
         l32["sqrtdet_l32"], l32["sqrtdet_grad_l32"] = w32_norms(grid, sqrt_det.values, grad_sq)
@@ -329,7 +333,9 @@ def check(
     # reaches; numpy need not warn about it
     with np.errstate(invalid="ignore"):
         n = r.n_electrons
-        *conditions, dt = _psd_conditions(r, tol)
+        # (a), (b) and the parts of (d)-(g)
+        conditions: list[ConditionResult] = []
+        parts, ratios = _gradient_norms(r, tol, conditions)
 
         # (c) normalization of the trace
         norm_tol = tol.norm_tol(n)
@@ -342,7 +348,6 @@ def check(
         ))
 
         # (d)-(g) finiteness of the gradient norms
-        parts, ratios = _gradient_norms(r, tol, dt)
         fine = _gradient_norms(refined, tol)[0] if refined is not None else None
         for name, part in parts.items():
             fine_part = None if fine is None else fine[name]

@@ -16,10 +16,10 @@ Blocked passes.  Grid-sized work runs block by block, each block about
 ``_SLAB_BYTES`` (512 KiB) of float64 data so that its buffers stay in L2.
 The blocks are spread over ``min(cpus, blocks)`` workers, where ``cpus`` is
 the size of the process's CPU affinity mask (``os.cpu_count()`` where there
-is none): the calling thread and the threads of one pool, created on first
-use and again in a forked child.  Each worker owns its buffers and writes
-only the output of the blocks it takes, so no result depends on the
-scheduling.
+is none): the calling thread and helpers from the process's one pool of
+``cpus - 1`` threads, created on first use (a forked child creates its
+own).  Each worker owns its buffers and writes only the output of the
+blocks it takes, so no result depends on the scheduling.
 
 Every pointwise pass has one block shape, a slab of whole axis-0 rows: the
 gradient kernel, the pointwise passes of ``check`` and ``spin_density``,
@@ -75,7 +75,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -366,55 +365,37 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+@functools.lru_cache(maxsize=None)
+def _pool(pid: int, threads: int) -> ThreadPoolExecutor:
+    """The worker pool of process ``pid``, with ``threads`` threads, created on first use.
 
-
-def _forget_pool() -> None:
-    """Drop the pool and its lock in a forked child.
-
-    The pool's threads do not exist there, and a thread that held the lock
-    at the fork would never release it.
+    Keyed by the process id, so a forked child, whose copy of the parent's
+    pool has no threads, builds its own.  Two first callers may race and
+    each build one; the pool not kept is dropped after its caller's pass.
     """
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The process's worker pool, created on first use, with at least ``threads`` threads.
-
-    A pool that is too small is replaced, not shut down: a concurrent caller
-    may still be submitting to it, and its idle threads exit once it is
-    garbage collected.
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size < threads:
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="spinrep-stencil")
-            _pool_size = threads
-        return _pool
+    return ThreadPoolExecutor(threads, thread_name_prefix="spinrep-stencil")
 
 
 def _over_blocks(blocks, work) -> None:
     """Call ``work(blocks)`` in each worker; each takes the next unclaimed block.
 
-    ``min(cpus, blocks)`` workers run, the calling thread being one of them.
-    Every block is computed by the same operations whichever worker takes
-    it, so the result does not depend on the scheduling.  The helpers run
-    under the caller's ``np.errstate``.  ``work`` must not itself run blocks
-    on the workers.
+    ``min(cpus, blocks)`` workers run, the calling thread and helpers from a
+    pool of ``cpus - 1`` threads.  Every block is computed by the same
+    operations whichever worker takes it, so the result does not depend on
+    the scheduling.  The helpers run under the caller's ``np.errstate``.
+    ``work`` must not itself run blocks on the workers.  The helpers reach
+    ``work`` through a holder that is emptied once each has finished or been
+    cancelled, so a cancelled helper still queued in the pool keeps nothing
+    of the pass alive.
     """
-    workers = min(_cpus(), len(blocks))
+    cpus = _cpus()
+    workers = min(cpus, len(blocks))
     if workers <= 1:
         work(blocks)
         return
     claim = itertools.count()  # next() on it is atomic under the GIL
     errstate = np.geterr()
+    held = [work]
 
     def claimed():
         while (k := next(claim)) < len(blocks):
@@ -422,9 +403,9 @@ def _over_blocks(blocks, work) -> None:
 
     def helper(claimed):
         with np.errstate(**errstate):
-            work(claimed)
+            held[0](claimed)
 
-    pool = _executor(workers - 1)
+    pool = _pool(os.getpid(), cpus - 1)
     helpers = [pool.submit(helper, claimed()) for _ in range(workers - 1)]
     try:
         work(claimed())
@@ -433,6 +414,7 @@ def _over_blocks(blocks, work) -> None:
         for f in helpers:
             if not f.cancel():
                 f.result()
+        held.clear()
 
 
 def blockwise(shape, step, scratch: int = 0) -> None:

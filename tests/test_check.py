@@ -90,11 +90,12 @@ def test_mixture_passes_with_refinement(mixture32, mixture48):
         assert "change" in c.details
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_check_drops_each_gradient_once_used(monkeypatch, workers):
-    # on a fresh field (rho_total not yet cached) check holds rho_total and
-    # det R, then at most a function and its |grad|^2, plus each worker's slab
-    # scratch, so the worker count is pinned
+    # on a fresh field (rho_total not yet cached) check holds rho_total, at
+    # most a function and its |grad|^2, and det R only until sqrt det R is
+    # formed, plus each worker's slab scratch, so the worker count is pinned
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
     r = mixture(96)
     tracemalloc.start()
@@ -104,7 +105,7 @@ def test_check_drops_each_gradient_once_used(monkeypatch, workers):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 4.5 * 8 * r.grid.npoints
+    assert peak <= 3.5 * 8 * r.grid.npoints
 
 
 def test_negative_lobe_fails_only_positivity():

@@ -336,6 +336,7 @@ def test_check_refined_must_refine_the_input(tmp_path, capsys):
         assert captured.out == "" and not report.exists()
 
 
+@pytest.mark.traced
 def test_check_refined_on_another_box_reads_only_the_headers(tmp_path, capsys):
     coarse, fine = tmp_path / "c.spdf", tmp_path / "f.spdf"
     sr.write_spdf(coarse, sr.gaussian_diagonal(cube(64), 2))

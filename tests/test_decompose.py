@@ -282,6 +282,7 @@ def construct_peak(r):
     return peak / (16 * r.grid.npoints), result
 
 
+@pytest.mark.traced
 def test_construct_holds_one_branch_beside_the_witness():
     # the witness is 8 complex grids (2 branches of 2 two-component orbitals)
     peak, w = construct_peak(mixture(48))
@@ -289,12 +290,14 @@ def test_construct_holds_one_branch_beside_the_witness():
     assert peak <= 16
 
 
+@pytest.mark.traced
 def test_refused_construct_builds_no_orbitals():
     peak, exc = construct_peak(mixture(48, n_electrons=3))
     assert exc.stage == "orbitals"
     assert peak <= 11
 
 
+@pytest.mark.traced
 def test_kept_refusal_holds_no_orbitals():
     r = mixture(48, n_electrons=3)
     r.rho_total  # cached on the caller's field before the measurement

@@ -141,6 +141,7 @@ def traced_grids(fn, grid):
         tracemalloc.stop()
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_generators_allocate_little_beyond_their_outputs(monkeypatch, workers):
     # outputs: 4 grids for the mixture, 3 for the diagonal (its two densities are

@@ -109,6 +109,7 @@ def test_witness_round_trip_keeps_special_complex_parts(tmp_path):
     assert_same_bytes(got.dn.values, orb.dn.values)
 
 
+@pytest.mark.traced
 def test_spdf_write_copies_each_plane_through_one_chunk(tmp_path):
     # the bytes of whole-array contiguous copies, with a traced peak far below a grid
     grid = cube(64)
@@ -220,6 +221,7 @@ def traced_peak(fn, *args):
     return peak, str(exc.value)
 
 
+@pytest.mark.traced
 def test_spdf_oversized_file_is_refused_unread(tmp_path):
     path = spdf_file(tmp_path, HEADER)
     os.truncate(path, 64 * 2**20)  # sparse: 64 MB on paper, nothing on disk
@@ -228,6 +230,7 @@ def test_spdf_oversized_file_is_refused_unread(tmp_path):
     assert peak < 2**20
 
 
+@pytest.mark.traced
 def test_spdf_truncated_for_its_header_is_refused_unread(tmp_path):
     # the header implies 256 GB of payload; the file holds 2 kB
     path = spdf_file(tmp_path, swap(HEADER, 1, "grid 2000 2000 2000"))
@@ -264,6 +267,7 @@ def test_spdf_reads_through_a_fifo(tmp_path):
     assert back.sigma.values.tobytes() == field.sigma.values.tobytes()
 
 
+@pytest.mark.traced
 def test_spdf_fifo_read_peaks_like_a_regular_file(tmp_path):
     # rho_up, rho_dn and sigma's two planes, plus one plane in flight: five grids
     grid = cube(64)
@@ -290,6 +294,7 @@ def test_spdf_fifo_with_extra_payload_is_refused(tmp_path):
         sr.read_spdf(fifo_with(tmp_path / "pipe", data))
 
 
+@pytest.mark.traced
 def test_spdf_fifo_truncated_for_its_header_is_refused_unread(tmp_path):
     data = spdf_file(tmp_path, swap(HEADER, 1, "grid 2000 2000 2000")).read_bytes()
     peak, msg = traced_peak(sr.read_spdf, fifo_with(tmp_path / "pipe", data))
@@ -395,6 +400,7 @@ def test_witness_truncated_orbital_file(broken_dir):
         sr.read_witness(broken_dir)
 
 
+@pytest.mark.traced
 def test_witness_oversized_orbital_file_is_refused_unread(broken_dir):
     f = broken_dir / "branch0_orb1.bin"
     expected = f.stat().st_size
@@ -404,6 +410,7 @@ def test_witness_oversized_orbital_file_is_refused_unread(broken_dir):
     assert peak < 2**20
 
 
+@pytest.mark.traced
 def test_witness_orbital_file_truncated_for_its_grid_is_refused_unread(broken_dir):
     edit_manifest(broken_dir, lambda L: swap(L, 1, "grid 2000 2000 2000"))
     peak, msg = traced_peak(sr.read_witness, broken_dir)

@@ -251,6 +251,7 @@ def test_gate_gram_matches_the_built_orbitals(n):
             assert (gate <= GRAM_TOL) == (full <= GRAM_TOL)
 
 
+@pytest.mark.traced
 def test_gate_refuses_before_building():
     f = next(branch_fields(mixture(48, n_electrons=3)))  # Gram deviation 3.5e-2
     tracemalloc.start()

@@ -298,6 +298,7 @@ def test_leaves_follow_numpys_split():
     assert fields._pairwise_tree(100, 1, 1)[0] == ((0, 100),)
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_integrals_allocate_less_than_their_input(monkeypatch, workers):
     """Traced peak of integrate_values and lp_norm on 96^3 complex data."""
@@ -329,6 +330,7 @@ def test_workers_run_under_the_callers_errstate(blocks):
             sr.integrate_values(grid, v)
 
 
+@pytest.mark.traced
 def test_pointwise_passes_allocate_only_their_output(monkeypatch):
     """det_field, rho_total and the clipped root allocate their result and a few blocks, no copy."""
     grid = cube(96)

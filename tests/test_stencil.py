@@ -12,9 +12,11 @@ the points that lie on boundary planes of all three axes).
 """
 
 import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,7 +183,8 @@ def test_concurrent_callers_with_more_workers_than_cpus(monkeypatch):
 
 
 def _grad_sq_in_child(conn, grid, vals, parent_pool):
-    conn.send((sr.grad_magnitude_sq(grid, vals, 4), fields._pool is parent_pool))
+    got = sr.grad_magnitude_sq(grid, vals, 4)
+    conn.send((got, fields._pool(os.getpid(), 1) is parent_pool))
     conn.close()
 
 
@@ -191,10 +194,11 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     _set_slabs_and_workers(monkeypatch, grid, True, 3, 2)
     vals = _sample(grid, True)
     expected = sr.grad_magnitude_sq(grid, vals, 4)
-    assert fields._pool is not None
+    parent_pool = fields._pool(os.getpid(), 1)
+    assert any(t.name.startswith("spinrep-stencil") for t in threading.enumerate())
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_grad_sq_in_child, args=(send, grid, vals, fields._pool))
+    child = ctx.Process(target=_grad_sq_in_child, args=(send, grid, vals, parent_pool))
     child.start()
     try:
         assert recv.poll(60), "forked child did not answer within 60 s"
@@ -209,6 +213,32 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     assert not inherited_pool
 
 
+def _summing(a):
+    # a in work's own closure: a del in the test then drops only the test's name
+    def work(blocks):
+        for _ in blocks:
+            a.sum()
+    return work
+
+
+def test_cancelled_helper_keeps_nothing_of_the_pass(monkeypatch):
+    """A helper still queued in the pool when its pass returns holds no array of the pass."""
+    monkeypatch.setattr(fields, "_cpus", lambda: 2)
+    release = threading.Event()
+    # the pool's one thread waits here, so the pass's helper stays queued and is cancelled
+    busy = fields._pool(os.getpid(), 1).submit(release.wait, 60)
+    try:
+        a = np.ones(1000)
+        alive = weakref.ref(a)
+        fields._over_blocks(range(4), _summing(a))
+        del a
+        assert alive() is None
+    finally:
+        release.set()
+        busy.result(60)
+
+
+@pytest.mark.traced
 def test_complex_order4_peak_below_two_inputs(monkeypatch):
     """Traced peak of one order-4 complex call at 48^3 with two workers, in input-sized arrays."""
     grid = cube(48)

@@ -302,6 +302,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gram_matrix_allocates_less_than_a_grid(monkeypatch, workers):
     grid = cube(64)
@@ -310,6 +311,7 @@ def test_gram_matrix_allocates_less_than_a_grid(monkeypatch, workers):
     assert traced_peak(lambda: sr.gram_matrix(orbs)) < 16 * grid.npoints
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_density_of_allocates_its_outputs_and_blocks(monkeypatch, workers):
     grid = cube(64)

@@ -236,6 +236,7 @@ def test_missing_base_file_is_refused(family_dir):
         sr.read_witness(family_dir)
 
 
+@pytest.mark.traced
 def test_fifo_base_file_under_a_huge_grid_is_refused_with_little_memory(family_dir):
     # the manifest implies 2000^3 grids, 64 GB a plane; the FIFO holds a 48^3 base
     f = family_dir / "branch0_base.bin"
@@ -269,11 +270,13 @@ def mixture64():
     return mixture(64)
 
 
+@pytest.mark.traced
 def test_construct_peak_is_at_most_17_grids(mixture64):
     grid = 8 * mixture64.grid.npoints
     assert traced_peak(lambda: sr.construct_witness(mixture64)) <= 17 * grid
 
 
+@pytest.mark.traced
 def test_cli_verify_peak_is_at_most_25_grids(mixture64, tmp_path, capsys):
     grid = 8 * mixture64.grid.npoints
     target = tmp_path / "target.spdf"
@@ -285,6 +288,7 @@ def test_cli_verify_peak_is_at_most_25_grids(mixture64, tmp_path, capsys):
     assert peak <= 25 * grid
 
 
+@pytest.mark.traced
 def test_read_witness_peak_is_below_7_grids(mixture64, tmp_path):
     # it keeps 6: two bases of a complex and a real grid
     grid = 8 * mixture64.grid.npoints
