@@ -474,6 +474,16 @@ def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 4) -> np.nda
     """
     if order != 4:
         raise ValueError(f"unsupported stencil order {order} (only 4)")
+    return _grad_sq(grid, values)
+
+
+def _grad_sq(grid: Grid3, values: np.ndarray, each=None) -> np.ndarray:
+    """The pass of :func:`grad_magnitude_sq`, with the same bits.
+
+    ``each(ax, lo, hi, g)``, if given, is called on the worker with each
+    axis derivative ``g`` of rows lo:hi before it is squared (complex data
+    as its (..., 2) real/imag pair view); it must not write to ``g``.
+    """
     v, complex_data = _float_view(values)
     out = np.empty(grid.dims)
 
@@ -484,6 +494,8 @@ def grad_magnitude_sq(grid: Grid3, values: np.ndarray, order: int = 4) -> np.nda
             d, o = deriv[:hi - lo], out[lo:hi]
             for ax, g in enumerate(_slab_derivatives(v, grid.spacing, lo, hi, d, v8,
                                                      complex_data)):
+                if each is not None:
+                    each(ax, lo, hi, g)
                 if complex_data:
                     np.multiply(g, g, out=g)
                     # re^2 + im^2, summed into the real slot

@@ -24,14 +24,22 @@ those: an :class:`OrbitalFamily` holds the base (sigma / sqrt(rho_dn) and
 sqrt(rho_dn)), the phase axis, f at its nodes, the k-set and whether the
 up and dn components trade places.  It is the ``orbitals`` sequence of its
 :class:`OrbitalSet`, and item i is built when it is asked for, by one slab
-multiply (:func:`_orbital_values`), and is not kept.  The overlaps and
-density sums below take their orbitals one at a time in order, so that a
-caller need hold at most one branch's orbitals.
+multiply (:func:`_orbital_values`), and is not kept.
+
+What the witness needs of a family comes from its base and phase line, and
+builds no orbital: its density is that of the base (the phases cancel);
+its Gram matrix, construct's gate, is a sum along the phase line against
+the transverse marginal of |base|^2 (:func:`_family_gram`); the overlaps
+of two families are sums against a 1-D or 2-D marginal of the product of
+their bases (:func:`_cross_overlaps`); and its kinetic energy is the
+product rule on the base with the f' of its own phase line
+(:func:`_family_kinetic`).  The overlaps and density sums of explicit
+orbitals take them one at a time in order, so that a caller need hold at
+most one branch's orbitals.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -39,8 +47,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .fields import (ComplexField, Grid3, ScalarField, _abs2, _is_frozen, _weighted_sum, _worst,
-                     blockwise, blockwise_arrays, frozen)
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _grad_sq, _is_frozen, _over_blocks,
+                     _slab_rows, _weighted_sum, _worst, blockwise, blockwise_arrays, frozen,
+                     integrate_values)
 from .spin_density import SpinDensityField, det_field
 from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
                          PHASE_ROUGHNESS_REL, RATIO_REL, TINY, ToleranceConfig, sqrt_floor)
@@ -130,6 +139,9 @@ class OrbitalFamily(Sequence):
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         if not self.ks:
             raise ValueError("a family needs at least one k")
+        # the phases take k as a float64, which holds every integer up to 2^53
+        if not all(abs(k) <= 2**53 for k in self.ks):
+            raise ValueError(f"each k must be at most 2^53 in magnitude, got {self.ks!r}")
 
     @property
     def grid(self) -> Grid3:
@@ -189,7 +201,11 @@ class OrbitalSet:
 
 
 def _transverse_marginal(grid: Grid3, values: np.ndarray, axis: int) -> np.ndarray:
-    """Trapezoid integral of ``values`` over the two axes other than ``axis``."""
+    """Trapezoid integral of ``values`` over the two axes other than ``axis``.
+
+    Of a whole array, for the phase line, whose bits every stored witness
+    keeps; what needs no grid-sized input uses :class:`_Marginal`.
+    """
     v = np.moveaxis(values, axis, 0)
     w = [grid.axis_weights[ax] for ax in range(3) if ax != axis]
     return (v @ w[1]) @ w[0]
@@ -408,9 +424,13 @@ def _gram(overlaps: np.ndarray) -> np.ndarray:
     return g
 
 
-def _deviation(g: np.ndarray) -> float:
-    """max |G - I| entrywise."""
-    return float(np.max(np.abs(g - np.eye(len(g)))))
+def _deviation(g: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """max |G - I| entrywise and its (k, l) position; NaN if any entry is NaN.
+
+    Each |.| is numpy's scalar absolute value, as construct's Gram gate has
+    always taken it; the vectorised one can differ in the last bit.
+    """
+    return _worst([[abs(x) for x in row] for row in g - np.eye(len(g))], largest=True)
 
 
 def gram_matrix(orbitals: Sequence[Spinor]) -> np.ndarray:
@@ -420,24 +440,38 @@ def gram_matrix(orbitals: Sequence[Spinor]) -> np.ndarray:
     return _gram(_overlaps(orbitals))
 
 
-def _add_density(sums: tuple[np.ndarray, ...], p: float, orb: Spinor) -> None:
-    """Add p Phi^a conj(Phi^b) of one orbital onto the up-up, dn-dn and up-dn ``sums``.
+def _sq(v: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """|v|^2 into ``out``: :func:`_abs2` for complex ``v``, ``v * v`` for real."""
+    return _abs2(v, out, buf) if np.iscomplexobj(v) else np.multiply(v, v, out=out)
 
-    Pointwise, over the row slabs of :func:`blockwise`.  numpy's complex
-    multiply is fused, so its bits depend on the operand order:
-    conj(dn) * up is the order of a whole-grid ``up * conj(dn)`` whose
-    temporary numpy reuses (it does from 256 KiB, i.e. 16384 points, on).
+
+def _add_density(sums: tuple[np.ndarray, ...], p: float, uv: np.ndarray, dv: np.ndarray,
+                 each=None) -> None:
+    """Add p (|u|^2, |d|^2, u conj(d)) onto the up-up, dn-dn and up-dn ``sums``.
+
+    ``uv`` and ``dv`` are the up and dn values of one orbital, or a family's
+    base components in those places (one may be real).  Pointwise, over the
+    row slabs of :func:`blockwise`; ``each(lo, hi, uu, dd, buf)`` is called
+    on |u|^2 and |d|^2 of rows lo:hi before they are weighted, with a free
+    slab ``buf``.  numpy's complex multiply is fused, so its bits depend on
+    the operand order: conj(dn) * up is the order of a whole-grid
+    ``up * conj(dn)`` whose temporary numpy reuses (it does from 256 KiB,
+    i.e. 16384 points, on).
     """
     up, dn, sg = sums
-    uv, dv = orb.up.values, orb.dn.values
 
     def step(lo, hi):
         u, d = uv[lo:hi], dv[lo:hi]
         c = np.empty(u.shape, np.complex128)
         # two real slabs, used before c is
-        sq = c.view(np.float64).reshape((2,) + u.shape)
-        for acc, v in ((up[lo:hi], u), (dn[lo:hi], d)):
-            acc += np.multiply(p, _abs2(v, sq[0], sq[1]), out=sq[0])
+        uu, dd = c.view(np.float64).reshape((2,) + u.shape)
+        buf = np.empty(u.shape)
+        _sq(u, uu, buf)
+        _sq(d, dd, buf)
+        if each is not None:
+            each(lo, hi, uu, dd, buf)
+        for acc, sq in ((up[lo:hi], uu), (dn[lo:hi], dd)):
+            acc += np.multiply(p, sq, out=sq)
         np.multiply(np.conj(d, out=c), u, out=c)
         acc = sg[lo:hi]
         acc += np.multiply(p, c, out=c)
@@ -482,7 +516,7 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     # on finite data a weight of 1.0 changes only the sign of a zero, which |sum - R|
     # does not see; 1.0 * complex(inf, y) is complex(inf, nan), so an inf entry gives NaN
     sums = _density_sums(r.grid)
-    _each(orbitals, functools.partial(_add_density, sums, 1.0))
+    _each(orbitals, lambda orb: _add_density(sums, 1.0, orb.up.values, orb.dn.values))
 
     def copy(lo, hi, *parts):
         for part, s in zip(parts, sums):
@@ -491,29 +525,231 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     return _max_deviation(r, copy)
 
 
-def _phase_gram_deviation(
-    phi_up: np.ndarray, sqrt_dn: np.ndarray, phase: PhaseFunction, grid: Grid3
-) -> float:
-    """max |G - I| of the orbitals (phi_up, sqrt_dn) exp(2 i pi k f) / sqrt(N), k = 1..N.
+# -- a family without its orbitals ------------------------------------------------------
+#
+# Every quantity of a family's orbitals (base) exp(2 i pi k f) / sqrt(n) that verify and the
+# occupation spectrum need reduces to its base and 1-D or 2-D sums along the phase line.
 
-    The phase depends on the axis coordinate only, so under the trapezoid
-    rule G_kl = sum_j mu_j exp(2 i pi (l - k) f_j), where mu_j is the
-    trapezoid-weighted transverse marginal of |base|^2 divided by N.  This
-    equals max |G - I| of :func:`gram_matrix` of the built orbitals up to round-off,
-    without building them.
+
+def _components(fam: OrbitalFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The family's base values in the up and dn places of its orbitals."""
+    u, d = fam.base_up.values, fam.base_dn.values
+    return (d, u) if fam.exchanged else (u, d)
+
+
+def _ladder(fam: OrbitalFamily) -> np.ndarray:
+    """exp(2 i pi k f_j) / sqrt(n): one row per k of ``ks``, one column per node j of the axis."""
+    return np.exp(2j * np.pi * np.multiply.outer(fam.ks, fam.phase)) / math.sqrt(len(fam.ks))
+
+
+def _quarter_slabs(dims, step) -> None:
+    """Call ``step(lo, hi)`` on the workers for ranges of a quarter slab of axis-0 rows.
+
+    For passes that form their integrand in buffers of their own: a quarter
+    slab keeps those small beside what the caller holds.
     """
-    def step(lo, hi, out, buf):
-        s = sqrt_dn[lo:hi]
-        _abs2(phi_up[lo:hi], out, buf)
-        out += np.multiply(s, s, out=buf)
+    rows = max(1, _slab_rows(dims) // 4)
 
-    base_sq, = blockwise_arrays(grid.dims, (float,), step, scratch=1)
-    ax = phase.axis
-    mu = grid.axis_weights[ax] * _transverse_marginal(grid, base_sq, ax) / phase.n_electrons
-    devs = [abs(float(np.sum(mu)) - 1.0)]
-    devs += [abs(np.sum(mu * np.exp(2j * np.pi * d * phase.values)))
-             for d in range(1, phase.n_electrons)]
-    return _worst(devs, largest=True)[0]
+    def work(blocks):
+        for lo, hi in blocks:
+            step(lo, hi)
+
+    _over_blocks([(lo, min(lo + rows, dims[0])) for lo in range(0, dims[0], rows)], work)
+
+
+class _Marginal:
+    """The trapezoid integral over the two axes other than ``axis``, fed rows at a time.
+
+    ``add(lo, hi, v)`` takes the integrand on axis-0 rows lo:hi, from any
+    worker, and each row is added once.  Each row is contracted on its own
+    (over z, or over y for ``axis`` 2) by a stacked matrix-vector product,
+    which numpy runs one row at a time, and the rows are summed once all are
+    in.  So the result has the same bits however the rows were cut, and for
+    ``axis`` 0 those of :func:`_transverse_marginal`.  ``rows`` holds the
+    contracted rows, (x, y) for axes 0 and 1 and (x, z) for axis 2.
+    """
+
+    def __init__(self, grid: Grid3, axis: int, dtype=np.float64):
+        nx, ny, nz = grid.dims
+        self.grid, self.axis = grid, axis
+        self.rows = np.empty((nx, nz if axis == 2 else ny), dtype)
+
+    def add(self, lo: int, hi: int, v: np.ndarray) -> None:
+        _, wy, wz = self.grid.axis_weights
+        if self.axis == 2:
+            np.matmul(wy, v, out=self.rows[lo:hi])
+        else:
+            np.matmul(v, wz, out=self.rows[lo:hi])
+
+    def result(self) -> np.ndarray:
+        wx, wy, _ = self.grid.axis_weights
+        return self.rows @ wy if self.axis == 0 else wx @ self.rows
+
+
+def _phase_gram(grid: Grid3, axis: int, marginal: np.ndarray, f: np.ndarray, ks) -> np.ndarray:
+    """G_kl = sum_j mu_j exp(2 i pi (k_l - k_k) f_j), the Gram matrix of a family's orbitals.
+
+    ``marginal`` is the transverse marginal of |base|^2 on the axis nodes,
+    and mu_j is it times the axis weight, divided by n = len(ks).  The
+    phase depends on the axis coordinate only, so under the trapezoid rule
+    this is <Phi_k | Phi_l> of the built orbitals; each difference of k's
+    is summed once.
+    """
+    mu = grid.axis_weights[axis] * marginal / len(ks)
+    sums = {0: np.sum(mu)}
+    for d in sorted({l - k for k in ks for l in ks if l > k}):
+        sums[d] = np.sum(mu * np.exp(2j * np.pi * d * f))
+    return np.array([[sums[l - k] if l >= k else np.conj(sums[k - l]) for l in ks] for k in ks],
+                    dtype=np.complex128)
+
+
+def _family_gram(fam: OrbitalFamily) -> np.ndarray:
+    """The Gram matrix of a family's orbitals, none of them built (:func:`_phase_gram`)."""
+    phi, s = fam.base_up.values, fam.base_dn.values
+    marginal = _Marginal(fam.grid, fam.axis)
+
+    def step(lo, hi):
+        out, buf = np.empty(phi[lo:hi].shape), np.empty(phi[lo:hi].shape)
+        _abs2(phi[lo:hi], out, buf)
+        out += np.multiply(s[lo:hi], s[lo:hi], out=buf)
+        marginal.add(lo, hi, out)
+
+    _quarter_slabs(fam.grid.dims, step)
+    return _phase_gram(fam.grid, fam.axis, marginal.result(), fam.phase, fam.ks)
+
+
+def _add_orbitals(sums, p: float, orbitals: Sequence[Spinor], gram: bool = False):
+    """Add p times the density of ``orbitals`` onto ``sums``; with ``gram``, return their Gram matrix.
+
+    A family adds p (|u|^2, |d|^2, u conj(d)) of its base components in one
+    pass (the phases cancel), and that pass feeds the marginal of its
+    Gram matrix, which has the bits of :func:`_family_gram`.  Explicit
+    orbitals are added one by one, and their overlaps are integrated.
+    """
+    if isinstance(orbitals, OrbitalFamily):
+        marginal = _Marginal(orbitals.grid, orbitals.axis) if gram else None
+
+        def each(lo, hi, uu, dd, buf):
+            # |phi_up|^2 + |sqrt_dn|^2 whichever place each holds: the sum commutes
+            marginal.add(lo, hi, np.add(uu, dd, out=buf))
+
+        _add_density(sums, p, *_components(orbitals), each if gram else None)
+        if gram:
+            return _phase_gram(orbitals.grid, orbitals.axis, marginal.result(), orbitals.phase,
+                               orbitals.ks)
+        return None
+
+    def add(orb):
+        _add_density(sums, p, orb.up.values, orb.dn.values)
+
+    if gram:
+        return _gram(_overlaps(orbitals, add))
+    _each(orbitals, add)
+    return None
+
+
+def _cross_overlaps(fa: OrbitalFamily, fb: OrbitalFamily) -> np.ndarray:
+    """<Phi_k | Phi_l> for k of family ``fa`` and l of family ``fb``, none of them built.
+
+    The pointwise product c = conj(a_up) b_up + conj(a_dn) b_dn of the two
+    bases is integrated over the axes no phase depends on, and the phases
+    are summed against what is left: a complex 1-D marginal when both
+    families have one axis, a 2-D one when not.  When the two axes are 1
+    and 2, each row is first contracted over z with the z family's phases.
+    """
+    grid = fa.grid
+    (au, ad), (bu, bd) = _components(fa), _components(fb)
+    ea, eb = np.conj(_ladder(fa)), _ladder(fb)
+    a, b = fa.axis, fb.axis
+    w = grid.axis_weights
+    nx, ny, _ = grid.dims
+
+    def rows_of(contract):
+        def step(lo, hi):
+            contract(lo, hi, np.conj(au[lo:hi]) * bu[lo:hi] + np.conj(ad[lo:hi]) * bd[lo:hi])
+
+        _quarter_slabs(grid.dims, step)
+
+    if a == b:
+        marginal = _Marginal(grid, a, np.complex128)
+        rows_of(marginal.add)
+        return ea @ (w[a] * marginal.result() * eb).T
+    if 0 in (a, b):
+        # the 2-D marginal over the third axis: the rows of the other axis's marginal
+        other = a + b
+        m = _Marginal(grid, other, np.complex128)
+        rows_of(m.add)
+        m2 = m.rows * np.multiply.outer(w[0], w[other])
+        return ea @ m2 @ eb.T if a == 0 else ea @ m2.T @ eb.T
+    # axes 1 and 2: contract z against the phases of the family on it, then x, then y
+    ez = eb if b == 2 else ea
+    q = np.ascontiguousarray((w[2] * ez).T)
+    t = np.empty((nx, ny, len(ez)), np.complex128)
+    rows_of(lambda lo, hi, c: np.matmul(c, q, out=t[lo:hi]))
+    s = (w[0] @ t.reshape(nx, -1)).reshape(ny, -1) * w[1][:, None]
+    return ea @ s if b == 2 else s.T @ eb.T
+
+
+def _phase_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """f' at the nodes of a uniform axis, from f: the inverse of :func:`_spectral_antiderivative`'s split.
+
+    f is the line through its end values plus a remainder that vanishes at
+    both ends.  The line differentiates to its slope; the remainder, taken
+    as one period of n - 1 nodes (the last node repeats the first), is
+    differentiated in Fourier space.  For a phase whose f' vanishes at the
+    box ends this is spectrally accurate.
+    """
+    n = f.size
+    slope = (f[-1] - f[0]) / ((n - 1) * h)
+    rest = f[:-1] - (f[0] + slope * (np.arange(n - 1) * h))
+    ck = np.fft.rfft(rest)
+    ck *= 2j * np.pi * np.fft.rfftfreq(n - 1, d=h)
+    if (n - 1) % 2 == 0:
+        ck[-1] = 0.0  # the Nyquist mode has no odd derivative
+    d = np.fft.irfft(ck, n - 1)
+    return slope + np.append(d, d[0])
+
+
+def _family_kinetic(fam: OrbitalFamily) -> tuple[float, float]:
+    """(T_up, T_dn): sum_k integral |grad Phi_k^a|^2 over the family's orbitals, none built.
+
+    For each base component b, on phase axis a, with f' from the family's
+    own f (:func:`_phase_derivative`) and <.> the mean over ``ks``:
+
+        integral |grad b|^2 + (2 pi)^2 <k^2> integral f'^2 |b|^2
+                            + 4 pi <k> integral f' Im(conj(b) d_a b)
+
+    The first term has the bits of ``h1_seminorm`` of b; its stencil pass
+    also gives d_a b to the transverse marginals of the other two, which
+    are then summed along the axis.  A real component has no last term.
+    """
+    grid, ax = fam.grid, fam.axis
+    ks = np.asarray(fam.ks, dtype=np.float64)
+    k1, k2 = float(np.mean(ks)), float(np.mean(ks * ks))
+    fp = _phase_derivative(fam.phase, grid.spacing[ax])
+    wfp = grid.axis_weights[ax] * fp
+
+    def kinetic(b):
+        complex_base = np.iscomplexobj(b)
+        mass, current = _Marginal(grid, ax), _Marginal(grid, ax)
+
+        def each(axis, lo, hi, g):
+            if axis != ax:
+                return
+            v = b[lo:hi]
+            mass.add(lo, hi, _sq(v, np.empty(v.shape), np.empty(v.shape)))
+            if complex_base:
+                # Im(conj(v) dv) = Re v Im dv - Im v Re dv
+                current.add(lo, hi, v.real * g[..., 1] - v.imag * g[..., 0])
+
+        t = float(integrate_values(grid, _grad_sq(grid, b, each)))
+        t += (2.0 * np.pi) ** 2 * k2 * float(np.sum(wfp * fp * mass.result()))
+        if complex_base:
+            t += 4.0 * np.pi * k1 * float(np.sum(wfp * current.result()))
+        return t
+
+    up, dn = _components(fam)
+    return kinetic(up), kinetic(dn)
 
 
 def build_orbitals(
@@ -537,7 +773,14 @@ def build_orbitals(
     n = r.n_electrons
     phi_up, sqrt_dn, stats = _base_spinor(r)
     phase = build_phase(r.rho_total, n, ax, tol)
-    gram = _phase_gram_deviation(phi_up, sqrt_dn, phase, r.grid)
+    family = OrbitalFamily(
+        base_up=ComplexField(r.grid, frozen(phi_up)),
+        base_dn=ScalarField(r.grid, frozen(sqrt_dn)),
+        axis=ax,
+        phase=phase.values,
+        ks=tuple(range(1, n + 1)),
+    )
+    gram = _deviation(_family_gram(family))[0]
     if not gram <= GRAM_TOL:
         raise OrthonormalityError(
             f"orbitals are not orthonormal on this grid: Gram deviation "
@@ -552,13 +795,6 @@ def build_orbitals(
         np.multiply(p, s, out=sg)
 
     recon = _max_deviation(r, base_sums)
-    family = OrbitalFamily(
-        base_up=ComplexField(r.grid, frozen(phi_up)),
-        base_dn=ScalarField(r.grid, frozen(sqrt_dn)),
-        axis=ax,
-        phase=phase.values,
-        ks=tuple(range(1, n + 1)),
-    )
     scale = _worst((r.scale, TINY), largest=True)[0]
     diagnostics = {
         "gram_deviation": gram,

@@ -1,21 +1,25 @@
 """Witness states (convex combinations of Slater branches) and their verification.
 
-A branch's orbitals may be an :class:`spinrep.orbitals.OrbitalFamily`, which
-builds each orbital when it is asked for.  Everything here takes them one at
-a time, branch by branch, and holds at most one branch's orbitals at once.
+A branch's orbitals may be an :class:`spinrep.orbitals.OrbitalFamily`: one
+base spinor and one phase line.  The density, Gram matrix, kinetic energy
+and occupations of a family come from its base and 1-D or 2-D sums along
+its phase line, and no orbital of it is built here.  Explicit orbitals
+(given one by one) are taken one at a time, branch by branch, and at most
+one branch's orbitals are held at once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .check import FAIL, PASS, ConditionResult, Report, _gradient_norms, h1_seminorm
 from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
-from .orbitals import (OrbitalSet, Spinor, _add_density, _density_sums, _deviation, _each, _gram,
-                       _overlap, _overlaps)
+from .orbitals import (OrbitalFamily, OrbitalSet, Spinor, _add_orbitals, _cross_overlaps,
+                       _density_sums, _deviation, _each, _family_gram, _family_kinetic, _overlap,
+                       _overlaps)
 from .spin_density import SpinDensityField, trace_integral
 from .tolerances import (DEFAULT, GRAM_TOL, MISMATCH_TOL, SLACK, TINY, WEIGHT_SUM_TOL,
                          ToleranceConfig)
@@ -41,9 +45,6 @@ class Witness:
     grid: Grid3
     n_electrons: int
     branches: tuple[WitnessBranch, ...]
-    # branch index -> the read-only _overlaps matrix of its orbitals, filled by
-    # verify and occupation_spectrum so that each is integrated once
-    _overlap_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.branches) == 0:
@@ -61,23 +62,6 @@ class Witness:
     def weights(self) -> tuple[float, ...]:
         return tuple(b.weight for b in self.branches)
 
-    def _branch_overlaps(self, index: int, orbitals=None, each=None) -> np.ndarray:
-        """The overlap matrix of branch ``index``, integrated on the first call only.
-
-        ``orbitals`` are that branch's orbitals when the caller holds them.
-        ``each(orbital)`` is called on every orbital of the branch in order,
-        as :func:`spinrep.orbitals._overlaps` calls it, whether the matrix
-        is integrated or not.
-        """
-        if orbitals is None:
-            orbitals = self.branches[index].orbitals.orbitals
-        o = self._overlap_cache.get(index)
-        if o is None:
-            o = self._overlap_cache[index] = frozen(_overlaps(orbitals, each))
-        elif each is not None:
-            _each(orbitals, each)
-        return o
-
 
 def _field(w: Witness, sums) -> SpinDensityField:
     up, dn, sg = sums
@@ -93,7 +77,7 @@ def density_of(w: Witness) -> SpinDensityField:
     """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
     sums = _density_sums(w.grid)
     for branch in w.branches:
-        _each(branch.orbitals.orbitals, functools.partial(_add_density, sums, branch.weight))
+        _add_orbitals(sums, branch.weight, branch.orbitals.orbitals)
     return _field(w, sums)
 
 
@@ -101,11 +85,20 @@ def kinetic_by_spin(w: Witness) -> tuple[float, float]:
     """(T_up, T_dn): weighted sums of integral |grad Phi^a|^2 per spin component.
 
     This is Tr(-Laplacian gamma^aa) for the one-body operator of the witness
-    (no 1/2 factor).
+    (no 1/2 factor).  A family's share comes from its base and phase line
+    (:func:`spinrep.orbitals._family_kinetic`), which resolves the phase
+    ladder that a stencil on each orbital cannot; explicit orbitals get the
+    stencil, orbital by orbital.
     """
     t = [0.0, 0.0]
     for branch in w.branches:
-        _each(branch.orbitals.orbitals, functools.partial(_add_kinetic, t, branch.weight))
+        p, orbs = branch.weight, branch.orbitals.orbitals
+        if isinstance(orbs, OrbitalFamily):
+            t_up, t_dn = _family_kinetic(orbs)
+            t[0] += p * t_up
+            t[1] += p * t_dn
+        else:
+            _each(orbs, functools.partial(_add_kinetic, t, p))
     return t[0], t[1]
 
 
@@ -127,33 +120,45 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     gamma = sum_n p_n sum_k |Phi_nk><Phi_nk| acts on a space of dimension
     (number of orbitals); its nonzero spectrum equals that of the small
     matrix K_ij = sqrt(p_i p_j) <Phi_i | Phi_j> over all branch orbitals.
-    For an admissible mixed state every eigenvalue lies in [0, 1].
+    For an admissible mixed state every eigenvalue lies in [0, 1]; an
+    overlap that is not finite makes every one NaN.
 
-    One branch's orbitals are held at a time; the orbitals of the later
-    branches are built one by one for the overlaps across branches.  The
-    overlaps within a branch are those :func:`verify` integrated, if it ran.
+    A family's block is its Gram matrix, and the block of two families is
+    :func:`spinrep.orbitals._cross_overlaps`: neither builds an orbital.
+    Every block with explicit orbitals in it is integrated from orbitals,
+    one branch's held at a time and the other's built one by one.
     """
     sizes = [len(b.orbitals.orbitals) for b in w.branches]
     starts = np.cumsum([0] + sizes).tolist()
     roots = np.sqrt([max(b.weight, 0.0) for b, m in zip(w.branches, sizes) for _ in range(m)])
     o = np.empty((starts[-1], starts[-1]), dtype=np.complex128)
-    # an infinite orbital entry gives nan, not a warning
-    with np.errstate(invalid="ignore"):
+    # an infinite or NaN entry gives nan, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
         for a, branch in enumerate(w.branches):
-            rows, later = slice(starts[a], starts[a + 1]), range(a + 1, len(w.branches))
-            # the last branch's orbitals serve only its own overlaps
-            held = tuple(branch.orbitals.orbitals) if later else None
-            o[rows, rows] = w._branch_overlaps(a, held)
-            for b in later:
-                orbs = w.branches[b].orbitals.orbitals
-                for q in range(len(orbs)):
-                    orb, j = orbs[q], starts[b] + q
-                    for i, mine in enumerate(held, start=starts[a]):
-                        o[i, j] = _overlap(mine, orb)
+            mine = branch.orbitals.orbitals
+            family = isinstance(mine, OrbitalFamily)
+            rows = slice(starts[a], starts[a + 1])
+            held = None if family else tuple(mine)
+            o[rows, rows] = _family_gram(mine) if family else _overlaps(held)
+            for b in range(a + 1, len(w.branches)):
+                theirs, cols = w.branches[b].orbitals.orbitals, slice(starts[b], starts[b + 1])
+                if family and isinstance(theirs, OrbitalFamily):
+                    o[rows, cols] = _cross_overlaps(mine, theirs)
+                    o[cols, rows] = o[rows, cols].conj().T
+                    continue
+                if held is None:
+                    held = tuple(mine)
+                for q in range(len(theirs)):
+                    orb, j = theirs[q], starts[b] + q
+                    for i, held_orb in enumerate(held, start=starts[a]):
+                        o[i, j] = _overlap(held_orb, orb)
                         o[j, i] = np.conj(o[i, j])
                     del orb  # before the next orbital is built
             del held  # before the next branch's orbitals are built
         k = np.outer(roots, roots) * o
+    if not np.isfinite(k).all():
+        # LAPACK need not converge on it
+        return np.full(len(k), np.nan)
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
@@ -205,13 +210,21 @@ def verify(
 
     Five checks: (i) the reconstructed density matches the target in
     relative L^1; (ii) every branch's orbitals are orthonormal within the
-    Gram tolerance; (iii) the branch weights are convex; (iv) the witness
-    kinetic energy is finite; (v) the three integrated regularity bounds
-    tying the reconstructed density to the kinetic energy hold with slack:
+    Gram tolerance, and the worst branch and its (k, l) pair are named;
+    (iii) the branch weights are convex; (iv) the witness kinetic energy
+    (:func:`kinetic_by_spin`) is finite; (v) the three integrated
+    regularity bounds tying the reconstructed density to the kinetic
+    energy hold with slack:
 
         integral |grad sqrt(rho_a)|^2        <= T_aa
         integral |grad sigma|^2 / rho        <= T
         integral |grad sqrt(det R)|^2 / rho  <= 4 T
+
+    A family branch builds no orbital: one pass over its base adds its
+    density and gives its Gram matrix, which is the value construct's gate
+    stored, and its T takes two stencil passes.  Explicit orbitals are
+    taken one at a time for the density and the Gram matrix, and their T
+    is the stencil of each.
     """
     if w.grid != target.grid:
         raise ValueError("witness and target live on different grids")
@@ -222,20 +235,14 @@ def verify(
     with np.errstate(invalid="ignore"):
         checks: list[ConditionResult] = []
 
-        # one pass over the orbitals, a branch at a time: each orbital is built
-        # once and feeds the density sums, its two H^1 terms and its Gram row
+        # one pass per branch adds its density and gives its Gram matrix; a
+        # family builds no orbital for either
         sums = _density_sums(w.grid)
-        t = [0.0, 0.0]
-        gram_devs = []
-        for index, branch in enumerate(w.branches):
-            def feed(orb, p=branch.weight):
-                _add_density(sums, p, orb)
-                _add_kinetic(t, p, orb)
-
-            gram_devs.append(_deviation(_gram(w._branch_overlaps(index, each=feed))))
-        gram_devs = tuple(gram_devs)
+        worst = [_deviation(_add_orbitals(sums, b.weight, b.orbitals.orbitals, gram=True))
+                 for b in w.branches]
+        gram_devs = tuple(dev for dev, _ in worst)
         rec = _field(w, sums)
-        t_up, t_dn = t
+        t_up, t_dn = kinetic_by_spin(w)
 
         # (i) density match, relative L1
         denom = _worst((trace_integral(target), TINY), largest=True)[0]
@@ -253,12 +260,13 @@ def verify(
         ))
 
         # (ii) per-branch orthonormality
-        worst_gram = _worst(gram_devs, largest=True)[0]
+        worst_gram, (branch,) = _worst(gram_devs, largest=True)
         checks.append(ConditionResult(
             "orbital_gram",
             PASS if worst_gram <= GRAM_TOL else FAIL,
             worst_gram,
-            {"threshold": GRAM_TOL, "per_branch": tuple(float(g) for g in gram_devs)},
+            {"threshold": GRAM_TOL, "per_branch": tuple(float(g) for g in gram_devs),
+             "worst_branch": branch, "worst_pair": worst[branch][1]},
         ))
 
         # (iii) convex weights

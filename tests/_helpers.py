@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,8 +142,23 @@ def density_sums(grid: sr.Grid3, weighted):
     """The up-up, dn-dn and up-dn sums of ``orbitals._add_density`` over (p, orbital) pairs."""
     sums = orbitals._density_sums(grid)
     for p, orb in weighted:
-        orbitals._add_density(sums, p, orb)
+        orbitals._add_density(sums, p, orb.up.values, orb.dn.values)
     return sums
+
+
+def materialised(w):
+    """``w`` with every branch's orbitals built once and held as a tuple (explicit orbitals)."""
+    return sr.Witness(w.grid, w.n_electrons, tuple(
+        replace(b, orbitals=replace(b.orbitals, orbitals=tuple(b.orbitals.orbitals)))
+        for b in w.branches))
+
+
+def family_witness(grid, up, dn, axis, phase, ks, exchanged=False):
+    """A one-branch witness whose orbitals are the family (up, dn) exp(2 i pi k phase) / sqrt(n)."""
+    fam = orbitals.OrbitalFamily(sr.ComplexField(grid, up), sr.ScalarField(grid, dn), axis, phase,
+                                 ks, exchanged)
+    return sr.Witness(grid=grid, n_electrons=len(fam), branches=(
+        sr.WitnessBranch(1.0, sr.OrbitalSet(grid=grid, orbitals=fam)),))
 
 
 def single_orbital_witness(grid, up, dn):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import spinrep as sr
 from spinrep.witness import kinetic_by_spin
 
-from _helpers import cube, max_abs_diff, nan_witness, single_orbital_witness, symmetric_rank1
+from _helpers import cube, family_witness, max_abs_diff, nan_witness, symmetric_rank1
 
 erf = np.vectorize(math.erf)
 
@@ -41,24 +42,24 @@ def test_duplicated_half_branches_reproduce(witness1, pure1):
 
 
 def test_kinetic_energy_matches_analytic_orbital(pure1, witness1):
-    # independent route: exact erf phase + sqrt(rho/2) amplitude, same grid
+    # independent route: the family of the exact erf phase and the sqrt(rho/2)
+    # amplitude, on the same grid
     grid = pure1.grid
     amp = np.sqrt(0.5 * pure1.rho_total.values)
     f_exact = 0.5 * (1.0 + erf(grid.axes[0]))
-    ph = np.exp(2j * np.pi * f_exact).reshape(-1, 1, 1)
-    manual = single_orbital_witness(grid, amp * ph, amp * ph)
+    manual = family_witness(grid, amp, amp, 0, f_exact, (1,))
     np.testing.assert_allclose(
         sr.kinetic_energy(witness1), sr.kinetic_energy(manual), rtol=1e-9)
 
 
 def test_kinetic_energy_continuum_limit():
-    # T = 3/(2 a^2) + 4 pi^2 int(f'^3) with int(f'^3) = 1/(a^2 pi sqrt(3));
-    # the finite-difference distortion of the oscillatory phase still leaves
-    # ~1% at 96^3
+    # T = 3/(2 a^2) + 4 pi^2 int(f'^3) with int(f'^3) = 1/(a^2 pi sqrt(3)); the
+    # family's T is taken from its base and phase line, which a stencil on
+    # the oscillating orbital would miss by about 1% at 96^3
     r = symmetric_rank1(96, n_electrons=1, width=1.0, phase_gradient=0.0)
     exact = 1.5 + 4.0 * np.pi**2 / (np.pi * np.sqrt(3.0))
     t = sr.kinetic_energy(sr.construct_witness(r))
-    assert abs(t - exact) < 0.02 * exact
+    assert abs(t - exact) < 2e-4 * exact
 
 
 def test_kinetic_splits_evenly_for_symmetric_state(witness1):
@@ -68,23 +69,17 @@ def test_kinetic_splits_evenly_for_symmetric_state(witness1):
 
 
 def test_kinetic_quadratic_in_phase_winding():
-    # doubling the winding k quadruples the phase part of T; a wide gaussian
-    # keeps the k=2 oscillation resolved (the stencil distortion only lowers
-    # the ratio, so linear growth at ratio 2 stays cleanly excluded)
+    # the phase part of T is <k^2> times one integral: families with k = 0, 1
+    # and 2 on one real base and phase line give the ratio 4
     r = symmetric_rank1(48, half=10.0, n_electrons=1, width=2.0,
                         phase_gradient=0.0)
-    grid = r.grid
     orbs = sr.build_orbitals(r)
-    amp = np.sqrt(0.5 * r.rho_total.values)
-    flat = amp.astype(complex)
-    t0 = sr.kinetic_energy(single_orbital_witness(grid, flat, flat))
-    t1 = sr.kinetic_energy(sr.Witness(grid=grid, n_electrons=1, branches=(
-        sr.WitnessBranch(1.0, orbs),)))
-    phase = sr.build_phase(r.rho_total, r.n_electrons, orbs.orbitals.axis)
-    ph2 = np.exp(4j * np.pi * phase.values).reshape(-1, 1, 1)
-    t2 = sr.kinetic_energy(single_orbital_witness(grid, amp * ph2, amp * ph2))
+    t0, t1, t2 = (
+        sr.kinetic_energy(sr.Witness(grid=r.grid, n_electrons=1, branches=(
+            sr.WitnessBranch(1.0, replace(orbs, orbitals=replace(orbs.orbitals, ks=(k,)))),)))
+        for k in (0, 1, 2))
     ratio = (t2 - t0) / (t1 - t0)
-    assert 3.0 < ratio < 4.05
+    assert abs(ratio - 4.0) < 1e-10
 
 
 # -- occupation spectrum ---------------------------------------------------------

@@ -3,7 +3,8 @@
 The references in ``_reference.py`` are the former bodies: the overlap
 loop (``orbitals._overlaps``), the density sums (``orbitals._add_density``),
 the density match of ``verify``, the base spinor (``orbitals._base_spinor``),
-``|base|^2`` of the Gram gate, the orbital materialisation of
+the Gram gate (``orbitals._family_gram``, whose marginal of ``|base|^2`` is
+taken row by row; along axis 0 that has the bits of the whole-array one), the orbital materialisation of
 ``build_orbitals``, and ``rank1_split``, ``ratio_split`` and ``sqrt_field``.
 The blocked code must reproduce them byte for byte, the sign of every zero
 included, on 48^3 and on the uneven 45x38x51 grid, for the default block
@@ -194,7 +195,10 @@ def test_base_spinor_and_gram_gate(case, blocks, special):
         assert_same(sqrt_dn, ref_sqrt)
         assert stats == ref_stats and stats["nodal_points"] > 0
         phase = sr.build_phase(case[0].rho_total, f.n_electrons, 0)
-        assert_same(orbitals._phase_gram_deviation(phi_up, sqrt_dn, phase, f.grid),
+        family = orbitals.OrbitalFamily(sr.ComplexField(f.grid, phi_up),
+                                        sr.ScalarField(f.grid, sqrt_dn), phase.axis,
+                                        phase.values, tuple(range(1, f.n_electrons + 1)))
+        assert_same(orbitals._deviation(orbitals._family_gram(family))[0],
                     ref_phase_gram_deviation(ref_phi, ref_sqrt, phase, f.grid))
 
 
