@@ -23,8 +23,10 @@ mean anything.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -195,15 +197,17 @@ def _gradient_norms(
     tol: ToleranceConfig,
     psd: list[ConditionResult] | None = None,
     w32: bool = True,
+    root: list[np.ndarray] | None = None,
 ) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
     """The parts of conditions (d)-(g) by condition name, and their /rho integrals.
 
     Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
     taken once and dropped before the next one is taken, and det R is held
     only until sqrt det R is formed.  With ``psd``, conditions (a) and (b)
-    are appended to it, from the same det R; without ``w32`` the W^{1,3/2}
-    parts of (e) stay empty.  The second dict holds the masked-point counts
-    of the /rho conditions.
+    are appended to it, from the same det R; with ``root``, the values of
+    sqrt(max(det R, 0)); without ``w32`` the W^{1,3/2} parts of (e) stay
+    empty.  The second dict holds the masked-point counts of the /rho
+    conditions.
     """
     grid, rho = r.grid, r.rho_total
     # non-finite data must surface as failing norms, not as a floor error
@@ -233,6 +237,8 @@ def _gradient_norms(
         "sigma_grad_over_rho": {"sigma_ratio": sigma_ratio.value},
         "sqrtdet_grad_over_rho": {"det_ratio": det_ratio.value},
     }
+    if root is not None:
+        root.append(sqrt_det.values)
     return parts, {"sigma_grad_over_rho": sigma_ratio, "sqrtdet_grad_over_rho": det_ratio}
 
 
@@ -314,6 +320,24 @@ def _require_refines(grid: Grid3, n: int, fine: Grid3, n_fine: int) -> None:
         raise ValueError("refined field must be strictly finer on every axis")
 
 
+# where check puts sqrt(max(det R, 0)) for a caller that asks for it
+_ROOT: ContextVar[list[np.ndarray] | None] = ContextVar("root", default=None)
+
+
+@contextmanager
+def _keeping_root() -> Iterator[list[np.ndarray]]:
+    """Within, :func:`check` without a refined field hands its sqrt(max(det R, 0)) over.
+
+    It appends the array that condition (g) formed to the list yielded.
+    """
+    root: list[np.ndarray] = []
+    token = _ROOT.set(root)
+    try:
+        yield root
+    finally:
+        _ROOT.reset(token)
+
+
 def check(
     r: SpinDensityField,
     tol: ToleranceConfig = DEFAULT,
@@ -335,7 +359,10 @@ def check(
         n = r.n_electrons
         # (a), (b) and the parts of (d)-(g)
         conditions: list[ConditionResult] = []
-        parts, ratios = _gradient_norms(r, tol, conditions)
+        # sqrt det R for a caller that asks (_keeping_root), never held through
+        # the refined field's norms
+        root = _ROOT.get() if refined is None else None
+        parts, ratios = _gradient_norms(r, tol, conditions, root=root)
 
         # (c) normalization of the trace
         norm_tol = tol.norm_tol(n)
@@ -360,4 +387,3 @@ def check(
         boundary_warning=not bmax <= BOUNDARY_REL * _worst((r.scale, TINY), largest=True)[0],
         boundary_value=bmax,
     )
-

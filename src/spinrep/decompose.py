@@ -22,6 +22,15 @@ The route from a full-rank mixed-state density to explicit orbitals:
    orbitals per piece (through :func:`spinrep.orbitals.build_orbitals`,
    swapping and un-swapping where needed) and returns the convex combination
    as a :class:`spinrep.witness.Witness` with at most four branches.
+
+``construct_witness`` holds sqrt(R), whose sqrt(det R) comes from the
+check, and no piece or sub-piece whole: each is a
+:class:`spinrep.spin_density.StreamedDensity` that forms its entries slab by
+slab from sqrt(R) where they are used, by the whole-array expressions in
+their order, such as (r_up r_up) (1/t) and (w max(rho_up, 0)) (1/t_sub), so
+every bit is that of the pieces held whole.  The masses t and t_sub are
+leaf-aligned streamed integrals.  ``rank1_split`` and ``ratio_split`` run
+the same steps and hold their pieces whole.
 """
 
 from __future__ import annotations
@@ -32,11 +41,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .check import check
-from .fields import ComplexField, ScalarField, _abs2, blockwise_arrays, frozen, integrate_values
-from .orbitals import build_orbitals, exchange_components, require_null_determinant
-from .spin_density import SpinDensityField, spin_swap
-from .sqrtm import sqrt_field
+from .check import _keeping_root, check
+from .fields import _abs2, _weighted_sum
+from .orbitals import _null_det_count, _null_det_slab, build_orbitals, exchange_components
+from .spin_density import SpinDensityField, StreamedDensity, swapped
+from .sqrtm import _entries, sqrt_field
 from .tolerances import DEFAULT, DEGENERATE_WEIGHT, ToleranceConfig
 from .witness import Witness, WitnessBranch
 
@@ -60,14 +69,15 @@ class SplitResult:
     """Convex split R = weight * piece_one + (1 - weight) * piece_two.
 
     A piece whose weight fell below the degeneracy threshold is dropped
-    (None) and the split collapses onto the survivor.
+    (None) and the split collapses onto the survivor.  The public splits
+    hold their pieces whole; ``construct_witness`` streams them.
     """
 
     weight: float
-    piece_one: SpinDensityField | None
-    piece_two: SpinDensityField | None
+    piece_one: SpinDensityField | StreamedDensity | None
+    piece_two: SpinDensityField | StreamedDensity | None
 
-    def pairs(self) -> Iterator[tuple[float, SpinDensityField]]:
+    def pairs(self) -> Iterator[tuple[float, SpinDensityField | StreamedDensity]]:
         if self.piece_one is not None:
             yield self.weight, self.piece_one
         if self.piece_two is not None:
@@ -78,65 +88,110 @@ class SplitResult:
         return ((self.weight, self.piece_one), (1.0 - self.weight, self.piece_two))
 
 
-def _piece(
-    parts: tuple[np.ndarray, np.ndarray, np.ndarray], weight: float, template: SpinDensityField
-) -> SpinDensityField:
-    """The field (up, dn, sigma) / weight; scales the fresh arrays ``parts`` in place."""
-    inv = 1.0 / weight
-    for a in parts:
-        a *= inv  # rounds exactly as a * inv
-    up, dn, sg = parts
-    grid = template.grid
-    return SpinDensityField(
-        rho_up=ScalarField(grid, frozen(up)),
-        rho_dn=ScalarField(grid, frozen(dn)),
-        sigma=ComplexField(grid, frozen(sg)),
-        n_electrons=template.n_electrons,
-    )
+def _split(grid, n: int, up: float, dn: float, one, two) -> SplitResult:
+    """The split into pieces one and two, streamed from their unnormalized entries.
 
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b, written block by block into a new array."""
-    return blockwise_arrays(a.shape, (np.result_type(a, b),),
-                            lambda lo, hi, out: np.multiply(a[lo:hi], b[lo:hi], out=out))[0]
-
-
-def _weigh(
-    up_one: np.ndarray, dn_one: np.ndarray, template: SpinDensityField
-) -> tuple[float, float, bool, bool]:
-    """Weigh piece one by its unnormalized densities ``up_one``, ``dn_one``.
-
-    Returns (t, split weight, keep piece one, keep piece two): t is the mass
-    fraction of piece one, and a piece whose weight falls below
-    ``DEGENERATE_WEIGHT`` is not kept, so it need not be built.
+    ``up`` and ``dn`` integrate piece one's rho_up and rho_dn; ``one`` and
+    ``two`` give each piece's entries as ``StreamedDensity.parts`` does.
+    Piece one is divided by its mass fraction t, piece two by 1 - t, and a
+    piece whose weight falls below ``DEGENERATE_WEIGHT`` is dropped.
     """
-    grid = template.grid
-    t = float(integrate_values(grid, up_one) + integrate_values(grid, dn_one))
-    t /= template.n_electrons
+    t = float(up + dn)
+    t /= n
     if t < DEGENERATE_WEIGHT:
-        return t, 0.0, False, True
-    if t > 1.0 - DEGENERATE_WEIGHT:
-        return t, 1.0, True, False
-    return t, t, True, True
+        weight, keep = 0.0, (False, True)
+    elif t > 1.0 - DEGENERATE_WEIGHT:
+        weight, keep = 1.0, (True, False)
+    else:
+        weight, keep = t, (True, True)
+
+    def scaled(parts, inv):
+        def scaled_parts(sel, sigma=True):
+            out = parts(sel, sigma)
+            for a in out[:3 if sigma else 2]:
+                a *= inv  # rounds exactly as a * inv
+            return out
+
+        return StreamedDensity(grid, n, scaled_parts)
+
+    return SplitResult(weight, *(scaled(parts, 1.0 / mass) if kept else None for parts, mass, kept
+                                 in ((one, t, keep[0]), (two, 1.0 - t, keep[1]))))
+
+
+def _rank1(r: SpinDensityField, ru: np.ndarray, rd: np.ndarray, s: np.ndarray) -> SplitResult:
+    """The rank-1 split of R, streamed from the entries ``ru``, ``rd``, ``s`` of sqrt(R)."""
+    def masses(lo, hi, a, b):
+        u, z = ru.reshape(-1)[lo:hi], s.reshape(-1)[lo:hi]
+        _abs2(z, b, a)
+        return np.multiply(u, u, out=a), b
+
+    def piece(x, one):
+        def parts(sel, sigma=True):
+            x_, z = sel(x), sel(s)
+            sq = (np.multiply(x_, x_), _abs2(z, np.empty(z.shape), np.empty(z.shape)))
+            return (*(sq if one else sq[::-1]), np.multiply(z, x_) if sigma else None)
+
+        return parts
+
+    return _split(r.grid, r.n_electrons, *_weighted_sum(r.grid, np.float64, masses, count=2),
+                  piece(ru, True), piece(rd, False))
+
+
+def _weights(up: np.ndarray, dn: np.ndarray, clip: bool) -> tuple[np.ndarray, ...]:
+    """The weight chi(rho_up / rho_dn)^2, max(rho_up, 0) and max(rho_dn, 0) on a block."""
+    if clip:
+        up, dn = np.clip(up, 0.0, None), np.clip(dn, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(up, dn)
+    w[np.isnan(w)] = 1.0  # 0/0: weightless points, any finite value works
+    return np.square(cutoff(w), out=w), up, dn
+
+
+def _ratio(r, clip: bool = True) -> SplitResult:
+    """The ratio split of a null-determinant R held whole or streamed, its pieces streamed.
+
+    The test of :func:`require_null_determinant` runs in the pass that
+    integrates the masses and refuses before they are used.  Without
+    ``clip``, rho_up and rho_dn are known to be >= +0 or NaN, on which
+    max(x, 0) changes no bit, and are taken as they are.
+    """
+    dims, scale, tests = r.grid.dims, r.scale, []
+
+    def masses(lo, hi, a, b):
+        parts = r.parts(lambda x: x.reshape(-1)[lo:hi])
+        tests.append(_null_det_slab(parts, scale, lambda loc: tuple(
+            int(i) for i in np.unravel_index(lo + loc[0], dims))))
+        with np.errstate(invalid="ignore"):  # a refused field may hold infinities
+            w, up, dn = _weights(*parts[:2], clip)
+            return np.multiply(w, up, out=a), np.multiply(w, dn, out=b)
+
+    up, dn = _weighted_sum(r.grid, np.float64, masses, count=2)
+    _null_det_count(tests, scale, r.grid.npoints)
+
+    def piece(one):
+        def parts(sel, sigma=True):
+            up, dn, sg = r.parts(sel, sigma)
+            w, up, dn = _weights(up, dn, clip)
+            if not one:
+                w = np.subtract(1.0, w, out=w)
+            return (np.multiply(w, up, out=up), np.multiply(w, dn, out=dn),
+                    np.multiply(w, sg) if sigma else None)
+
+        return parts
+
+    return _split(r.grid, r.n_electrons, up, dn, piece(True), piece(False))
+
+
+def _held(split: SplitResult) -> SplitResult:
+    """``split`` with its pieces held whole."""
+    return SplitResult(split.weight, *(None if p is None else p.field()
+                                       for p in (split.piece_one, split.piece_two)))
 
 
 def rank1_split(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SplitResult:
     """Split R into two null-determinant pieces through its matrix square root."""
     sq = sqrt_field(r, tol)
-    ru, rd, s = sq.r_up.values, sq.r_dn.values, sq.s.values
-    del sq
-    s2, = blockwise_arrays(s.shape, (float,),
-                           lambda lo, hi, out, buf: _abs2(s[lo:hi], out, buf), scratch=1)
-    uu = _product(ru, ru)
-    t, weight, keep_one, keep_two = _weigh(uu, s2, r)
-    one = two = None
-    if keep_one:
-        # |s|^2 is a part of both pieces; each piece scales its own
-        one = _piece((uu, s2.copy() if keep_two else s2, _product(s, ru)), t, r)
-    del uu, ru
-    if keep_two:
-        two = _piece((s2, _product(rd, rd), _product(s, rd)), 1.0 - t, r)
-    return SplitResult(weight, one, two)
+    return _held(_rank1(r, sq.r_up.values, sq.r_dn.values, sq.s.values))
 
 
 def ratio_split(r: SpinDensityField) -> SplitResult:
@@ -146,45 +201,7 @@ def ratio_split(r: SpinDensityField) -> SplitResult:
     satisfies rho_dn <= 2 rho_up wherever it is nonzero; piece_two satisfies
     rho_up <= 2 rho_dn.  Points where both densities vanish get ratio 1.
     """
-    require_null_determinant(r)
-    rho_up, rho_dn, sg = r.rho_up.values, r.rho_dn.values, r.sigma.values
-    dims = r.grid.dims
-
-    def clipped(lo, hi, bufs):
-        """max(rho_up, 0) and max(rho_dn, 0) on rows lo:hi, in ``bufs``."""
-        return [np.clip(x[lo:hi], 0.0, None, out=b)
-                for x, b in zip((rho_up, rho_dn), bufs)]
-
-    def weigh_step(lo, hi, w, up_one, dn_one, *bufs):
-        up, dn = clipped(lo, hi, bufs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(up, dn, out=w)
-        ratio[np.isnan(ratio)] = 1.0  # 0/0: weightless points, any finite value works
-        np.square(cutoff(ratio), out=w)
-        np.multiply(w, up, out=up_one)
-        np.multiply(w, dn, out=dn_one)
-
-    w, up_one, dn_one = blockwise_arrays(dims, (float,) * 3, weigh_step, scratch=2)
-    t, weight, keep_one, keep_two = _weigh(up_one, dn_one, r)
-    one = two = None
-    if keep_one:
-        one = _piece((up_one, dn_one, _product(w, r.sigma.values)), t, r)
-    del up_one, dn_one
-    if keep_two:
-        def rest_step(lo, hi, up_two, dn_two, sg_two, *bufs):
-            wc = np.subtract(1.0, w[lo:hi], out=w[lo:hi])
-            for x, out in zip((*clipped(lo, hi, bufs), sg[lo:hi]), (up_two, dn_two, sg_two)):
-                np.multiply(wc, x, out=out)
-
-        two = _piece(blockwise_arrays(dims, (float, float, complex), rest_step, scratch=2),
-                     1.0 - t, r)
-    return SplitResult(weight, one, two)
-
-
-def _drain(items: list) -> Iterator:
-    """Yield the items of ``items`` one by one, removing each from the list."""
-    while items:
-        yield items.pop(0)
+    return _held(_ratio(r))
 
 
 def construct_witness(
@@ -205,41 +222,31 @@ def construct_witness(
 
 
 def _construct(r: SpinDensityField, tol: ToleranceConfig) -> Witness:
-    report = check(r, tol)
+    with _keeping_root() as root:
+        report = check(r, tol)
     if report.verdict != "pass":
         failed = [c.name for c in report.conditions if c.verdict != "pass"]
         raise PipelineError(
             "admissibility", f"input field does not certify: {', '.join(failed)}"
         )
-    try:
-        first = rank1_split(r, tol)
-    except ValueError as exc:
-        raise PipelineError("rank1_split", str(exc)) from exc
-    # every piece, sub-piece and swapped field is dropped once its branches are
-    # built, so the working set beside the witness is one branch's
-    pieces = list(first.pairs())
-    del first
+    # the check passed conditions (a) and (b), the test of sqrt_field
+    first = _rank1(r, *_entries(r, root.pop()))
     branches: list[WitnessBranch] = []
-    for outer_weight, piece in _drain(pieces):
+    for outer_weight, piece in first.pairs():
         try:
-            second = ratio_split(piece)
+            # a piece of sqrt(R): its rho_up, rho_dn are squares times 1/t
+            second = _ratio(piece, clip=False)
         except ValueError as exc:
             raise PipelineError("ratio_split", str(exc)) from exc
-        del piece
-        subs = list(zip((True, False), second.slots()))
-        del second
-        for needs_swap, (inner_weight, sub) in _drain(subs):
+        for needs_swap, (inner_weight, sub) in zip((True, False), second.slots()):
             weight = outer_weight * inner_weight
             if sub is None or weight < DEGENERATE_WEIGHT:
                 continue
-            build_field = spin_swap(sub) if needs_swap else sub
-            del sub
             try:
                 # refuses orbitals that miss orthonormality by more than GRAM_TOL
-                orbs = build_orbitals(build_field, tol=tol)
+                orbs = build_orbitals(swapped(sub) if needs_swap else sub, tol=tol)
             except ValueError as exc:
                 raise PipelineError("orbitals", str(exc)) from exc
-            del build_field
             if needs_swap:
                 orbs = exchange_components(orbs)
             branches.append(WitnessBranch(weight=weight, orbitals=orbs, swapped=needs_swap))

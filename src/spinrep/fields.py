@@ -21,18 +21,19 @@ is none): the calling thread and helpers from the process's one pool of
 own).  Each worker owns its buffers and writes only the output of the
 blocks it takes, so no result depends on the scheduling.
 
-Every pointwise pass has one block shape, a slab of whole axis-0 rows: the
+Every pointwise pass cuts slabs of whole planes: of axis-0 rows in the
 gradient kernel, the pointwise passes of ``check`` and ``spin_density``,
-``sqrt_field``, the splits of ``decompose``, the base spinor, orbitals and
-density sums of ``orbitals`` and the density generators.  Each indexes its
-3-D arrays as ``a[lo:hi]`` (:func:`blockwise`, :func:`blockwise_arrays`).
-Only the integrals (the overlaps and density match of the witness path
-among them) cut other blocks, the leaves of numpy's pairwise tree below,
-because those leaves set the bits of a sum.  A slab holds at least one row
-and a row at least 16 points, so no pointwise block holds a single point,
-where numpy's complex multiply takes an unfused loop that rounds
-differently from the whole-array expression; flat ranges needed a rule
-against that case, and slabs need none.
+``sqrt_field``, the orbitals and density sums of ``orbitals`` and the
+density generators, each indexing its 3-D arrays as ``a[lo:hi]``
+(:func:`blockwise`, :func:`blockwise_arrays`); of axis-0 or axis-1 planes,
+smaller, in the streamed passes of ``construct``, which form many buffers
+of their own (:func:`_small_slabs`).  Only the integrals (the overlaps and
+density match of the witness path among them) cut other blocks, the leaves
+of numpy's pairwise tree below, because those leaves set the bits of a sum.
+A slab holds at least one plane and a plane at least 16 points, so no
+pointwise block holds a single point, where numpy's complex multiply takes
+an unfused loop that rounds differently from the whole-array expression;
+flat ranges needed a rule against that case, and slabs need none.
 
 The stencil kernel works in slabs of axis-0 rows.  For each slab,
 :func:`grad_magnitude_sq` writes the three axis derivatives one after the
@@ -459,6 +460,33 @@ def _slab_rows(shape) -> int:
     return min(shape[0], max(1, _SLAB_BYTES // (8 * math.prod(shape[1:]))))
 
 
+def _small_points(npoints: int) -> int:
+    """Points in a small block of float64 data: half ``_SLAB_BYTES``, or less on a small grid.
+
+    For passes that form many buffers of a block's size.  All workers' blocks
+    together hold at most about a quarter of the ``npoints``, so those
+    buffers stay small beside a small grid, however many workers there are.
+    """
+    return max(1, round(min(_SLAB_BYTES / 16, npoints / (4 * _cpus()))))
+
+
+def _small_slabs(dims, step, axis: int = 0, rows: int | None = None) -> None:
+    """Call ``step(lo, hi)`` on the workers for ranges lo:hi of ``rows`` planes of ``axis``.
+
+    For passes that form their integrand in buffers of their own: a small
+    slab, by default of :func:`_small_points`, keeps those small beside what
+    the caller holds.  By default the planes are axis-0 rows.
+    """
+    n, npoints = dims[axis], math.prod(dims)
+    rows = rows or min(n, max(1, round(_small_points(npoints) * n / npoints)))
+
+    def work(blocks):
+        for lo, hi in blocks:
+            step(lo, hi)
+
+    _over_blocks([(lo, min(lo + rows, n)) for lo in range(0, n, rows)], work)
+
+
 def _over_slabs(shape, work) -> None:
     """Call ``work(slabs)`` in each worker; slabs are (lo, hi) row ranges of axis 0."""
     n0, rows = shape[0], _slab_rows(shape)
@@ -567,33 +595,41 @@ def _weigh(grid: Grid3, lo: int, hi: int, x: np.ndarray, out: np.ndarray) -> Non
         q = stop
 
 
-def _leaves(grid: Grid3, dtype):
+def _leaves(grid: Grid3, dtype, small: bool = False):
     width = 2 if np.dtype(dtype).kind == "c" else 1
-    return _pairwise_tree(grid.npoints, width, max(1, _SLAB_BYTES // (8 * width)))
+    leaf = _small_points(grid.npoints) if small else _SLAB_BYTES // 8
+    return _pairwise_tree(grid.npoints, width, max(1, leaf // width))
 
 
-def _weighted_sum(grid: Grid3, dtype, integrand):
+def _weighted_sum(grid: Grid3, dtype, integrand, count: int | None = None):
     """``np.sum(weights * x)`` with the same bits, leaf by leaf on the workers.
 
     ``integrand(lo, hi, buf)`` returns x on the flat points lo:hi, either
     written into the worker's buffer ``buf`` (of ``dtype``) or as a view of
     its input.  Each leaf of numpy's pairwise tree is weighted into the
     buffer and summed by ``np.sum``; the leaf sums are added in tree order
-    and, as numpy's reduction does, onto 0.
+    and, as numpy's reduction does, onto 0.  With ``count``, the integrand
+    takes that many buffers and returns as many integrands, formed together
+    on each leaf, and their integrals are returned as a list; the leaves are
+    then small blocks (:func:`_small_points`), for the buffers that forms.
     """
-    leaves, tree = _leaves(grid, dtype)
-    sums = [None] * len(leaves)
+    leaves, tree = _leaves(grid, dtype, small=count is not None)
+    n = 1 if count is None else count
+    sums = [[None] * len(leaves) for _ in range(n)]
 
     def work(claimed):
-        buf = np.empty(max(hi - lo for lo, hi in leaves), dtype)
+        bufs = [np.empty(max(hi - lo for lo, hi in leaves), dtype) for _ in range(n)]
         for k in claimed:
             lo, hi = leaves[k]
-            b = buf[:hi - lo]
-            _weigh(grid, lo, hi, integrand(lo, hi, b), b)
-            sums[k] = np.sum(b)
+            bs = [b[:hi - lo] for b in bufs]
+            xs = integrand(lo, hi, *bs)
+            for s, x, b in zip(sums, (xs,) if count is None else xs, bs):
+                _weigh(grid, lo, hi, x, b)
+                s[k] = np.sum(b)
 
     _over_blocks(range(len(leaves)), work)
-    return 0.0 + _add_tree(tree, sums)
+    totals = [0.0 + _add_tree(tree, s) for s in sums]
+    return totals[0] if count is None else totals
 
 
 def _flat(grid: Grid3, values) -> np.ndarray:

@@ -24,7 +24,8 @@ those: an :class:`OrbitalFamily` holds the base (sigma / sqrt(rho_dn) and
 sqrt(rho_dn)), the phase axis, f at its nodes, the k-set and whether the
 up and dn components trade places.  It is the ``orbitals`` sequence of its
 :class:`OrbitalSet`, and item i is built when it is asked for, by one slab
-multiply (:func:`_orbital_values`), and is not kept.
+multiply (:func:`_orbital_values`), and is not kept.  ``build_orbitals``
+needs R only slab by slab, so it takes R streamed and holds none of it.
 
 What the witness needs of a family comes from its base and phase line, and
 builds no orbital: its density is that of the base (the phases cancel);
@@ -47,12 +48,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .fields import (ComplexField, Grid3, ScalarField, _abs2, _grad_sq, _is_frozen, _over_blocks,
+from .fields import (ComplexField, Grid3, ScalarField, _abs2, _grad_sq, _is_frozen, _small_slabs,
                      _slab_rows, _weighted_sum, _worst, blockwise, blockwise_arrays, frozen,
                      integrate_values)
-from .spin_density import SpinDensityField, det_field
-from .tolerances import (DEFAULT, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL, PHASE_RENORM_FACTOR,
-                         PHASE_ROUGHNESS_REL, RATIO_REL, TINY, ToleranceConfig, sqrt_floor)
+from .spin_density import SpinDensityField, _det, rows, total
+from .tolerances import (DEFAULT, DET_CLAMP_REL, GRAM_TOL, NULL_DET_FRACTION, NULL_DET_REL,
+                         PHASE_RENORM_FACTOR, PHASE_ROUGHNESS_REL, RATIO_REL, TINY,
+                         ToleranceConfig, sqrt_floor)
 
 class NullDeterminantError(ValueError):
     """det R is not numerically zero where the construction requires it."""
@@ -204,11 +206,41 @@ def _transverse_marginal(grid: Grid3, values: np.ndarray, axis: int) -> np.ndarr
     """Trapezoid integral of ``values`` over the two axes other than ``axis``.
 
     Of a whole array, for the phase line, whose bits every stored witness
-    keeps; what needs no grid-sized input uses :class:`_Marginal`.
+    keeps; :class:`_Transverse` forms the same bits block by block.
     """
     v = np.moveaxis(values, axis, 0)
     w = [grid.axis_weights[ax] for ax in range(3) if ax != axis]
     return (v @ w[1]) @ w[0]
+
+
+class _Transverse:
+    """The bits of :func:`_transverse_marginal` on ``axes``, the values fed block by block.
+
+    Its first product gets each block's part as numpy forms it in the whole
+    array: every axis-0 (axis-1) plane is a BLAS matrix-vector product, so
+    ``add(cut, lo, hi, v)`` with ``cut`` 0 (1) takes the values on whole
+    planes lo:hi of that axis; the axis-2 planes are strided, which numpy
+    sums in order over y onto 0 without BLAS, so an axis-0 slab serves too.
+    """
+
+    def __init__(self, grid: Grid3, axes):
+        nx, ny, nz = grid.dims
+        self.grid = grid
+        self.first = {ax: np.empty({0: (nx, ny), 1: (ny, nx), 2: (nz, nx)}[ax]) for ax in axes}
+
+    def add(self, cut: int, lo: int, hi: int, v: np.ndarray) -> None:
+        _, wy, wz = self.grid.axis_weights
+        for ax, first in self.first.items():
+            if ax == 2 and cut == 0:
+                terms = np.multiply(v, wy[:, None])
+                terms[:, 0] += 0.0  # onto 0: a -0.0 first term sums to 0.0
+                first[:, lo:hi] = np.sum(terms, axis=1).T
+            elif ax == cut:
+                np.matmul(np.moveaxis(v, cut, 0), wz, out=first[lo:hi])
+
+    def result(self) -> dict[int, np.ndarray]:
+        wx, wy, _ = self.grid.axis_weights
+        return {ax: m @ (wy if ax == 0 else wx) for ax, m in self.first.items()}
 
 
 def _spectral_antiderivative(fp: np.ndarray, h: float) -> np.ndarray:
@@ -235,11 +267,16 @@ def _spectral_antiderivative(fp: np.ndarray, h: float) -> np.ndarray:
 
 def choose_phase_axis(rho: ScalarField) -> int:
     """Axis along which the density marginal has the largest spread (std)."""
+    return _phase_axis(rho.grid, [np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0,
+                                          None) for ax in range(3)])
+
+
+def _phase_axis(grid: Grid3, marginals) -> int:
+    """The axis whose clipped marginal (one per axis, in order) has the largest spread."""
     spreads = []
-    for ax in range(3):
-        m = np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0, None)
-        w = rho.grid.axis_weights[ax]
-        x = rho.grid.axes[ax]
+    for ax, m in enumerate(marginals):
+        w = grid.axis_weights[ax]
+        x = grid.axes[ax]
         mass = float(np.sum(w * m))
         if mass <= 0.0:
             spreads.append(0.0)
@@ -266,9 +303,15 @@ def build_phase(
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     marginal = np.clip(_transverse_marginal(rho.grid, rho.values, axis), 0.0, None)
-    h = rho.grid.spacing[axis]
+    return _phase(rho.grid, marginal, n_electrons, axis, tol)
+
+
+def _phase(grid: Grid3, marginal: np.ndarray, n_electrons: int, axis: int,
+           tol: ToleranceConfig) -> PhaseFunction:
+    """:func:`build_phase` from the clipped marginal on ``axis``."""
+    h = grid.spacing[axis]
     # normalization is judged against the canonical (trapezoid) quadrature
-    trap_total = float(np.sum(rho.grid.axis_weights[axis] * marginal))
+    trap_total = float(np.sum(grid.axis_weights[axis] * marginal))
     adjustment = n_electrons - trap_total
     if not abs(adjustment) <= PHASE_RENORM_FACTOR * tol.norm_tol(n_electrons):
         raise PhaseNormalizationError(
@@ -325,50 +368,103 @@ def require_null_determinant(r: SpinDensityField) -> int:
     Returns the violating-point count; raises NullDeterminantError when more
     than ``NULL_DET_FRACTION`` of the grid violates, or when det R is not
     finite somewhere, as at a ±inf or NaN entry of R (the allowance is for
-    finite violations only).
+    finite violations only).  ``r`` may be a :class:`StreamedDensity`.
     """
-    dt = det_field(r).values
-    thr = NULL_DET_REL * r.scale * r.scale
+    found = []
+    _small_slabs(r.grid.dims, lambda lo, hi: found.append(
+        _null_det_slab(r.parts(rows(lo, hi)), r.scale, _on_grid(lo, 0))))
+    return _null_det_count(found, r.scale, r.grid.npoints)
+
+
+def _null_det_slab(parts, scale: float, where) -> tuple:
+    """(worst |det|, its location, det there, violating count) on a block of entries ``parts``.
+
+    ``where(loc)`` is the grid location of the block's ``loc``; det has the
+    bits of :func:`det_field`.
+    """
+    shape = parts[0].shape
+    dt = _det(parts, DET_CLAMP_REL * scale * scale, *(np.empty(shape) for _ in range(3)))
     abs_det = np.abs(dt)
     worst, loc = _worst(abs_det, largest=True)
+    bad = int(np.count_nonzero(~(abs_det <= NULL_DET_REL * scale * scale)))
+    return worst, where(loc), dt[loc], bad
+
+
+def _on_grid(lo: int, axis: int):
+    """The grid location of a location in the block of planes lo:hi of ``axis``."""
+    return lambda loc: tuple(i + lo if ax == axis else i for ax, i in enumerate(loc))
+
+
+def _first_worst(found) -> tuple:
+    """Of per-block (value, grid location, ...), the one ``_worst`` of the whole array finds.
+
+    NaN is worse than any number, and of equal values the first in C order wins.
+    """
+    worst = _worst([f[0] for f in found], largest=True)[0]
+    return min((f for f in found if f[0] == worst or (worst != worst and f[0] != f[0])),
+               key=lambda f: f[1])
+
+
+def _null_det_count(found, scale: float, npoints: int) -> int:
+    """The violating count of :func:`require_null_determinant` from its blocks; raises as it does."""
+    worst, loc, at, _ = _first_worst(found)
     if not math.isfinite(worst):
-        raise NullDeterminantError(f"det R = {dt[loc]} at {loc}")
-    bad = int(np.count_nonzero(~(abs_det <= thr)))
-    if not bad <= NULL_DET_FRACTION * r.grid.npoints:
+        raise NullDeterminantError(f"det R = {at} at {loc}")
+    bad = sum(f[-1] for f in found)
+    if not bad <= NULL_DET_FRACTION * npoints:
         raise NullDeterminantError(
-            f"|det| > {thr:.3e} at {bad} of {r.grid.npoints} points; "
-            f"worst {dt[loc]:.3e} at {loc}"
+            f"|det| > {NULL_DET_REL * scale * scale:.3e} at {bad} of {npoints} points; "
+            f"worst {at:.3e} at {loc}"
         )
     return bad
 
 
-def _base_spinor(r: SpinDensityField) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-    """The unnormalized spinor (sigma / sqrt(rho_dn), sqrt(rho_dn)) and its counts.
+def _base_spinor(r, scale: float | None = None, each=None):
+    """The unnormalized spinor (sigma / sqrt(rho_dn), sqrt(rho_dn)) of ``r`` and its counts.
 
-    Requires det R = 0 and rho_up <= 2 rho_dn within tolerance; on the nodal
-    set of rho_dn the up component falls back to sqrt(rho_up).
+    Requires det R = 0 and rho_up <= 2 rho_dn within tolerance, judged
+    against ``scale`` (by default ``r.scale``); on the nodal set of rho_dn
+    the up component falls back to sqrt(rho_up).  ``r`` may be a
+    :class:`StreamedDensity`: one pass over slabs of axis-1 planes forms its
+    entries, tests them and writes the base, and ``each(lo, hi, phi,
+    sqrt_dn, entries)`` is then called on the slab of planes lo:hi.  The
+    tests refuse after the pass, the null determinant first, and the base of
+    a refused field is dropped.
     """
-    stats: dict[str, float] = {"null_det_violations": float(require_null_determinant(r))}
-    worst, loc = _worst(r.rho_up.values - 2.0 * r.rho_dn.values, largest=True)
-    if not worst <= RATIO_REL * r.scale:
+    scale = r.scale if scale is None else scale
+    floor = sqrt_floor(scale)
+    phi_up, sqrt_dn = np.empty(r.grid.dims, np.complex128), np.empty(r.grid.dims)
+    dets, excess, counts = [], [], []
+
+    def step(lo, hi):
+        parts = r.parts(rows(lo, hi, 1))
+        dets.append(_null_det_slab(parts, scale, _on_grid(lo, 1)))
+        rho_up, rho_dn, sigma = parts
+        # a field the tests refuse may hold infinities: nothing formed from it is used
+        with np.errstate(invalid="ignore", over="ignore"):
+            worst, loc = _worst(rho_up - 2.0 * rho_dn, largest=True)
+            excess.append((worst, _on_grid(lo, 1)(loc)))
+            up = np.clip(rho_up, 0.0, None)
+            dn = np.clip(rho_dn, 0.0, None)
+            live = dn >= floor
+            phi = np.empty(sigma.shape, np.complex128)
+            np.divide(sigma, np.sqrt(dn, out=dn), out=phi, where=live)
+            # nodal set of rho_dn: sigma vanishes there (null det), any phase works
+            nodal = ~live
+            phi[nodal] = np.sqrt(up[nodal])
+            counts.append((np.count_nonzero(nodal), np.count_nonzero(nodal & (up >= floor))))
+            phi_up[:, lo:hi], sqrt_dn[:, lo:hi] = phi, dn
+            del up, live, nodal  # before each() forms its own
+            if each is not None:
+                each(lo, hi, phi, dn, parts)
+
+    _small_slabs(r.grid.dims, step, 1)
+    stats = {"null_det_violations": float(_null_det_count(dets, scale, r.grid.npoints))}
+    worst, loc = _first_worst(excess)
+    if not worst <= RATIO_REL * scale:
         raise RatioHypothesisError(
-            f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {RATIO_REL * r.scale:.3e})"
+            f"rho_up - 2 rho_dn = {worst:.3e} at {loc} (tolerance {RATIO_REL * scale:.3e})"
         )
-    floor = sqrt_floor(r.scale)
-    rho_up, rho_dn, sigma = r.rho_up.values, r.rho_dn.values, r.sigma.values
-    counts = []
-
-    def step(lo, hi, phi, sqrt_dn, up):
-        up = np.clip(rho_up[lo:hi], 0.0, None, out=up)
-        dn = np.clip(rho_dn[lo:hi], 0.0, None, out=sqrt_dn)
-        live = dn >= floor
-        np.divide(sigma[lo:hi], np.sqrt(dn, out=dn), out=phi, where=live)
-        # nodal set of rho_dn: sigma vanishes there (null det), any phase works
-        nodal = ~live
-        phi[nodal] = np.sqrt(up[nodal])
-        counts.append((np.count_nonzero(nodal), np.count_nonzero(nodal & (up >= floor))))
-
-    phi_up, sqrt_dn = blockwise_arrays(r.grid.dims, (complex, float), step, scratch=1)
     stats["nodal_points"], stats["nodal_fallback_points"] = map(float, np.sum(counts, axis=0))
     return phi_up, sqrt_dn, stats
 
@@ -494,18 +590,32 @@ def _each(orbitals: Sequence[Spinor], fn) -> None:
         fn(orbitals[i])
 
 
+def _deviations(sums, entries) -> list:
+    """max |sum - entry| on a slab, for each of the up-up, dn-dn and up-dn parts.
+
+    ``sums`` yields the three sums in order, each let go before the next.
+    """
+    return [np.max(np.abs(next(sums) - t)) for t in entries]
+
+
+def _base_sums(phi: np.ndarray, sqrt_dn: np.ndarray):
+    """The up-up, dn-dn and up-dn sums of the base (phi, sqrt_dn): |phi|^2, sqrt_dn^2, phi sqrt_dn."""
+    yield _abs2(phi, np.empty(phi.shape), np.empty(phi.shape))
+    yield np.multiply(sqrt_dn, sqrt_dn)
+    yield np.multiply(phi, sqrt_dn)
+
+
 def _max_deviation(r: SpinDensityField, sums) -> float:
     """Largest pointwise |sum - R| of the up-up, dn-dn and up-dn sums; NaN if any is NaN.
 
     ``sums(lo, hi, up, dn, sg)`` writes the sums on rows lo:hi.
     """
-    targets = [f.values for f in (r.rho_up, r.rho_dn, r.sigma)]
     maxima = []
 
     def step(lo, hi, up, dn):
         parts = (up, dn, np.empty(up.shape, np.complex128))
         sums(lo, hi, *parts)
-        maxima.extend([np.max(np.abs(a - t[lo:hi])) for a, t in zip(parts, targets)])
+        maxima.extend(_deviations(iter(parts), r.parts(rows(lo, hi))))
 
     blockwise(r.grid.dims, step, scratch=2)
     return float(np.max(maxima))
@@ -540,21 +650,6 @@ def _components(fam: OrbitalFamily) -> tuple[np.ndarray, np.ndarray]:
 def _ladder(fam: OrbitalFamily) -> np.ndarray:
     """exp(2 i pi k f_j) / sqrt(n): one row per k of ``ks``, one column per node j of the axis."""
     return np.exp(2j * np.pi * np.multiply.outer(fam.ks, fam.phase)) / math.sqrt(len(fam.ks))
-
-
-def _quarter_slabs(dims, step) -> None:
-    """Call ``step(lo, hi)`` on the workers for ranges of a quarter slab of axis-0 rows.
-
-    For passes that form their integrand in buffers of their own: a quarter
-    slab keeps those small beside what the caller holds.
-    """
-    rows = max(1, _slab_rows(dims) // 4)
-
-    def work(blocks):
-        for lo, hi in blocks:
-            step(lo, hi)
-
-    _over_blocks([(lo, min(lo + rows, dims[0])) for lo in range(0, dims[0], rows)], work)
 
 
 class _Marginal:
@@ -614,7 +709,7 @@ def _family_gram(fam: OrbitalFamily) -> np.ndarray:
         out += np.multiply(s[lo:hi], s[lo:hi], out=buf)
         marginal.add(lo, hi, out)
 
-    _quarter_slabs(fam.grid.dims, step)
+    _small_slabs(fam.grid.dims, step, rows=max(1, _slab_rows(fam.grid.dims) // 4))
     return _phase_gram(fam.grid, fam.axis, marginal.result(), fam.phase, fam.ks)
 
 
@@ -668,7 +763,7 @@ def _cross_overlaps(fa: OrbitalFamily, fb: OrbitalFamily) -> np.ndarray:
         def step(lo, hi):
             contract(lo, hi, np.conj(au[lo:hi]) * bu[lo:hi] + np.conj(ad[lo:hi]) * bd[lo:hi])
 
-        _quarter_slabs(grid.dims, step)
+        _small_slabs(grid.dims, step, rows=max(1, _slab_rows(grid.dims) // 4))
 
     if a == b:
         marginal = _Marginal(grid, a, np.complex128)
@@ -768,14 +863,40 @@ def build_orbitals(
     which the phases cancel), the nodal-set fallback counts and the phase
     renormalization adjustment.  ``axis`` (0-2) is the phase axis; None
     takes :func:`choose_phase_axis`.
+
+    ``r`` may be a :class:`StreamedDensity`, whose entries are formed where
+    they are used, in two passes: one over axis-0 slabs for max(rho) and the
+    transverse marginals of rho on axes 0 and 2, then the pass of
+    :func:`_base_spinor`, which also gives the marginal on axis 1 and the
+    reconstruction error.  The phase of the chosen axis reuses its marginal.
     """
-    ax = choose_phase_axis(r.rho_total) if axis is None else axis
-    n = r.n_electrons
-    phi_up, sqrt_dn, stats = _base_spinor(r)
-    phase = build_phase(r.rho_total, n, ax, tol)
+    if axis not in (None, 0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    grid, n = r.grid, r.n_electrons
+    marginals = _Transverse(grid, range(3) if axis is None else (axis,))
+    maxima = []
+
+    def rho(lo, hi):
+        t = total(r, rows(lo, hi))
+        maxima.append(np.max(t))
+        marginals.add(0, lo, hi, t)
+
+    # the marginals of axes 0 and 2 and max(rho); the base pass gives axis 1's
+    _small_slabs(grid.dims, rho)
+    scale, recon = float(np.max(maxima)), []
+
+    def each(lo, hi, phi, sqrt_dn, entries):
+        marginals.add(1, lo, hi, np.add(entries[0], entries[1]))
+        # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
+        recon.extend(_deviations(_base_sums(phi, sqrt_dn), entries))
+
+    phi_up, sqrt_dn, stats = _base_spinor(r, scale, each)
+    marginals = {ax: np.clip(m, 0.0, None) for ax, m in marginals.result().items()}
+    ax = _phase_axis(grid, marginals.values()) if axis is None else axis
+    phase = _phase(grid, marginals[ax], n, ax, tol)
     family = OrbitalFamily(
-        base_up=ComplexField(r.grid, frozen(phi_up)),
-        base_dn=ScalarField(r.grid, frozen(sqrt_dn)),
+        base_up=ComplexField(grid, frozen(phi_up)),
+        base_dn=ScalarField(grid, frozen(sqrt_dn)),
         axis=ax,
         phase=phase.values,
         ks=tuple(range(1, n + 1)),
@@ -786,25 +907,16 @@ def build_orbitals(
             f"orbitals are not orthonormal on this grid: Gram deviation "
             f"{gram:.3e} > {GRAM_TOL:.3e}"
         )
-
-    def base_sums(lo, hi, up, dn, sg):
-        # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
-        p, s = phi_up[lo:hi], sqrt_dn[lo:hi]
-        _abs2(p, up, dn)
-        np.multiply(s, s, out=dn)
-        np.multiply(p, s, out=sg)
-
-    recon = _max_deviation(r, base_sums)
-    scale = _worst((r.scale, TINY), largest=True)[0]
+    recon = float(np.max(recon))
     diagnostics = {
         "gram_deviation": gram,
         "reconstruction_abs": recon,
-        "reconstruction_rel": recon / scale,
+        "reconstruction_rel": recon / _worst((scale, TINY), largest=True)[0],
         "phase_adjustment": phase.adjustment,
         "phase_dip": phase.max_dip,
         **stats,
     }
-    return OrbitalSet(grid=r.grid, orbitals=family, diagnostics=diagnostics)
+    return OrbitalSet(grid=grid, orbitals=family, diagnostics=diagnostics)
 
 
 def exchange_components(orbs: OrbitalSet) -> OrbitalSet:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .check import _psd_conditions
+from .check import _psd_conditions, _sqrt_clipped
 from .fields import ComplexField, ScalarField, blockwise_arrays, frozen
 from .spin_density import SpinDensityField
 from .tolerances import DEFAULT, ToleranceConfig, sqrt_floor
@@ -65,11 +65,23 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
                 f"{c.name}: {c.value:.3e} at {c.details['worst_location']} "
                 f"(threshold {c.details['threshold']:.3e})"
             )
+    root = _sqrt_clipped(det)
+    del det
+    up, dn, s = _entries(r, root)
+    return SqrtField(
+        r_up=ScalarField(r.grid, frozen(up)),
+        r_dn=ScalarField(r.grid, frozen(dn)),
+        s=ComplexField(r.grid, frozen(s)),
+    )
+
+
+def _entries(r: SpinDensityField, root: np.ndarray) -> list[np.ndarray]:
+    """The entries r_up, r_dn and s of sqrt(R), new arrays; ``root`` holds sqrt(max(det R, 0))."""
     rho_up, rho_dn, sigma = r.rho_up.values, r.rho_dn.values, r.sigma.values
     floor = sqrt_floor(r.scale)
 
-    def step(lo, hi, u, d, s, sq_det, denom, inv):
-        np.sqrt(np.clip(det[lo:hi], 0.0, None, out=sq_det), out=sq_det)
+    def step(lo, hi, u, d, s, denom, inv):
+        sq_det = root[lo:hi]
         np.clip(rho_up[lo:hi], 0.0, None, out=u)
         np.clip(rho_dn[lo:hi], 0.0, None, out=d)
         denom = np.add(u, d, out=denom)
@@ -83,12 +95,7 @@ def sqrt_field(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> SqrtField
             a *= inv
         np.multiply(sigma[lo:hi], inv, out=s)
 
-    up, dn, s = blockwise_arrays(r.grid.dims, (float, float, complex), step, scratch=3)
-    return SqrtField(
-        r_up=ScalarField(r.grid, frozen(up)),
-        r_dn=ScalarField(r.grid, frozen(dn)),
-        s=ComplexField(r.grid, frozen(s)),
-    )
+    return blockwise_arrays(r.grid.dims, (float, float, complex), step, scratch=2)
 
 
 def eigen_densities(r: SpinDensityField, tol: ToleranceConfig = DEFAULT) -> EigenDensities:

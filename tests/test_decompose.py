@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinrep as sr
+from spinrep import fields
+from spinrep.check import _keeping_root, _sqrt_clipped
 from spinrep.decompose import cutoff
+from spinrep.tolerances import DEFAULT, DEGENERATE_WEIGHT
 
 from _helpers import (
     cube,
@@ -19,6 +23,7 @@ from _helpers import (
     recombined,
     symmetric_rank1,
 )
+from test_witness_golden import FIELDS
 
 
 # -- cutoff --------------------------------------------------------------------
@@ -284,10 +289,11 @@ def construct_peak(r):
 
 @pytest.mark.traced
 def test_construct_holds_one_branch_beside_the_witness():
-    # the witness is 8 complex grids (2 branches of 2 two-component orbitals)
+    # the witness is 3 complex grids (2 branches of a complex and a real base
+    # component) and sqrt(R) 2 more; measured 6.3-6.5 on 1, 2 and 4 workers
     peak, w = construct_peak(mixture(48))
     assert len(w.branches) == 2
-    assert peak <= 16
+    assert peak <= 8
 
 
 @pytest.mark.traced
@@ -311,3 +317,98 @@ def test_kept_refusal_holds_no_orbitals():
     assert exc.value.stage == "orbitals"
     # one 48^3 complex grid is 1.8 MB; the orbitals of one branch are six
     assert held < 1.8e6
+
+
+# -- the streamed route against the public one ------------------------------------
+
+
+def public_route(r, tol=DEFAULT):
+    """construct_witness by the public steps, each piece and sub-piece held whole."""
+    if sr.check(r, tol).verdict != "pass":
+        raise sr.PipelineError("admissibility", "refused")
+    branches = []
+    for outer, piece in sr.rank1_split(r, tol).pairs():
+        try:
+            second = sr.ratio_split(piece)
+        except ValueError as exc:
+            raise sr.PipelineError("ratio_split", str(exc)) from exc
+        for needs_swap, (inner, sub) in zip((True, False), second.slots()):
+            if sub is None or outer * inner < DEGENERATE_WEIGHT:
+                continue
+            try:
+                orbs = sr.build_orbitals(sr.spin_swap(sub) if needs_swap else sub, tol=tol)
+            except ValueError as exc:
+                raise sr.PipelineError("orbitals", str(exc)) from exc
+            if needs_swap:
+                orbs = sr.exchange_components(orbs)
+            branches.append(sr.WitnessBranch(outer * inner, orbs, needs_swap))
+    return branches
+
+
+def outcome(build):
+    """Each branch's weight, flag, base and phase bytes and diagnostics, or the refusal."""
+    try:
+        branches = build()
+    except sr.PipelineError as exc:
+        return exc.stage, str(exc)
+    out = []
+    for b in branches:
+        fam = b.orbitals.orbitals
+        out.append((repr(b.weight), b.swapped, fam.axis, fam.ks, fam.exchanged,
+                    fam.base_up.values.tobytes(), fam.base_dn.values.tobytes(),
+                    fam.phase.tobytes(), repr(dict(b.orbitals.diagnostics))))
+    return out
+
+
+def odd_mixture():
+    grid = sr.Grid3((45, 38, 51), (-8.0, -7.5, -8.5, 8.0, 7.5, 8.2))
+    return sr.full_rank_mixture(grid, 2, coupling=0.6, width_up=1.5, width_dn=1.7,
+                                phase_gradient=0.6)
+
+
+ROUTE_FIELDS = {**FIELDS, "odd45x38x51": odd_mixture,
+                "refused48_n3": lambda: mixture(48, n_electrons=3)}
+
+
+@pytest.fixture(scope="module")
+def route_fields():
+    return {}
+
+
+@pytest.mark.parametrize("name", ROUTE_FIELDS)
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "1row", "3rows"])
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=lambda w: f"{w}w")
+def test_streamed_construct_matches_the_public_route(monkeypatch, route_fields, name, rows,
+                                                     workers):
+    if name not in route_fields:
+        route_fields[name] = ROUTE_FIELDS[name]()
+    r = route_fields[name]
+    row = r.grid.dims[1] * r.grid.dims[2]
+    if rows is not None:
+        monkeypatch.setattr(fields, "_SLAB_BYTES", 8 * rows * row)
+    monkeypatch.setattr(fields, "_cpus", lambda: workers)
+    got = outcome(lambda: sr.construct_witness(r).branches)
+    assert got == outcome(lambda: public_route(r))
+    assert (got[0] == "orbitals") == (name == "refused48_n3")
+
+
+def test_construct_forms_det_once(monkeypatch, mixture48):
+    """The square root takes sqrt(det R) from the check: one det pass, one PSD test."""
+    check_module = importlib.import_module("spinrep.check")
+    psd, calls = check_module._psd_conditions, []
+    for module in (check_module, sr.sqrtm):
+        monkeypatch.setattr(module, "_psd_conditions",
+                            lambda *a, name=module.__name__: calls.append(name) or psd(*a))
+    sr.construct_witness(mixture48)
+    assert calls == ["spinrep.check"]
+
+
+def test_check_hands_over_sqrt_det_only_without_a_refined_field(diagonal32):
+    with _keeping_root() as root:
+        report = sr.check(diagonal32)
+    assert report.to_text() == sr.check(diagonal32).to_text()
+    assert [a.tobytes() for a in root] == [
+        _sqrt_clipped(sr.det_field(diagonal32).values).tobytes()]
+    with _keeping_root() as root:
+        sr.check(diagonal32, refined=sr.gaussian_diagonal(cube(48), 2))
+    assert root == []

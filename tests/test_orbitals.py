@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import spinrep as sr
+from spinrep import fields, orbitals
 from spinrep.orbitals import _base_spinor, _spectral_antiderivative, _transverse_marginal
+from spinrep.spin_density import rows
 from spinrep.tolerances import GRAM_TOL
 
 from _helpers import (
@@ -264,3 +266,54 @@ def test_gate_refuses_before_building():
     # the three orbitals alone would be six complex grids
     assert peak < 6 * 16 * f.grid.npoints
     assert issubclass(sr.OrthonormalityError, ValueError)
+
+
+# -- the marginals of a streamed field ----------------------------------------------
+
+
+MARGINAL_GRIDS = {
+    "45x38x51": sr.Grid3((45, 38, 51), (-8.0, -7.5, -8.5, 8.0, 7.5, 8.2)),
+    "5x9x7": sr.Grid3((5, 9, 7), (-3.0, -1.0, -2.0, 2.0, 3.0, 1.7)),
+    "64^3": cube(64),
+}
+
+
+@pytest.mark.parametrize("grid_name", MARGINAL_GRIDS)
+@pytest.mark.parametrize("slab", [None, 1000], ids=["default", "small"])
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=lambda w: f"{w}w")
+def test_streamed_marginals_have_the_bits_of_the_whole_array(monkeypatch, grid_name, slab,
+                                                             workers):
+    """_Transverse fed axis-0 and axis-1 slabs gives _transverse_marginal's bits, zeros signed."""
+    grid = MARGINAL_GRIDS[grid_name]
+    if slab is not None:
+        monkeypatch.setattr(fields, "_SLAB_BYTES", slab)
+    monkeypatch.setattr(fields, "_cpus", lambda: workers)
+    rng = np.random.default_rng(sum(grid.dims))
+    v = rng.random(grid.dims) * np.exp(-rng.random(grid.dims))
+    v.reshape(-1)[::7] = -0.0
+    v.reshape(-1)[::11] = 0.0
+    marginals = orbitals._Transverse(grid, range(3))
+    for cut in (0, 1):
+        # a new block per slab, as a streamed field forms its entries
+        fields._small_slabs(grid.dims, lambda lo, hi: marginals.add(
+            cut, lo, hi, rows(lo, hi, cut)(v).copy()), cut)
+    for axis, got in marginals.result().items():
+        want = _transverse_marginal(grid, v, axis)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_build_orbitals_forms_three_marginals_and_reuses_the_chosen_one(monkeypatch):
+    """One marginal per axis and branch; the phase takes the chosen axis's, no fourth."""
+    formed, whole = [], []
+    result = orbitals._Transverse.result
+
+    def counted(self):
+        out = result(self)
+        formed.append(len(out))
+        return out
+
+    monkeypatch.setattr(orbitals._Transverse, "result", counted)
+    monkeypatch.setattr(orbitals, "_transverse_marginal", lambda *a: whole.append(a))
+    w = sr.construct_witness(mixture(48))
+    assert len(w.branches) == 2
+    assert formed == [3, 3] and whole == []
