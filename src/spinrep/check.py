@@ -31,6 +31,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .fields import (
+    ComplexField,
     Grid3,
     ScalarField,
     WeightedGradientL1,
@@ -192,41 +193,45 @@ def _sqrt_clipped(values: np.ndarray) -> np.ndarray:
     return blockwise_arrays(values.shape, (float,), step)[0]
 
 
+def _held_fields(r: SpinDensityField, root_of=None) -> Iterator:
+    """The fields of :func:`_gradient_norms` of a held ``r``, each formed when asked for.
+
+    ``root_of()`` returns sqrt(max(det R, 0)); by default from ``det_field(r)``.
+    """
+    yield r.rho_total, r.scale
+    yield _sqrt_clipped(r.rho_up.values)
+    yield _sqrt_clipped(r.rho_dn.values)
+    yield r.sigma.values
+    yield root_of() if root_of else _sqrt_clipped(det_field(r).values)
+
+
 def _gradient_norms(
-    r: SpinDensityField,
+    grid: Grid3,
     tol: ToleranceConfig,
-    psd: list[ConditionResult] | None = None,
+    fields: Iterator,
     w32: bool = True,
-    root: list[np.ndarray] | None = None,
 ) -> tuple[dict[str, dict[str, float]], dict[str, WeightedGradientL1]]:
     """The parts of conditions (d)-(g) by condition name, and their /rho integrals.
 
-    Each |grad f|^2 (of sqrt rho_up, sqrt rho_dn, sigma and sqrt det R) is
-    taken once and dropped before the next one is taken, and det R is held
-    only until sqrt det R is formed.  With ``psd``, conditions (a) and (b)
-    are appended to it, from the same det R; with ``root``, the values of
-    sqrt(max(det R, 0)); without ``w32`` the W^{1,3/2} parts of (e) stay
-    empty.  The second dict holds the masked-point counts of the /rho
-    conditions.
+    ``fields`` yields rho (a field) and max(rho), then the values of sqrt(max(
+    rho_up, 0)), sqrt(max(rho_dn, 0)), sigma and sqrt(max(det R, 0)), as
+    :func:`_held_fields` does for a held R.  Each is asked for once the
+    |grad f|^2 of the one before is dropped, and is dropped with its own.
+    Without ``w32`` the W^{1,3/2} parts of (e) stay empty.  The second dict
+    holds the masked-point counts of the /rho conditions.
     """
-    grid, rho = r.grid, r.rho_total
+    rho, scale = next(fields)
     # non-finite data must surface as failing norms, not as a floor error
-    floor = tol.floor(r.scale if math.isfinite(r.scale) else 0.0)
-    h1 = {"h1_up": h1_seminorm(grid, _sqrt_clipped(r.rho_up.values)),
-          "h1_dn": h1_seminorm(grid, _sqrt_clipped(r.rho_dn.values))}
+    floor = tol.floor(scale if math.isfinite(scale) else 0.0)
+    h1 = {"h1_up": h1_seminorm(grid, next(fields)), "h1_dn": h1_seminorm(grid, next(fields))}
+    sigma = ComplexField(grid, frozen(next(fields)))
     l32: dict[str, float] = {}
-    grad_sq = grad_magnitude_sq(grid, r.sigma.values)
+    grad_sq = grad_magnitude_sq(grid, sigma.values)
     if w32:
-        l32["sigma_l32"], l32["sigma_grad_l32"] = w32_norms(grid, r.sigma.values, grad_sq)
-    sigma_ratio = weighted_gradient_l1(r.sigma, rho, floor, grad_sq=grad_sq)
-    del grad_sq
-    if psd is None:
-        det = det_field(r).values
-    else:
-        *conditions, det = _psd_conditions(r, tol)
-        psd += conditions
-    sqrt_det = ScalarField(grid, frozen(_sqrt_clipped(det)))
-    del det
+        l32["sigma_l32"], l32["sigma_grad_l32"] = w32_norms(grid, sigma.values, grad_sq)
+    sigma_ratio = weighted_gradient_l1(sigma, rho, floor, grad_sq=grad_sq)
+    del grad_sq, sigma
+    sqrt_det = ScalarField(grid, frozen(next(fields)))
     grad_sq = grad_magnitude_sq(grid, sqrt_det.values)
     if w32:
         l32["sqrtdet_l32"], l32["sqrtdet_grad_l32"] = w32_norms(grid, sqrt_det.values, grad_sq)
@@ -237,8 +242,6 @@ def _gradient_norms(
         "sigma_grad_over_rho": {"sigma_ratio": sigma_ratio.value},
         "sqrtdet_grad_over_rho": {"det_ratio": det_ratio.value},
     }
-    if root is not None:
-        root.append(sqrt_det.values)
     return parts, {"sigma_grad_over_rho": sigma_ratio, "sqrtdet_grad_over_rho": det_ratio}
 
 
@@ -362,7 +365,16 @@ def check(
         # sqrt det R for a caller that asks (_keeping_root), never held through
         # the refined field's norms
         root = _ROOT.get() if refined is None else None
-        parts, ratios = _gradient_norms(r, tol, conditions, root=root)
+
+        def root_of():
+            *psd, det = _psd_conditions(r, tol)
+            conditions.extend(psd)
+            sqrt_det = _sqrt_clipped(det)
+            if root is not None:
+                root.append(sqrt_det)
+            return sqrt_det
+
+        parts, ratios = _gradient_norms(r.grid, tol, _held_fields(r, root_of))
 
         # (c) normalization of the trace
         norm_tol = tol.norm_tol(n)
@@ -375,7 +387,8 @@ def check(
         ))
 
         # (d)-(g) finiteness of the gradient norms
-        fine = _gradient_norms(refined, tol)[0] if refined is not None else None
+        fine = None if refined is None else _gradient_norms(refined.grid, tol,
+                                                            _held_fields(refined))[0]
         for name, part in parts.items():
             fine_part = None if fine is None else fine[name]
             conditions.append(_finiteness(name, part, fine_part, ratios.get(name)))

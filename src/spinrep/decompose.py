@@ -230,9 +230,10 @@ def _construct(r: SpinDensityField, tol: ToleranceConfig) -> Witness:
             "admissibility", f"input field does not certify: {', '.join(failed)}"
         )
     # the check passed conditions (a) and (b), the test of sqrt_field
-    first = _rank1(r, *_entries(r, root.pop()))
+    pieces = list(_rank1(r, *_entries(r, root.pop())).pairs())
     branches: list[WitnessBranch] = []
-    for outer_weight, piece in first.pairs():
+    while pieces:
+        outer_weight, piece = pieces.pop(0)
         try:
             # a piece of sqrt(R): its rho_up, rho_dn are squares times 1/t
             second = _ratio(piece, clip=False)
@@ -250,6 +251,8 @@ def _construct(r: SpinDensityField, tol: ToleranceConfig) -> Witness:
             if needs_swap:
                 orbs = exchange_components(orbs)
             branches.append(WitnessBranch(weight=weight, orbitals=orbs, swapped=needs_swap))
+        # piece two reads r_dn and s only: piece one, and so r_up, goes before it
+        del piece, second, sub
     if not branches:
         raise PipelineError("assembly", "no branch survived the degeneracy threshold")
     return Witness(grid=r.grid, n_electrons=r.n_electrons, branches=tuple(branches))

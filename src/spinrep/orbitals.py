@@ -484,15 +484,13 @@ def _overlap(a: Spinor, b: Spinor):
     return _weighted_sum(a.grid, np.complex128, integrand)
 
 
-def _overlaps(orbitals: Sequence[Spinor], each=None) -> np.ndarray:
+def _overlaps(orbitals: Sequence[Spinor]) -> np.ndarray:
     """Matrix of <Phi_i | Phi_j> under the trapezoid inner product.
 
     Each pair is integrated once, for j >= i; the lower triangle, the
     diagonal included, holds the conjugates.  The orbitals are taken from
     ``orbitals`` once each, in order, and kept until the last one has its
-    column, so a family builds each of its orbitals once.  ``each(orbital)``
-    is then called on every orbital after its column; on the last one, once
-    the others are let go.
+    column, so a family builds each of its orbitals once.
     """
     n = len(orbitals)
     o = np.empty((n, n), dtype=np.complex128)
@@ -502,10 +500,6 @@ def _overlaps(orbitals: Sequence[Spinor], each=None) -> np.ndarray:
         for i, a in enumerate(held):
             o[i, j] = _overlap(a, orb)
             o[j, i] = np.conj(o[i, j])
-        if j == n - 1:
-            held.clear()
-        if each is not None:
-            each(orb)
     return o
 
 
@@ -541,47 +535,33 @@ def _sq(v: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return _abs2(v, out, buf) if np.iscomplexobj(v) else np.multiply(v, v, out=out)
 
 
-def _add_density(sums: tuple[np.ndarray, ...], p: float, uv: np.ndarray, dv: np.ndarray,
-                 each=None) -> None:
-    """Add p (|u|^2, |d|^2, u conj(d)) onto the up-up, dn-dn and up-dn ``sums``.
+def _add_block(sums, p: float, u: np.ndarray, d: np.ndarray, each=None) -> None:
+    """Add p (|u|^2, |d|^2, u conj(d)) on a block onto the up-up, dn-dn and up-dn ``sums``.
 
-    ``uv`` and ``dv`` are the up and dn values of one orbital, or a family's
-    base components in those places (one may be real).  Pointwise, over the
-    row slabs of :func:`blockwise`; ``each(lo, hi, uu, dd, buf)`` is called
-    on |u|^2 and |d|^2 of rows lo:hi before they are weighted, with a free
-    slab ``buf``.  numpy's complex multiply is fused, so its bits depend on
-    the operand order: conj(dn) * up is the order of a whole-grid
-    ``up * conj(dn)`` whose temporary numpy reuses (it does from 256 KiB,
-    i.e. 16384 points, on).
+    ``u`` and ``d`` are the up and dn values of one orbital on the block, or
+    a family's base components in those places (one may be real); the
+    up-up and dn-dn sums, or the up-dn one, may be None, and are then
+    skipped.  ``each(uu, dd, buf)`` is called on |u|^2 and |d|^2 before
+    they are weighted, with a free buffer ``buf``.  numpy's complex
+    multiply is fused, so its bits depend on the operand order: conj(dn) *
+    up is the order of a whole-grid ``up * conj(dn)`` whose temporary numpy
+    reuses (it does from 256 KiB, i.e. 16384 points, on).
     """
     up, dn, sg = sums
-
-    def step(lo, hi):
-        u, d = uv[lo:hi], dv[lo:hi]
-        c = np.empty(u.shape, np.complex128)
-        # two real slabs, used before c is
+    c = np.empty(u.shape, np.complex128)
+    if up is not None:
+        # two real buffers, used before c is
         uu, dd = c.view(np.float64).reshape((2,) + u.shape)
         buf = np.empty(u.shape)
         _sq(u, uu, buf)
         _sq(d, dd, buf)
         if each is not None:
-            each(lo, hi, uu, dd, buf)
-        for acc, sq in ((up[lo:hi], uu), (dn[lo:hi], dd)):
+            each(uu, dd, buf)
+        for acc, sq in ((up, uu), (dn, dd)):
             acc += np.multiply(p, sq, out=sq)
+    if sg is not None:
         np.multiply(np.conj(d, out=c), u, out=c)
-        acc = sg[lo:hi]
-        acc += np.multiply(p, c, out=c)
-
-    blockwise(up.shape, step)
-
-
-def _density_sums(grid: Grid3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero up-up, dn-dn and up-dn sums, for :func:`_add_density` to add orbitals onto.
-
-    Adding the orbitals one at a time makes each point add its terms in the
-    orbitals' order, and only the current orbital need be alive.
-    """
-    return np.zeros(grid.dims), np.zeros(grid.dims), np.zeros(grid.dims, np.complex128)
+        sg += np.multiply(p, c, out=c)
 
 
 def _each(orbitals: Sequence[Spinor], fn) -> None:
@@ -625,8 +605,15 @@ def reconstruction_error(orbitals: Sequence[Spinor], r: SpinDensityField) -> flo
     """max pointwise deviation of sum_k Phi_k^a conj(Phi_k^b) from R (absolute)."""
     # on finite data a weight of 1.0 changes only the sign of a zero, which |sum - R|
     # does not see; 1.0 * complex(inf, y) is complex(inf, nan), so an inf entry gives NaN
-    sums = _density_sums(r.grid)
-    _each(orbitals, lambda orb: _add_density(sums, 1.0, orb.up.values, orb.dn.values))
+    dims = r.grid.dims
+    sums = np.zeros(dims), np.zeros(dims), np.zeros(dims, np.complex128)
+
+    def add(orb):
+        u, d = orb.up.values, orb.dn.values
+        blockwise(dims, lambda lo, hi: _add_block([s[lo:hi] for s in sums], 1.0, u[lo:hi],
+                                                  d[lo:hi]))
+
+    _each(orbitals, add)
 
     def copy(lo, hi, *parts):
         for part, s in zip(parts, sums):
@@ -711,36 +698,6 @@ def _family_gram(fam: OrbitalFamily) -> np.ndarray:
 
     _small_slabs(fam.grid.dims, step, rows=max(1, _slab_rows(fam.grid.dims) // 4))
     return _phase_gram(fam.grid, fam.axis, marginal.result(), fam.phase, fam.ks)
-
-
-def _add_orbitals(sums, p: float, orbitals: Sequence[Spinor], gram: bool = False):
-    """Add p times the density of ``orbitals`` onto ``sums``; with ``gram``, return their Gram matrix.
-
-    A family adds p (|u|^2, |d|^2, u conj(d)) of its base components in one
-    pass (the phases cancel), and that pass feeds the marginal of its
-    Gram matrix, which has the bits of :func:`_family_gram`.  Explicit
-    orbitals are added one by one, and their overlaps are integrated.
-    """
-    if isinstance(orbitals, OrbitalFamily):
-        marginal = _Marginal(orbitals.grid, orbitals.axis) if gram else None
-
-        def each(lo, hi, uu, dd, buf):
-            # |phi_up|^2 + |sqrt_dn|^2 whichever place each holds: the sum commutes
-            marginal.add(lo, hi, np.add(uu, dd, out=buf))
-
-        _add_density(sums, p, *_components(orbitals), each if gram else None)
-        if gram:
-            return _phase_gram(orbitals.grid, orbitals.axis, marginal.result(), orbitals.phase,
-                               orbitals.ks)
-        return None
-
-    def add(orb):
-        _add_density(sums, p, orb.up.values, orb.dn.values)
-
-    if gram:
-        return _gram(_overlaps(orbitals, add))
-    _each(orbitals, add)
-    return None
 
 
 def _cross_overlaps(fa: OrbitalFamily, fb: OrbitalFamily) -> np.ndarray:

@@ -100,13 +100,15 @@ class StreamedDensity:
         return float(np.max(maxima))
 
     def field(self) -> SpinDensityField:
-        """The density held whole."""
-        def step(lo, hi, *outs):
-            for out, part in zip(outs, self.parts(rows(lo, hi))):
-                np.copyto(out, part)
-
+        """The density held whole, formed over small slabs, so a block's buffers stay small."""
         g = self.grid
-        up, dn, sg = blockwise_arrays(g.dims, (float, float, complex), step)
+        up, dn, sg = (np.empty(g.dims, dtype) for dtype in (float, float, complex))
+
+        def step(lo, hi):
+            for out, part in zip((up, dn, sg), self.parts(rows(lo, hi))):
+                np.copyto(out[lo:hi], part)
+
+        _small_slabs(g.dims, step)
         return SpinDensityField(ScalarField(g, frozen(up)), ScalarField(g, frozen(dn)),
                                 ComplexField(g, frozen(sg)), self.n_electrons)
 
@@ -134,7 +136,8 @@ def _det(parts, clamp: float, d: np.ndarray, re2: np.ndarray, im2: np.ndarray) -
     mod2 += np.multiply(s.imag, s.imag, out=im2)
     np.multiply(up, dn, out=d)
     d -= mod2
-    d[(d < 0.0) & (d >= -clamp)] = 0.0
+    if clamp:  # a clamp of 0 would change nothing
+        d[(d < 0.0) & (d >= -clamp)] = 0.0
     return d
 
 

@@ -3,24 +3,24 @@
 A branch's orbitals may be an :class:`spinrep.orbitals.OrbitalFamily`: one
 base spinor and one phase line.  The density, Gram matrix, kinetic energy
 and occupations of a family come from its base and 1-D or 2-D sums along
-its phase line, and no orbital of it is built here.  Explicit orbitals
-(given one by one) are taken one at a time, branch by branch, and at most
-one branch's orbitals are held at once.
+its phase line, and no orbital of it is built here.  The witness density
+is streamed from the branches block by block; ``verify`` never holds it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .check import FAIL, PASS, ConditionResult, Report, _gradient_norms, h1_seminorm
-from .fields import ComplexField, Field, Grid3, ScalarField, _weighted_sum, _worst, frozen
-from .orbitals import (OrbitalFamily, OrbitalSet, Spinor, _add_orbitals, _cross_overlaps,
-                       _density_sums, _deviation, _each, _family_gram, _family_kinetic, _overlap,
-                       _overlaps)
-from .spin_density import SpinDensityField, trace_integral
+from .fields import Grid3, ScalarField, _small_slabs, _weighted_sum, _worst, frozen
+from .orbitals import (OrbitalFamily, OrbitalSet, Spinor, _add_block, _components,
+                       _cross_overlaps, _deviation, _each, _family_gram, _family_kinetic, _gram,
+                       _Marginal, _overlap, _overlaps, _phase_gram)
+from .spin_density import SpinDensityField, StreamedDensity, _det, rows, trace_integral
 from .tolerances import (DEFAULT, GRAM_TOL, MISMATCH_TOL, SLACK, TINY, WEIGHT_SUM_TOL,
                          ToleranceConfig)
 
@@ -63,22 +63,36 @@ class Witness:
         return tuple(b.weight for b in self.branches)
 
 
-def _field(w: Witness, sums) -> SpinDensityField:
-    up, dn, sg = sums
-    return SpinDensityField(
-        rho_up=ScalarField(w.grid, frozen(up)),
-        rho_dn=ScalarField(w.grid, frozen(dn)),
-        sigma=ComplexField(w.grid, frozen(sg)),
-        n_electrons=w.n_electrons,
-    )
-
-
 def density_of(w: Witness) -> SpinDensityField:
     """The 2x2 density matrix field sum_n p_n sum_k Phi_nk^a conj(Phi_nk^b)."""
-    sums = _density_sums(w.grid)
-    for branch in w.branches:
-        _add_orbitals(sums, branch.weight, branch.orbitals.orbitals)
-    return _field(w, sums)
+    return StreamedDensity(w.grid, w.n_electrons, functools.partial(_sums, _terms(w))).field()
+
+
+def _terms(w: Witness) -> list:
+    """(branch, weight, up, dn) of each term of the witness density, in order.
+
+    A family has one term, its base components (the phases cancel);
+    explicit orbitals have one each, their values.
+    """
+    return [(k, b.weight, *term) for k, b in enumerate(w.branches) for term in (
+        [_components(b.orbitals.orbitals)] if isinstance(b.orbitals.orbitals, OrbitalFamily)
+        else [(orb.up.values, orb.dn.values) for orb in b.orbitals.orbitals])]
+
+
+def _sums(terms, sel, sigma: bool = True, diagonal: bool = True, each=None):
+    """The up-up, dn-dn and up-dn sums of ``terms`` on the block ``sel`` selects.
+
+    Each term's p (|u|^2, |d|^2, u conj(d)) is added onto +0.0 in order
+    (:func:`spinrep.orbitals._add_block`); without ``diagonal`` or ``sigma``
+    those sums are None.  ``each(k, uu, dd, buf)`` is called on |u|^2 and
+    |d|^2 of branch ``k``'s terms, with a free buffer ``buf``.
+    """
+    shape = sel(terms[0][2]).shape
+    sums = (*(np.zeros(shape) if diagonal else None for _ in range(2)),
+            np.zeros(shape, np.complex128) if sigma else None)
+    for k, p, uv, dv in terms:
+        _add_block(sums, p, sel(uv), sel(dv), None if each is None else functools.partial(each, k))
+    return sums
 
 
 def kinetic_by_spin(w: Witness) -> tuple[float, float]:
@@ -162,10 +176,63 @@ def occupation_spectrum(w: Witness) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(k))[::-1]
 
 
-def _l1_distance(a: Field, b: Field):
-    """integral |a - b|, the integrand formed leaf by leaf."""
-    af, bf = a.values.reshape(-1), b.values.reshape(-1)
-    return _weighted_sum(a.grid, float, lambda lo, hi, buf: np.abs(af[lo:hi] - bf[lo:hi], out=buf))
+def _fields(w: Witness, target: SpinDensityField, marginals: dict, l1s: list) -> Iterator:
+    """The fields of check's gradient norms of the witness density, streamed from its branches.
+
+    Three passes form parts of the density on their blocks.  Rows of rho_up
+    and rho_dn give rho, max(rho), both roots and the families' Gram
+    ``marginals`` (by branch).  Leaves of sigma give sigma and its integral
+    |a - b| against ``target``; then leaves of rho_up and rho_dn give theirs
+    and, with the held sigma, sqrt(max(det R, 0)).  ``l1s`` gets the three
+    integrals, up-up first.
+    """
+    grid, terms, maxima = w.grid, _terms(w), []
+    rho, up, dn = (np.empty(grid.dims) for _ in range(3))
+
+    def roots(lo, hi):
+        def each(k, uu, dd, buf):
+            # |phi_up|^2 + |sqrt_dn|^2 whichever place each holds: the sum commutes
+            if k in marginals:
+                marginals[k].add(lo, hi, np.add(uu, dd, out=buf))
+
+        u, d, _ = _sums(terms, rows(lo, hi), sigma=False, each=each)
+        maxima.append(np.max(np.add(u, d, out=rho[lo:hi])))
+        for v, out in ((u, up[lo:hi]), (d, dn[lo:hi])):
+            np.sqrt(np.clip(v, 0.0, None, out=out), out=out)
+
+    _small_slabs(grid.dims, roots)
+    yield ScalarField(grid, frozen(rho)), float(np.max(maxima))
+    yield up
+    del up
+    yield dn
+    del dn
+    sigma = np.empty(grid.dims, np.complex128)
+
+    def flat(lo, hi):
+        return lambda a: a.reshape(-1)[lo:hi]
+
+    def sigma_match(lo, hi, buf):
+        sel = flat(lo, hi)
+        s = _sums(terms, sel, diagonal=False)[2]
+        np.copyto(sel(sigma), s)
+        return [np.abs(np.subtract(s, sel(target.sigma.values), out=s), out=buf)]
+
+    (l1_sigma,) = _weighted_sum(grid, float, sigma_match, count=1)
+    yield sigma
+    root = np.empty(grid.dims)
+
+    def root_match(lo, hi, *bufs):
+        sel = flat(lo, hi)
+        u, d, _ = _sums(terms, sel, sigma=False)
+        # det_field's clamp changes no sqrt(max(det, 0)); bufs are free until returned
+        det = _det((u, d, sel(sigma)), 0.0, sel(root), *bufs)
+        np.sqrt(np.clip(det, 0.0, None, out=det), out=det)
+        return [np.abs(np.subtract(a, b, out=a), out=buf)
+                for a, b, buf in zip((u, d), target.parts(sel), bufs)]
+
+    l1s += [*_weighted_sum(grid, float, root_match, count=2), l1_sigma]
+    del sigma
+    yield root
 
 
 @dataclass(frozen=True)
@@ -220,11 +287,12 @@ def verify(
         integral |grad sigma|^2 / rho        <= T
         integral |grad sqrt(det R)|^2 / rho  <= 4 T
 
-    A family branch builds no orbital: one pass over its base adds its
-    density and gives its Gram matrix, which is the value construct's gate
-    stored, and its T takes two stencil passes.  Explicit orbitals are
-    taken one at a time for the density and the Gram matrix, and their T
-    is the stencil of each.
+    verify holds no witness density: it is streamed from the branches
+    into each field check's gradient norms form, one at a time, and the
+    L1 distances ride in the pass that forms sqrt(det R).  A family branch
+    builds no orbital: the first pass feeds its Gram matrix, the value
+    construct's gate stored, and its T takes two stencil passes.  Explicit
+    orbitals' Gram matrix is integrated, and their T is the stencil of each.
     """
     if w.grid != target.grid:
         raise ValueError("witness and target live on different grids")
@@ -234,23 +302,19 @@ def verify(
     # need not warn about it
     with np.errstate(invalid="ignore"):
         checks: list[ConditionResult] = []
-
-        # one pass per branch adds its density and gives its Gram matrix; a
-        # family builds no orbital for either
-        sums = _density_sums(w.grid)
-        worst = [_deviation(_add_orbitals(sums, b.weight, b.orbitals.orbitals, gram=True))
-                 for b in w.branches]
+        orbs, l1s = [b.orbitals.orbitals for b in w.branches], []
+        marginals = {k: _Marginal(w.grid, o.axis) for k, o in enumerate(orbs)
+                     if isinstance(o, OrbitalFamily)}
+        parts, ratios = _gradient_norms(w.grid, tol, _fields(w, target, marginals, l1s), w32=False)
+        worst = [_deviation(_phase_gram(w.grid, o.axis, marginals[k].result(), o.phase, o.ks)
+                            if k in marginals else _gram(_overlaps(o)))
+                 for k, o in enumerate(orbs)]
         gram_devs = tuple(dev for dev, _ in worst)
-        rec = _field(w, sums)
         t_up, t_dn = kinetic_by_spin(w)
 
         # (i) density match, relative L1
         denom = _worst((trace_integral(target), TINY), largest=True)[0]
-        l1 = (
-            float(_l1_distance(rec.rho_up, target.rho_up))
-            + float(_l1_distance(rec.rho_dn, target.rho_dn))
-            + 2.0 * float(_l1_distance(rec.sigma, target.sigma))
-        )
+        l1 = float(l1s[0]) + float(l1s[1]) + 2.0 * float(l1s[2])
         mismatch = l1 / denom
         checks.append(ConditionResult(
             "density_match",
@@ -290,7 +354,6 @@ def verify(
         ))
 
         # (v) integrated regularity bounds on the reconstructed density
-        parts, ratios = _gradient_norms(rec, tol, w32=False)
         bounds = (
             ("sqrt_rho_up_h1", parts["sqrt_rho_h1"]["h1_up"], t_up),
             ("sqrt_rho_dn_h1", parts["sqrt_rho_h1"]["h1_dn"], t_dn),

@@ -8,7 +8,7 @@ import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
-from spinrep.check import _gradient_norms
+from spinrep.check import _gradient_norms, _held_fields
 from spinrep.tolerances import DEFAULT
 
 
@@ -82,7 +82,7 @@ def kinetic_bound(r: sr.SpinDensityField, phase, k: int) -> float:
 
     the last term being integral(rho f'^2) after the transverse integration.
     """
-    parts, ratios = _gradient_norms(r, DEFAULT, w32=False)
+    parts, ratios = _gradient_norms(r.grid, DEFAULT, _held_fields(r), w32=False)
     moment = float(np.sum(r.grid.axis_weights[phase.axis] * phase.marginal ** 3))
     return (6.0 * ratios["sigma_grad_over_rho"].value + 4.0 * parts["sqrt_rho_h1"]["h1_dn"]
             + 4.0 * np.pi ** 2 * k * k * moment)
@@ -139,10 +139,16 @@ def kernel_derivatives(grid: sr.Grid3, values) -> tuple[np.ndarray, np.ndarray, 
 
 
 def density_sums(grid: sr.Grid3, weighted):
-    """The up-up, dn-dn and up-dn sums of ``orbitals._add_density`` over (p, orbital) pairs."""
-    sums = orbitals._density_sums(grid)
+    """The up-up, dn-dn and up-dn sums of ``orbitals._add_block`` over (p, orbital) pairs.
+
+    Zero sums, and each orbital added onto them over the slabs of ``fields.blockwise``,
+    as ``reconstruction_error`` adds its orbitals.
+    """
+    sums = np.zeros(grid.dims), np.zeros(grid.dims), np.zeros(grid.dims, np.complex128)
     for p, orb in weighted:
-        orbitals._add_density(sums, p, orb.up.values, orb.dn.values)
+        u, d = orb.up.values, orb.dn.values
+        fields.blockwise(grid.dims, lambda lo, hi: orbitals._add_block(
+            [s[lo:hi] for s in sums], p, u[lo:hi], d[lo:hi]))
     return sums
 
 

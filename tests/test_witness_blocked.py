@@ -11,6 +11,10 @@ included, on 48^3 and on the uneven 45x38x51 grid, for the default block
 size and for 1000-byte blocks (one-row slabs, integral leaves that cut
 rows), on 1, 2 and 3 workers, and on inputs with NaN and -0.0 entries.  The stages whose hypotheses a NaN breaks
 (``sqrt_field``, both splits and the base spinor) must refuse a NaN input.
+``verify``, which streams the witness density, must give the report text of
+``ref_verify``, which holds it whole, on family, explicit-orbital, NaN and
++-inf witnesses.  References and inputs do not depend on the blocks or the
+workers, so each is computed once per grid and input (``once``).
 
 Both grids have more than 16384 points.  There numpy reuses the grid-sized
 temporary of ``u * np.conj(d)`` in place, which multiplies in the order
@@ -26,9 +30,9 @@ import pytest
 
 import spinrep as sr
 from spinrep import fields, orbitals
-from spinrep.witness import _l1_distance
+from spinrep.witness import _fields
 
-from _helpers import cube, density_sums, gram_gate
+from _helpers import cube, density_sums, gram_gate, materialised, mixture
 from _reference import (
     build_fields,
     ref_base_reconstruction_error,
@@ -41,6 +45,8 @@ from _reference import (
     ref_ratio_split,
     ref_rank1_split,
     ref_sqrt_field,
+    ref_verify,
+    ref_witness_density,
 )
 
 GRIDS = {
@@ -53,6 +59,21 @@ LEAF_BYTES = [None, 1000]
 WORKERS = [1, 2, 3]
 # -0.0 among the smallest entries (the data is otherwise unchanged), or NaN
 SPECIALS = ["negzero", "nan"]
+
+_ONCE = {}
+
+
+def once(key, make):
+    """``make()``, computed on the first call with ``key`` in this module and kept."""
+    if key not in _ONCE:
+        _ONCE[key] = make()
+    return _ONCE[key]
+
+
+def fresh(r):
+    """A new field on the entries of ``r``: its rho_total and scale are formed again."""
+    return sr.SpinDensityField(r.rho_up, r.rho_dn, r.sigma, r.n_electrons)
+
 
 # -- inputs -------------------------------------------------------------------
 
@@ -81,7 +102,7 @@ def assert_same_split(got, ref):
 
 
 def spoiled(values, special, seed):
-    """A copy of ``values`` with NaN or -0.0 written at a few points.
+    """A copy of ``values`` with NaN, +-inf or -0.0 written at a few points.
 
     -0.0 goes to points among the thousand smallest, so that a field keeps
     the hypotheses (PSD, null determinant, spin ratio) its pass checks.
@@ -90,10 +111,12 @@ def spoiled(values, special, seed):
         return values
     v = values.copy()
     flat = v.reshape(-1)
-    pool = flat.size if special == "nan" else np.argsort(np.abs(flat))[:1000]
+    pool = np.argsort(np.abs(flat))[:1000] if special == "negzero" else flat.size
     idx = np.random.default_rng(seed).choice(pool, size=12, replace=False)
     # a complex entry keeps one part, so |sigma| does not grow
-    if special == "nan":
+    if special == "inf":
+        flat[idx[:2]], flat[idx[2:4]] = np.inf, -np.inf
+    elif special == "nan":
         flat[idx[:4]] = np.nan
         if v.dtype.kind == "c":
             flat[idx[4]] = complex(flat[idx[4]].real, np.nan)
@@ -139,7 +162,7 @@ def case(request):
     w = sr.construct_witness(r)
     assert len(w.branches) == 2
     pieces = [piece for _, piece in sr.rank1_split(r).pairs()]
-    return r, w, pieces, build_fields(r)
+    return r, w, pieces, build_fields(r), request.param
 
 
 @pytest.fixture(params=[(leaf, workers) for leaf in LEAF_BYTES for workers in WORKERS],
@@ -157,40 +180,77 @@ def blocks(request, monkeypatch):
 @pytest.mark.parametrize("special", SPECIALS)
 def test_overlaps(case, blocks, special):
     # every orbital of the witness: each branch's Gram matrix is a block of it
-    w = spoiled_witness(case[1], special)
+    w = witness_of(case, special)
     orbs = [orb for b in w.branches for orb in b.orbitals.orbitals]
-    assert_same(orbitals._overlaps(orbs), ref_overlaps(orbs))
+    assert_same(orbitals._overlaps(orbs), once(("overlaps", case[4], special),
+                                               lambda: ref_overlaps(orbs)))
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_density_sums(case, blocks, special):
-    w = spoiled_witness(case[1], special)
+    w = witness_of(case, special)
     weighted = [(b.weight, orb) for b in w.branches for orb in b.orbitals.orbitals]
-    for got, ref in zip(density_sums(w.grid, weighted),
-                        ref_density_sums(w.grid, weighted)):
+    refs = once(("sums", case[4], special), lambda: ref_density_sums(w.grid, weighted))
+    for got, ref in zip(density_sums(w.grid, weighted), refs):
         assert_same(got, ref)
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_density_match(case, blocks, special):
-    r, w = case[0], spoiled_witness(case[1], special)
-    rec = sr.density_of(w)
-    got = [_l1_distance(a, b) for a, b in zip((rec.rho_up, rec.rho_dn, rec.sigma),
-                                              (r.rho_up, r.rho_dn, r.sigma))]
-    for g, ref in zip(got, ref_density_match(rec, r)):
-        assert_same(g, ref)
+    # the integrals of verify's streamed passes, against those of the whole sums
+    r, w = case[0], witness_of(case, special)
+
+    got = []
+    for _ in _fields(w, r, {}, got):
+        pass
+    refs = once(("match", case[4], special), lambda: ref_density_match(ref_witness_density(w), r))
+    for g, want in zip(got, refs):
+        assert_same(g, want)
+
+
+def witness_of(case, special):
+    """The case's witness as verify's tests take it: ``special`` names the input."""
+    def make():
+        w = case[1]
+        if special == "family":
+            return w
+        return materialised(w) if special == "explicit" else spoiled_witness(w, special)
+
+    return once(("witness", case[4], special), make)
+
+
+@pytest.mark.parametrize("special", ["family", "explicit", "negzero", "nan", "inf"])
+def test_verify_report(case, blocks, special):
+    r, w = case[0], witness_of(case, special)
+    ref = once(("verify", case[4], special), lambda: ref_verify(w, r).to_text())
+    assert sr.verify(w, r).to_text() == ref
+
+
+@pytest.fixture(scope="module")
+def four_branch():
+    r = mixture(48, half=10.0, coupling=0.97, width_up=1.2, width_dn=2.2)
+    with gram_gate(1e-3):
+        w = sr.construct_witness(r)
+    assert len(w.branches) == 4
+    return r, w, ref_verify(w, r).to_text()
+
+
+def test_verify_report_of_four_branches(four_branch, blocks):
+    r, w, ref = four_branch
+    assert sr.verify(w, r).to_text() == ref
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_base_spinor_and_gram_gate(case, blocks, special):
-    for f in case[3]:
-        f = spoiled_field(f, special)
+    for k, f in enumerate(case[3]):
+        f = fresh(once(("field", case[4], k, special), lambda: spoiled_field(f, special)))
         if special == "nan":
             with pytest.raises(sr.NullDeterminantError):
                 orbitals._base_spinor(f)
             continue
         phi_up, sqrt_dn, stats = orbitals._base_spinor(f)
-        ref_phi, ref_sqrt, ref_stats = ref_base_spinor(f)
+        ref_phi, ref_sqrt, ref_stats = once(("base", case[4], k, special),
+                                            lambda: ref_base_spinor(f))
         assert_same(phi_up, ref_phi)
         assert_same(sqrt_dn, ref_sqrt)
         assert stats == ref_stats and stats["nodal_points"] > 0
@@ -199,57 +259,64 @@ def test_base_spinor_and_gram_gate(case, blocks, special):
                                         sr.ScalarField(f.grid, sqrt_dn), phase.axis,
                                         phase.values, tuple(range(1, f.n_electrons + 1)))
         assert_same(orbitals._deviation(orbitals._family_gram(family))[0],
-                    ref_phase_gram_deviation(ref_phi, ref_sqrt, phase, f.grid))
+                    once(("gram", case[4], k, special),
+                         lambda: ref_phase_gram_deviation(ref_phi, ref_sqrt, phase, f.grid)))
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_orbitals_materialised(case, blocks, axis):
     # any axis: the Gram gate is not what is compared here; NaN would stop at it
-    f = spoiled_field(case[3][0], "negzero")
+    f = fresh(once(("field", case[4], 0, "negzero"),
+                   lambda: spoiled_field(case[3][0], "negzero")))
     with gram_gate(1.0):
         orbs = sr.build_orbitals(f, axis)
-    phi_up, sqrt_dn, _ = ref_base_spinor(f)
+    phi_up, sqrt_dn, _ = once(("base", case[4], 0, "negzero"), lambda: ref_base_spinor(f))
     phase = sr.build_phase(f.rho_total, f.n_electrons, orbs.orbitals.axis)
-    refs = ref_orbital_values(phi_up, sqrt_dn, phase, f.grid)
+    refs = once(("orbitals", case[4], axis),
+                lambda: ref_orbital_values(phi_up, sqrt_dn, phase, f.grid))
     assert orbs.orbitals.axis == axis and len(refs) == len(orbs.orbitals)
     for orb, (up, dn) in zip(orbs.orbitals, refs):
         assert_same(orb.up.values, up)
         assert_same(orb.dn.values, dn)
-    assert orbs.diagnostics["reconstruction_abs"] == ref_base_reconstruction_error(
-        phi_up, sqrt_dn, f)
+    assert orbs.diagnostics["reconstruction_abs"] == once(
+        ("reconstruction", case[4]), lambda: ref_base_reconstruction_error(phi_up, sqrt_dn, f))
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_sqrt_field(case, blocks, special):
-    r = spoiled_field(case[0], special)
+    r = fresh(once(("input", case[4], special), lambda: spoiled_field(case[0], special)))
     if special == "nan":
         with pytest.raises(sr.NotPositiveSemidefiniteError):
             sr.sqrt_field(r)
         return
     sq = sr.sqrt_field(r)
-    for got, ref in zip((sq.r_up, sq.r_dn, sq.s), ref_sqrt_field(r)):
+    refs = once(("sqrt", case[4], special), lambda: ref_sqrt_field(r))
+    for got, ref in zip((sq.r_up, sq.r_dn, sq.s), refs):
         assert_same(got.values, ref)
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_rank1_split(case, blocks, special):
-    r = spoiled_field(case[0], special)
+    r = fresh(once(("input", case[4], special), lambda: spoiled_field(case[0], special)))
     if special == "nan":
         with pytest.raises(sr.NotPositiveSemidefiniteError):
             sr.rank1_split(r)
         return
-    assert_same_split(sr.rank1_split(r), ref_rank1_split(r))
+    assert_same_split(sr.rank1_split(r), once(("rank1", case[4], special),
+                                              lambda: ref_rank1_split(r)))
 
 
 @pytest.mark.parametrize("special", SPECIALS)
 def test_ratio_split(case, blocks, special):
-    for piece in case[2]:
-        piece = spoiled_field(piece, special)
+    for k, piece in enumerate(case[2]):
+        piece = fresh(once(("piece", case[4], k, special),
+                           lambda: spoiled_field(piece, special)))
         if special == "nan":
             with pytest.raises(sr.NullDeterminantError):
                 sr.ratio_split(piece)
             continue
-        assert_same_split(sr.ratio_split(piece), ref_ratio_split(piece))
+        assert_same_split(sr.ratio_split(piece), once(("ratio", case[4], k, special),
+                                                      lambda: ref_ratio_split(piece)))
 
 
 # -- NaN in the reconstruction max ------------------------------------------------

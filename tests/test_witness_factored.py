@@ -279,20 +279,22 @@ def mixture64():
 
 @pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
-def test_construct_peak_is_at_most_13_grids(monkeypatch, mixture64, workers):
-    # sqrt(R) (4 grids) and the witness (6) are held; no piece is
+def test_construct_peak_is_at_most_12_grids(monkeypatch, mixture64, workers):
+    # the witness (6) and sqrt(R) (4 grids) until piece one's branches are built, then
+    # r_dn and s; no piece is held (11.6 measured on 2 workers, 10.3 on 1)
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
     grid = 8 * mixture64.grid.npoints
-    assert traced_peak(lambda: sr.construct_witness(mixture64)) <= 13 * grid
+    assert traced_peak(lambda: sr.construct_witness(mixture64)) <= 12 * grid
 
 
 @pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
-def test_construct_peak_at_96_is_at_most_12_grids(monkeypatch, workers):
+def test_construct_peak_at_96_is_at_most_11_grids(monkeypatch, workers):
+    # 9.9 measured on 2 workers, 9.5 on 1
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
     r = mixture(96)
     r.rho_total  # cached on the caller's field before the measurement
-    assert traced_peak(lambda: sr.construct_witness(r)) <= 12 * 8 * r.grid.npoints
+    assert traced_peak(lambda: sr.construct_witness(r)) <= 11 * 8 * r.grid.npoints
 
 
 @pytest.fixture(scope="module")
@@ -301,8 +303,8 @@ def witness64(mixture64):
 
 
 @pytest.mark.traced
-def test_cli_verify_peak_is_at_most_19_25_grids(mixture64, witness64, tmp_path, capsys):
-    # 18.2 measured: the 4-grid input, the 6-grid witness and verify's own 8.1
+def test_cli_verify_peak_is_at_most_16_5_grids(mixture64, witness64, tmp_path, capsys):
+    # 15.9 measured: the 4-grid input, the 6-grid witness and verify's own 5.8
     grid = 8 * mixture64.grid.npoints
     target = tmp_path / "target.spdf"
     sr.write_spdf(target, mixture64)
@@ -310,15 +312,23 @@ def test_cli_verify_peak_is_at_most_19_25_grids(mixture64, witness64, tmp_path, 
     codes = []
     peak = traced_peak(lambda: codes.append(main(["verify", str(tmp_path / "w"), str(target)])))
     assert codes == [0, 0]
-    assert peak <= 19.25 * grid
+    assert peak <= 16.5 * grid
 
 
 @pytest.mark.traced
-def test_verify_peak_is_at_most_8_5_grids(mixture64, witness64):
-    # the sums of the witness density (4 grids) held through check's gradient
-    # norms of it (4.1 at 64^3 on two workers); no orbital is built
+def test_verify_peak_is_at_most_6_grids(mixture64, witness64):
+    # no witness density is held: rho, sigma and sqrt(det R) beside the small blocks the
+    # density is formed on, 5.8 measured at 64^3 on two workers; no orbital is built
     grid = 8 * mixture64.grid.npoints
-    assert traced_peak(lambda: sr.verify(witness64, mixture64)) <= 8.5 * grid
+    assert traced_peak(lambda: sr.verify(witness64, mixture64)) <= 6 * grid
+
+
+@pytest.mark.traced
+def test_verify_peak_at_96_is_at_most_5_grids():
+    # 4.5 measured on two workers: rho and sigma, its |grad sigma|^2 and the stencil's slabs
+    r = mixture(96)
+    w = sr.construct_witness(r)
+    assert traced_peak(lambda: sr.verify(w, r)) <= 5 * 8 * r.grid.npoints
 
 
 @pytest.mark.traced
