@@ -46,7 +46,6 @@ from .orbitals import (
     Spinor,
     build_orbitals,
     build_phase,
-    choose_phase_axis,
     exchange_components,
     gram_matrix,
     reconstruction_error,
@@ -97,8 +96,8 @@ __all__ = [
     "eigen_densities", "sqrt_field",
     "NullDeterminantError", "OrbitalSet", "OrthonormalityError", "PhaseFunction",
     "PhaseNormalizationError", "RatioHypothesisError", "Spinor",
-    "build_orbitals", "build_phase", "choose_phase_axis",
-    "exchange_components", "gram_matrix", "reconstruction_error",
+    "build_orbitals", "build_phase", "exchange_components",
+    "gram_matrix", "reconstruction_error",
     "PipelineError", "SplitResult", "construct_witness",
     "rank1_split", "ratio_split",
     "VerifyReport", "Witness", "WitnessBranch", "density_of",

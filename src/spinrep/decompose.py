@@ -137,23 +137,20 @@ def _rank1(r: SpinDensityField, ru: np.ndarray, rd: np.ndarray, s: np.ndarray) -
                   piece(ru, True), piece(rd, False))
 
 
-def _weights(up: np.ndarray, dn: np.ndarray, clip: bool) -> tuple[np.ndarray, ...]:
+def _weights(up: np.ndarray, dn: np.ndarray) -> tuple[np.ndarray, ...]:
     """The weight chi(rho_up / rho_dn)^2, max(rho_up, 0) and max(rho_dn, 0) on a block."""
-    if clip:
-        up, dn = np.clip(up, 0.0, None), np.clip(dn, 0.0, None)
+    up, dn = np.clip(up, 0.0, None), np.clip(dn, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(up, dn)
     w[np.isnan(w)] = 1.0  # 0/0: weightless points, any finite value works
     return np.square(cutoff(w), out=w), up, dn
 
 
-def _ratio(r, clip: bool = True) -> SplitResult:
+def _ratio(r) -> SplitResult:
     """The ratio split of a null-determinant R held whole or streamed, its pieces streamed.
 
     The test of :func:`require_null_determinant` runs in the pass that
-    integrates the masses and refuses before they are used.  Without
-    ``clip``, rho_up and rho_dn are known to be >= +0 or NaN, on which
-    max(x, 0) changes no bit, and are taken as they are.
+    integrates the masses and refuses before they are used.
     """
     dims, scale, tests = r.grid.dims, r.scale, []
 
@@ -162,7 +159,7 @@ def _ratio(r, clip: bool = True) -> SplitResult:
         tests.append(_null_det_slab(parts, scale, lambda loc: tuple(
             int(i) for i in np.unravel_index(lo + loc[0], dims))))
         with np.errstate(invalid="ignore"):  # a refused field may hold infinities
-            w, up, dn = _weights(*parts[:2], clip)
+            w, up, dn = _weights(*parts[:2])
             return np.multiply(w, up, out=a), np.multiply(w, dn, out=b)
 
     up, dn = _weighted_sum(r.grid, np.float64, masses, count=2)
@@ -171,7 +168,7 @@ def _ratio(r, clip: bool = True) -> SplitResult:
     def piece(one):
         def parts(sel, sigma=True):
             up, dn, sg = r.parts(sel, sigma)
-            w, up, dn = _weights(up, dn, clip)
+            w, up, dn = _weights(up, dn)
             if not one:
                 w = np.subtract(1.0, w, out=w)
             return (np.multiply(w, up, out=up), np.multiply(w, dn, out=dn),
@@ -235,8 +232,7 @@ def _construct(r: SpinDensityField, tol: ToleranceConfig) -> Witness:
     while pieces:
         outer_weight, piece = pieces.pop(0)
         try:
-            # a piece of sqrt(R): its rho_up, rho_dn are squares times 1/t
-            second = _ratio(piece, clip=False)
+            second = _ratio(piece)
         except ValueError as exc:
             raise PipelineError("ratio_split", str(exc)) from exc
         for needs_swap, (inner_weight, sub) in zip((True, False), second.slots()):

@@ -21,13 +21,13 @@ is none): the calling thread and helpers from the process's one pool of
 own).  Each worker owns its buffers and writes only the output of the
 blocks it takes, so no result depends on the scheduling.
 
-Every pointwise pass cuts slabs of whole planes: of axis-0 rows in the
-gradient kernel, the pointwise passes of ``check`` and ``spin_density``,
-``sqrt_field``, the orbitals and density sums of ``orbitals`` and the
-density generators, each indexing its 3-D arrays as ``a[lo:hi]``
-(:func:`blockwise`, :func:`blockwise_arrays`); of axis-0 or axis-1 planes,
-smaller, in the streamed passes of ``construct``, which form many buffers
-of their own (:func:`_small_slabs`).  Only the integrals (the overlaps and
+Every pointwise pass cuts slabs of axis-0 rows, each indexing its 3-D
+arrays as ``a[lo:hi]``: in the gradient kernel, the pointwise passes of
+``check`` and ``spin_density``, ``sqrt_field``, the orbitals and density
+sums of ``orbitals`` and the density generators (:func:`blockwise`,
+:func:`blockwise_arrays`), and smaller slabs in the streamed passes of
+``construct`` and ``verify``, which form many buffers of their own
+(:func:`_small_slabs`).  Only the integrals (the overlaps and
 density match of the witness path among them) cut other blocks, the leaves
 of numpy's pairwise tree below, because those leaves set the bits of a sum.
 A slab holds at least one plane and a plane at least 16 points, so no
@@ -470,14 +470,14 @@ def _small_points(npoints: int) -> int:
     return max(1, round(min(_SLAB_BYTES / 16, npoints / (4 * _cpus()))))
 
 
-def _small_slabs(dims, step, axis: int = 0, rows: int | None = None) -> None:
-    """Call ``step(lo, hi)`` on the workers for ranges lo:hi of ``rows`` planes of ``axis``.
+def _small_slabs(dims, step, rows: int | None = None) -> None:
+    """Call ``step(lo, hi)`` on the workers for ranges lo:hi of ``rows`` axis-0 rows.
 
     For passes that form their integrand in buffers of their own: a small
     slab, by default of :func:`_small_points`, keeps those small beside what
-    the caller holds.  By default the planes are axis-0 rows.
+    the caller holds.
     """
-    n, npoints = dims[axis], math.prod(dims)
+    n, npoints = dims[0], math.prod(dims)
     rows = rows or min(n, max(1, round(_small_points(npoints) * n / npoints)))
 
     def work(blocks):

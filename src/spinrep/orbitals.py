@@ -25,7 +25,7 @@ sqrt(rho_dn)), the phase axis, f at its nodes, the k-set and whether the
 up and dn components trade places.  It is the ``orbitals`` sequence of its
 :class:`OrbitalSet`, and item i is built when it is asked for, by one slab
 multiply (:func:`_orbital_values`), and is not kept.  ``build_orbitals``
-needs R only slab by slab, so it takes R streamed and holds none of it.
+takes R streamed, and holds of it only rho, until its phase marginals are in.
 
 What the witness needs of a family comes from its base and phase line, and
 builds no orbital: its density is that of the base (the phases cancel);
@@ -42,6 +42,7 @@ most one branch's orbitals.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -130,15 +131,15 @@ class OrbitalFamily(Sequence):
         grid = self.base_up.grid
         if self.base_dn.grid != grid:
             raise ValueError("the two base components live on different grids")
-        if self.axis not in (0, 1, 2):
-            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis!r}")
+        object.__setattr__(self, "axis", _axis(self.axis))
         f = np.asarray(self.phase, dtype=np.float64)
         if f.shape != (grid.dims[self.axis],):
             raise ValueError(f"phase has shape {f.shape}, expected ({grid.dims[self.axis]},)")
         if not (f.flags.c_contiguous and _is_frozen(f)):
             f = frozen(f.copy())
         object.__setattr__(self, "phase", f)
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        object.__setattr__(self, "ks", tuple(_integer(k, "each k must be an integer")
+                                             for k in self.ks))
         if not self.ks:
             raise ValueError("a family needs at least one k")
         # the phases take k as a float64, which holds every integer up to 2^53
@@ -159,6 +160,23 @@ class OrbitalFamily(Sequence):
                                  self.phase, self.ks[i], 1.0 / math.sqrt(len(self.ks)))
         up, dn = ComplexField(self.grid, frozen(up)), ComplexField(self.grid, frozen(dn))
         return Spinor(up=dn, dn=up) if self.exchanged else Spinor(up=up, dn=dn)
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as a plain int, if it is an integer; otherwise a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
+def _axis(axis) -> int:
+    """``axis`` as a plain int 0, 1 or 2; anything else is a ValueError naming it."""
+    message = "axis must be 0, 1 or 2"
+    ax = _integer(axis, message)
+    if ax not in (0, 1, 2):
+        raise ValueError(f"{message}, got {axis!r}")
+    return ax
 
 
 def _orbital_values(
@@ -203,44 +221,13 @@ class OrbitalSet:
 
 
 def _transverse_marginal(grid: Grid3, values: np.ndarray, axis: int) -> np.ndarray:
-    """Trapezoid integral of ``values`` over the two axes other than ``axis``.
+    """Trapezoid integral of ``values`` over the two axes other than ``axis``, clipped at 0.
 
-    Of a whole array, for the phase line, whose bits every stored witness
-    keeps; :class:`_Transverse` forms the same bits block by block.
+    Of a whole array, for the phase line, whose bits every stored witness keeps.
     """
     v = np.moveaxis(values, axis, 0)
     w = [grid.axis_weights[ax] for ax in range(3) if ax != axis]
-    return (v @ w[1]) @ w[0]
-
-
-class _Transverse:
-    """The bits of :func:`_transverse_marginal` on ``axes``, the values fed block by block.
-
-    Its first product gets each block's part as numpy forms it in the whole
-    array: every axis-0 (axis-1) plane is a BLAS matrix-vector product, so
-    ``add(cut, lo, hi, v)`` with ``cut`` 0 (1) takes the values on whole
-    planes lo:hi of that axis; the axis-2 planes are strided, which numpy
-    sums in order over y onto 0 without BLAS, so an axis-0 slab serves too.
-    """
-
-    def __init__(self, grid: Grid3, axes):
-        nx, ny, nz = grid.dims
-        self.grid = grid
-        self.first = {ax: np.empty({0: (nx, ny), 1: (ny, nx), 2: (nz, nx)}[ax]) for ax in axes}
-
-    def add(self, cut: int, lo: int, hi: int, v: np.ndarray) -> None:
-        _, wy, wz = self.grid.axis_weights
-        for ax, first in self.first.items():
-            if ax == 2 and cut == 0:
-                terms = np.multiply(v, wy[:, None])
-                terms[:, 0] += 0.0  # onto 0: a -0.0 first term sums to 0.0
-                first[:, lo:hi] = np.sum(terms, axis=1).T
-            elif ax == cut:
-                np.matmul(np.moveaxis(v, cut, 0), wz, out=first[lo:hi])
-
-    def result(self) -> dict[int, np.ndarray]:
-        wx, wy, _ = self.grid.axis_weights
-        return {ax: m @ (wy if ax == 0 else wx) for ax, m in self.first.items()}
+    return np.clip((v @ w[1]) @ w[0], 0.0, None)
 
 
 def _spectral_antiderivative(fp: np.ndarray, h: float) -> np.ndarray:
@@ -263,12 +250,6 @@ def _spectral_antiderivative(fp: np.ndarray, h: float) -> np.ndarray:
     ik[1:] = ck[1:] / (2j * np.pi * freq[1:])
     osc = np.fft.irfft(ik, n)
     return fp[0] * xi + 0.5 * slope * xi * xi + mean * xi + (osc - osc[0])
-
-
-def choose_phase_axis(rho: ScalarField) -> int:
-    """Axis along which the density marginal has the largest spread (std)."""
-    return _phase_axis(rho.grid, [np.clip(_transverse_marginal(rho.grid, rho.values, ax), 0.0,
-                                          None) for ax in range(3)])
 
 
 def _phase_axis(grid: Grid3, marginals) -> int:
@@ -300,10 +281,9 @@ def build_phase(
     ``PHASE_RENORM_FACTOR`` times the normalization tolerance means the
     input was not normalized to start with and is rejected.
     """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-    marginal = np.clip(_transverse_marginal(rho.grid, rho.values, axis), 0.0, None)
-    return _phase(rho.grid, marginal, n_electrons, axis, tol)
+    axis = _axis(axis)
+    return _phase(rho.grid, _transverse_marginal(rho.grid, rho.values, axis), n_electrons, axis,
+                  tol)
 
 
 def _phase(grid: Grid3, marginal: np.ndarray, n_electrons: int, axis: int,
@@ -372,7 +352,7 @@ def require_null_determinant(r: SpinDensityField) -> int:
     """
     found = []
     _small_slabs(r.grid.dims, lambda lo, hi: found.append(
-        _null_det_slab(r.parts(rows(lo, hi)), r.scale, _on_grid(lo, 0))))
+        _null_det_slab(r.parts(rows(lo, hi)), r.scale, _on_grid(lo))))
     return _null_det_count(found, r.scale, r.grid.npoints)
 
 
@@ -390,9 +370,9 @@ def _null_det_slab(parts, scale: float, where) -> tuple:
     return worst, where(loc), dt[loc], bad
 
 
-def _on_grid(lo: int, axis: int):
-    """The grid location of a location in the block of planes lo:hi of ``axis``."""
-    return lambda loc: tuple(i + lo if ax == axis else i for ax, i in enumerate(loc))
+def _on_grid(lo: int):
+    """The grid location of a location in the block of axis-0 rows lo:hi."""
+    return lambda loc: (loc[0] + lo,) + tuple(loc[1:])
 
 
 def _first_worst(found) -> tuple:
@@ -425,11 +405,11 @@ def _base_spinor(r, scale: float | None = None, each=None):
     Requires det R = 0 and rho_up <= 2 rho_dn within tolerance, judged
     against ``scale`` (by default ``r.scale``); on the nodal set of rho_dn
     the up component falls back to sqrt(rho_up).  ``r`` may be a
-    :class:`StreamedDensity`: one pass over slabs of axis-1 planes forms its
-    entries, tests them and writes the base, and ``each(lo, hi, phi,
-    sqrt_dn, entries)`` is then called on the slab of planes lo:hi.  The
-    tests refuse after the pass, the null determinant first, and the base of
-    a refused field is dropped.
+    :class:`StreamedDensity`: one pass over small slabs of axis-0 rows forms
+    its entries, tests them and writes the base, and ``each(lo, hi, phi,
+    sqrt_dn, entries)`` is then called on rows lo:hi.  The tests refuse
+    after the pass, the null determinant first, and the base of a refused
+    field is dropped.
     """
     scale = r.scale if scale is None else scale
     floor = sqrt_floor(scale)
@@ -437,28 +417,27 @@ def _base_spinor(r, scale: float | None = None, each=None):
     dets, excess, counts = [], [], []
 
     def step(lo, hi):
-        parts = r.parts(rows(lo, hi, 1))
-        dets.append(_null_det_slab(parts, scale, _on_grid(lo, 1)))
+        parts = r.parts(rows(lo, hi))
+        dets.append(_null_det_slab(parts, scale, _on_grid(lo)))
         rho_up, rho_dn, sigma = parts
+        phi, dn = phi_up[lo:hi], sqrt_dn[lo:hi]
         # a field the tests refuse may hold infinities: nothing formed from it is used
         with np.errstate(invalid="ignore", over="ignore"):
             worst, loc = _worst(rho_up - 2.0 * rho_dn, largest=True)
-            excess.append((worst, _on_grid(lo, 1)(loc)))
+            excess.append((worst, _on_grid(lo)(loc)))
             up = np.clip(rho_up, 0.0, None)
-            dn = np.clip(rho_dn, 0.0, None)
+            np.clip(rho_dn, 0.0, None, out=dn)
             live = dn >= floor
-            phi = np.empty(sigma.shape, np.complex128)
             np.divide(sigma, np.sqrt(dn, out=dn), out=phi, where=live)
             # nodal set of rho_dn: sigma vanishes there (null det), any phase works
             nodal = ~live
             phi[nodal] = np.sqrt(up[nodal])
             counts.append((np.count_nonzero(nodal), np.count_nonzero(nodal & (up >= floor))))
-            phi_up[:, lo:hi], sqrt_dn[:, lo:hi] = phi, dn
             del up, live, nodal  # before each() forms its own
             if each is not None:
                 each(lo, hi, phi, dn, parts)
 
-    _small_slabs(r.grid.dims, step, 1)
+    _small_slabs(r.grid.dims, step)
     stats = {"null_det_violations": float(_null_det_count(dets, scale, r.grid.npoints))}
     worst, loc = _first_worst(excess)
     if not worst <= RATIO_REL * scale:
@@ -647,8 +626,9 @@ class _Marginal:
     (over z, or over y for ``axis`` 2) by a stacked matrix-vector product,
     which numpy runs one row at a time, and the rows are summed once all are
     in.  So the result has the same bits however the rows were cut, and for
-    ``axis`` 0 those of :func:`_transverse_marginal`.  ``rows`` holds the
-    contracted rows, (x, y) for axes 0 and 1 and (x, z) for axis 2.
+    ``axis`` 0 those of :func:`_transverse_marginal` before its clip.
+    ``rows`` holds the contracted rows, (x, y) for axes 0 and 1 and (x, z)
+    for axis 2.
     """
 
     def __init__(self, grid: Grid3, axis: int, dtype=np.float64):
@@ -819,36 +799,29 @@ def build_orbitals(
     absolute and relative reconstruction errors (from the base spinor, in
     which the phases cancel), the nodal-set fallback counts and the phase
     renormalization adjustment.  ``axis`` (0-2) is the phase axis; None
-    takes :func:`choose_phase_axis`.
+    takes the axis whose clipped marginal of rho has the largest spread.
 
     ``r`` may be a :class:`StreamedDensity`, whose entries are formed where
-    they are used, in two passes: one over axis-0 slabs for max(rho) and the
-    transverse marginals of rho on axes 0 and 2, then the pass of
-    :func:`_base_spinor`, which also gives the marginal on axis 1 and the
-    reconstruction error.  The phase of the chosen axis reuses its marginal.
+    they are used, in two passes over axis-0 slabs: one writes rho into a
+    held grid, from which max(rho) and the transverse marginals are taken
+    (the chosen axis's is the phase's) before it is let go, then the pass
+    of :func:`_base_spinor`, which also gives the reconstruction error.
     """
-    if axis not in (None, 0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    axis = None if axis is None else _axis(axis)
     grid, n = r.grid, r.n_electrons
-    marginals = _Transverse(grid, range(3) if axis is None else (axis,))
-    maxima = []
-
-    def rho(lo, hi):
-        t = total(r, rows(lo, hi))
-        maxima.append(np.max(t))
-        marginals.add(0, lo, hi, t)
-
-    # the marginals of axes 0 and 2 and max(rho); the base pass gives axis 1's
-    _small_slabs(grid.dims, rho)
-    scale, recon = float(np.max(maxima)), []
+    rho = np.empty(grid.dims)
+    _small_slabs(grid.dims, lambda lo, hi: np.copyto(rho[lo:hi], total(r, rows(lo, hi))))
+    scale = float(np.max(rho))
+    marginals = {ax: _transverse_marginal(grid, rho, ax)
+                 for ax in (range(3) if axis is None else (axis,))}
+    del rho
+    recon = []
 
     def each(lo, hi, phi, sqrt_dn, entries):
-        marginals.add(1, lo, hi, np.add(entries[0], entries[1]))
         # the phases cancel: sum_k Phi_k^a conj(Phi_k^b) = base^a conj(base^b)
         recon.extend(_deviations(_base_sums(phi, sqrt_dn), entries))
 
     phi_up, sqrt_dn, stats = _base_spinor(r, scale, each)
-    marginals = {ax: np.clip(m, 0.0, None) for ax, m in marginals.result().items()}
     ax = _phase_axis(grid, marginals.values()) if axis is None else axis
     phase = _phase(grid, marginals[ax], n, ax, tol)
     family = OrbitalFamily(

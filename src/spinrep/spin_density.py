@@ -62,15 +62,9 @@ class SpinDensityField:
                 sel(self.sigma.values) if sigma else None)
 
 
-def rows(lo: int, hi: int, axis: int = 0):
-    """The selector of the planes lo:hi of ``axis``, by default axis-0 rows.
-
-    Complex planes of another axis are copied to a C-contiguous block: numpy
-    may multiply strided complex data by another loop, which can round
-    differently.
-    """
-    index = (slice(None),) * axis + (slice(lo, hi),)
-    return lambda a: np.ascontiguousarray(a[index]) if a.dtype.kind == "c" else a[index]
+def rows(lo: int, hi: int):
+    """The selector of the axis-0 rows lo:hi: a contiguous block of a C-order array."""
+    return lambda a: a[lo:hi]
 
 
 def total(r, sel) -> np.ndarray:

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinrep as sr
-from spinrep import fields, orbitals
+from spinrep import orbitals
 from spinrep.orbitals import _base_spinor, _spectral_antiderivative, _transverse_marginal
-from spinrep.spin_density import rows
 from spinrep.tolerances import GRAM_TOL
 
 from _helpers import (
@@ -50,7 +50,7 @@ def test_phase_marginal_is_renormalized(diagonal32):
     phase = sr.build_phase(rho, 2)
     wax = grid.axis_weights[phase.axis]
     np.testing.assert_allclose(np.sum(wax * phase.marginal), 2.0, rtol=1e-5)
-    marginal = np.clip(_transverse_marginal(grid, rho.values, phase.axis), 0.0, None)
+    marginal = _transverse_marginal(grid, rho.values, phase.axis)
     spectral = _spectral_antiderivative(marginal, grid.spacing[phase.axis])[-1]
     assert abs(spectral - np.sum(wax * marginal)) < 1e-5
 
@@ -67,8 +67,8 @@ def test_phase_rejects_empty_axis(grid32):
 
 
 def test_build_phase_rejects_an_axis_outside_0_to_2(diagonal32):
-    for axis in (3, -1, "z"):
-        with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
+    for axis in (3, -1, "z", 1.0):
+        with pytest.raises(ValueError, match=f"axis must be 0, 1 or 2, got {axis!r}"):
             sr.build_phase(diagonal32.rho_total, 2, axis)
 
 
@@ -79,8 +79,37 @@ def anisotropic_density(grid, widths):
 
 
 def test_choose_phase_axis_picks_most_structured(grid32):
-    assert sr.choose_phase_axis(anisotropic_density(grid32, (2.0, 1.0, 1.0))) == 0
-    assert sr.choose_phase_axis(anisotropic_density(grid32, (1.0, 3.0, 1.0))) == 1
+    """build_orbitals' axis choice: the marginal with the largest spread."""
+    for widths, axis in (((2.0, 1.0, 1.0), 0), ((1.0, 3.0, 1.0), 1)):
+        rho = anisotropic_density(grid32, widths).values
+        marginals = [_transverse_marginal(grid32, rho, ax) for ax in range(3)]
+        assert orbitals._phase_axis(grid32, marginals) == axis
+
+
+def test_axis_and_ks_are_plain_ints(tmp_path):
+    """An integer axis or k of any type is stored as an int; a witness with it round-trips."""
+    r = symmetric_rank1(48)
+    for axis in (True, np.int64(1)):
+        orbs = sr.build_orbitals(r, axis=axis)
+        assert type(orbs.orbitals.axis) is int and orbs.orbitals.axis == 1
+        fam = replace(orbs.orbitals, ks=(True, np.int64(2)))
+        assert all(type(k) is int for k in fam.ks) and fam.ks == (1, 2)
+        w = sr.Witness(grid=r.grid, n_electrons=2,
+                       branches=(sr.WitnessBranch(1.0, replace(orbs, orbitals=fam)),))
+        path = tmp_path / type(axis).__name__
+        sr.write_witness(path, w)
+        back = sr.read_witness(path).branches[0].orbitals.orbitals
+        assert (back.axis, back.ks) == (1, (1, 2))
+
+
+def test_an_axis_or_k_that_is_not_an_integer_is_refused():
+    fam = sr.build_orbitals(symmetric_rank1(48)).orbitals
+    with pytest.raises(ValueError, match=r"axis must be 0, 1 or 2, got 1\.0"):
+        sr.build_orbitals(symmetric_rank1(32), axis=1.0)
+    with pytest.raises(ValueError, match=r"axis must be 0, 1 or 2, got 1\.0"):
+        replace(fam, axis=1.0)
+    with pytest.raises(ValueError, match=r"each k must be an integer, got 1\.5"):
+        replace(fam, ks=(1.5,))
 
 
 # -- base spinor ----------------------------------------------------------------
@@ -268,52 +297,19 @@ def test_gate_refuses_before_building():
     assert issubclass(sr.OrthonormalityError, ValueError)
 
 
-# -- the marginals of a streamed field ----------------------------------------------
-
-
-MARGINAL_GRIDS = {
-    "45x38x51": sr.Grid3((45, 38, 51), (-8.0, -7.5, -8.5, 8.0, 7.5, 8.2)),
-    "5x9x7": sr.Grid3((5, 9, 7), (-3.0, -1.0, -2.0, 2.0, 3.0, 1.7)),
-    "64^3": cube(64),
-}
-
-
-@pytest.mark.parametrize("grid_name", MARGINAL_GRIDS)
-@pytest.mark.parametrize("slab", [None, 1000], ids=["default", "small"])
-@pytest.mark.parametrize("workers", [1, 2, 3], ids=lambda w: f"{w}w")
-def test_streamed_marginals_have_the_bits_of_the_whole_array(monkeypatch, grid_name, slab,
-                                                             workers):
-    """_Transverse fed axis-0 and axis-1 slabs gives _transverse_marginal's bits, zeros signed."""
-    grid = MARGINAL_GRIDS[grid_name]
-    if slab is not None:
-        monkeypatch.setattr(fields, "_SLAB_BYTES", slab)
-    monkeypatch.setattr(fields, "_cpus", lambda: workers)
-    rng = np.random.default_rng(sum(grid.dims))
-    v = rng.random(grid.dims) * np.exp(-rng.random(grid.dims))
-    v.reshape(-1)[::7] = -0.0
-    v.reshape(-1)[::11] = 0.0
-    marginals = orbitals._Transverse(grid, range(3))
-    for cut in (0, 1):
-        # a new block per slab, as a streamed field forms its entries
-        fields._small_slabs(grid.dims, lambda lo, hi: marginals.add(
-            cut, lo, hi, rows(lo, hi, cut)(v).copy()), cut)
-    for axis, got in marginals.result().items():
-        want = _transverse_marginal(grid, v, axis)
-        assert got.tobytes() == want.tobytes()
+# -- the phase marginals of build_orbitals ------------------------------------------
 
 
 def test_build_orbitals_forms_three_marginals_and_reuses_the_chosen_one(monkeypatch):
     """One marginal per axis and branch; the phase takes the chosen axis's, no fourth."""
-    formed, whole = [], []
-    result = orbitals._Transverse.result
+    formed = []
+    marginal = orbitals._transverse_marginal
 
-    def counted(self):
-        out = result(self)
-        formed.append(len(out))
-        return out
+    def counted(grid, values, axis):
+        formed.append(axis)
+        return marginal(grid, values, axis)
 
-    monkeypatch.setattr(orbitals._Transverse, "result", counted)
-    monkeypatch.setattr(orbitals, "_transverse_marginal", lambda *a: whole.append(a))
+    monkeypatch.setattr(orbitals, "_transverse_marginal", counted)
     w = sr.construct_witness(mixture(48))
     assert len(w.branches) == 2
-    assert formed == [3, 3] and whole == []
+    assert formed == [0, 1, 2, 0, 1, 2]

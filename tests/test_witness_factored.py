@@ -281,7 +281,7 @@ def mixture64():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_construct_peak_is_at_most_12_grids(monkeypatch, mixture64, workers):
     # the witness (6) and sqrt(R) (4 grids) until piece one's branches are built, then
-    # r_dn and s; no piece is held (11.6 measured on 2 workers, 10.3 on 1)
+    # r_dn and s; no piece is held (11.1 measured on 2 workers, 10.3 on 1)
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
     grid = 8 * mixture64.grid.npoints
     assert traced_peak(lambda: sr.construct_witness(mixture64)) <= 12 * grid
@@ -290,7 +290,7 @@ def test_construct_peak_is_at_most_12_grids(monkeypatch, mixture64, workers):
 @pytest.mark.traced
 @pytest.mark.parametrize("workers", [1, 2])
 def test_construct_peak_at_96_is_at_most_11_grids(monkeypatch, workers):
-    # 9.9 measured on 2 workers, 9.5 on 1
+    # 9.8 measured on 2 workers, 9.4 on 1
     monkeypatch.setattr(fields, "_cpus", lambda: workers)
     r = mixture(96)
     r.rho_total  # cached on the caller's field before the measurement

@@ -15,7 +15,10 @@ scale its split pieces in place and to wrap its arrays without copies, with
 Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on a 2-core x86-64 Intel Xeon.
 Bit-level digests can change with the numpy version or the CPU's SIMD code
 paths (``np.exp`` in particular); they have not been checked on the
-dependency floors in ``pyproject.toml``.
+dependency floors in ``pyproject.toml``.  The lines of ``rank1_48_n2_yx``
+were written by commit 4e60c0e, where ``build_orbitals`` still formed the
+phase marginal of axis 1 block by block, so they hold its axis-1 branches
+to the bits of that code.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ import spinrep as sr
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _helpers import cube, mixture, symmetric_rank1  # noqa: E402
+from test_equivariance import transformed  # noqa: E402
 
 DIGEST_FILE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "witness_sha256.txt"
@@ -39,6 +43,8 @@ FIELDS = {
     "gaussian48_n2": lambda: sr.gaussian_diagonal(cube(48), 2, width=1.4),
     "mixture48_n2": lambda: mixture(48),
     "rank1_48_n2": lambda: symmetric_rank1(48),
+    # axes 0 and 1 swapped: its branches take phase axes 2, 1, 1, 2
+    "rank1_48_n2_yx": lambda: transformed(symmetric_rank1(48), (1, 0, 2), (False,) * 3, False),
 }
 
 
